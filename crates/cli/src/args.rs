@@ -29,10 +29,8 @@ pub struct CommonOpts {
     pub threads: Option<usize>,
     /// Simulation engine (`--engine sequential|sharded`). The sharded
     /// engine replays every CLI scenario — including fault injection
-    /// (`--faults`) and recovery, which run on its epoch-sharded driver —
-    /// with results bit-identical to the sequential kernel. The one shape
-    /// it hands back (workflow DAGs) is reported on stderr via the
-    /// outcome's explicit fallback record, never switched silently.
+    /// (`--faults`), recovery and workflow DAGs, which run on its epoch
+    /// driver — with results bit-identical to the sequential kernel.
     pub engine: EngineKind,
     /// Optional chaos campaign (`--faults hosts=0.25,fail=500..8000,...`),
     /// turned into a seeded [`simcloud::faults::FaultPlan`] over the

@@ -117,7 +117,6 @@ fn run_one(
         scenario.simulate_on(assignment, engine)
     }
     .map_err(|e| format!("simulation failed: {e}"))?;
-    note_fallback(&outcome);
     Ok(RunResult {
         name: kind.label().to_string(),
         scheduling_ms,
@@ -144,19 +143,6 @@ fn report_meta(results: &[RunResult]) {
                 spent.join(", ")
             );
         }
-    }
-}
-
-/// One-line stderr note when the outcome ran on a different engine than
-/// the one requested, so `--engine sharded` users always learn what ran.
-fn note_fallback(outcome: &SimulationOutcome) {
-    if let Some(fb) = &outcome.fallback {
-        eprintln!(
-            "note: requested the {} engine but the run executed on the {} engine: {}",
-            fb.requested.name(),
-            fb.ran.name(),
-            fb.reason
-        );
     }
 }
 
@@ -428,7 +414,6 @@ pub fn cmd_workflow(args: &[String]) -> Result<(), String> {
     let outcome = scenario
         .simulate_on(plan, opts.engine)
         .map_err(|e| format!("simulation failed: {e}"))?;
-    note_fallback(&outcome);
     let span = outcome
         .records
         .iter()
@@ -581,7 +566,6 @@ pub fn cmd_stream(args: &[String]) -> Result<(), String> {
             .expect("tuning validated before the wave loop")
     })
     .map_err(|e| format!("stream run failed: {e}"))?;
-    note_fallback(&result.outcome);
     println!(
         "{} ({} replanning): {} waves, finished {}/{}, peak backlog {}",
         algorithm.label(),

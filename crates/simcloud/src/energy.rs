@@ -116,7 +116,6 @@ mod tests {
             vms_rejected: 0,
             cloudlets_failed: 0,
             engine: crate::simulation::EngineKind::Sequential,
-            fallback: None,
             resilience: crate::stats::ResilienceCounters::default(),
         }
     }

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use crate::host::{Host, HostSpec};
     pub use crate::ids::{CloudletId, DatacenterId, HostId, VmId};
     pub use crate::network::Topology;
-    pub use crate::simulation::{EngineFallback, EngineKind, SimulationBuilder};
+    pub use crate::simulation::{EngineKind, SimulationBuilder};
     pub use crate::stats::{
         CloudletRecord, RecordMode, ResilienceCounters, SimulationOutcome, VmUsage,
     };

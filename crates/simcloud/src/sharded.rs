@@ -1,47 +1,37 @@
 //! The sharded simulation engine.
 //!
-//! Two parallel replay paths live here, both bit-identical to the
-//! sequential kernel at any thread count (the engine-equivalence suite
-//! enforces this across seeds, scheduler flavours, fault plans, recovery
-//! policies and resubmission):
+//! Two replay paths live here, both bit-identical to the sequential
+//! kernel at any thread count (the engine-equivalence suite enforces this
+//! across seeds, scheduler flavours, fault plans, recovery policies,
+//! resubmission and workflow DAGs):
 //!
 //! 1. **Free-running replay** ([`run`]) for the paper's dominant shape —
-//!    a pre-computed cloudlet→VM assignment with no fault injection, no
-//!    recovery and no resubmission. Every VM's timeline is independent of
-//!    every other VM's once placement has happened, so the fleet is
-//!    partitioned into contiguous shards that replay to completion on
-//!    rayon workers with no synchronisation at all.
+//!    a pre-computed cloudlet→VM assignment with no dependencies, no
+//!    fault injection, no recovery and no resubmission. Every VM's
+//!    timeline is independent of every other VM's once placement has
+//!    happened, so the fleet is partitioned into contiguous shards that
+//!    replay to completion on rayon workers with no synchronisation at
+//!    all.
 //!
-//! 2. **Epoch-sharded replay** ([`run_epochs`]) for fault-injected,
-//!    recovering and resubmitting scenarios. The run alternates between
-//!    *control instants* — host failures and repairs, VM degrades, retry
-//!    wake-ups, submissions landing on dead VMs — handled sequentially by
-//!    the *real* [`crate::broker::Broker`] and [`crate::datacenter`]
-//!    entities, and *bulk epochs* in between, where every VM's local
-//!    events (submissions to live VMs, settle ticks, completions) replay
-//!    in parallel up to the next control instant. Determinism holds
+//! 2. **The epoch driver** ([`run_epochs`]) for everything else. The run
+//!    alternates between *control instants* — host failures and repairs,
+//!    VM degrades, retry wake-ups, submissions landing on dead VMs —
+//!    handled sequentially by the *real* [`crate::broker::Broker`] and
+//!    [`crate::datacenter`] entities, and *bulk epochs* in between, where
+//!    every VM's local events (submissions and submission batches to live
+//!    VMs, settle ticks, completions) replay in parallel lanes up to the
+//!    next control instant. Workflow DAGs add a *release barrier*: replay
+//!    is also bounded by the earliest completion that can still release a
+//!    cross-VM child, while releases whose parents all share the child's
+//!    VM resolve inside that VM's lane. A run without dependencies is an
+//!    edgeless plan, for which the barrier never binds. Determinism holds
 //!    because the event queue's `(time, seq)` order already sorts every
 //!    control event against everything staged before it, cross-VM effects
-//!    only ever originate at control instants, and the per-VM replay
-//!    reproduces the queue's tick-coalescing rules with a one-slot
-//!    `armed` deadline. See DESIGN.md §"Epoch-sharded replay" for the
-//!    full horizon rule and ordering argument.
-//!
-//! 3. **Dependency-aware epochs** ([`run_epochs_dag`]) for workflow
-//!    DAGs, with or without fault shaping. A dependency edge can release
-//!    a successor at any completion, so the driver replaces the
-//!    next-control horizon with a *release barrier*: replay is bounded by
-//!    the earliest completion notification that can still release a
-//!    cross-VM child. Releases whose children live on the **same VM** as
-//!    every parent never cross the barrier at all — they resolve inside
-//!    the VM's local replay (the broker's pending-parent counter for such
-//!    a child is masked so it is never double-released), which is what
-//!    lets co-located pipelines replay whole chains in one pass. See
-//!    DESIGN.md §"Dependency-aware epochs" for the barrier soundness and
-//!    determinism argument.
-//!
-//! Every workload shape now has a parallel path; `EngineFallback` is no
-//! longer produced by any scenario.
+//!    only originate at control instants or barrier deliveries, and each
+//!    lane reproduces the queue's tick-coalescing rules with a one-slot
+//!    `armed` deadline. See DESIGN.md §"The epoch driver" for the horizon
+//!    rule, the barrier soundness argument and why the free-running path
+//!    stays.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -86,12 +76,13 @@ struct ShardOut {
     ticks: u64,
 }
 
-/// Runs an eligible scenario on the sharded engine.
+/// Runs a plain batch scenario on the free-running sharded engine.
 ///
 /// The caller ([`crate::simulation::SimulationBuilder::run`]) has already
 /// validated the scenario and checked eligibility: no dependencies, no
 /// fault injection (host failures, fault plans, recovery), no
-/// resubmission.
+/// resubmission. The event count is exact, so the run is reported as not
+/// drained when it exceeds `max_events`, as the kernel would.
 pub(crate) fn run(
     world: &mut World,
     blueprints: Vec<DatacenterBlueprint>,
@@ -99,6 +90,7 @@ pub(crate) fn run(
     assignment: &[VmId],
     arrivals: Option<&[SimTime]>,
     topology: &Topology,
+    max_events: u64,
 ) -> RunStats {
     let dc_count = blueprints.len();
 
@@ -238,7 +230,7 @@ pub(crate) fn run(
     RunStats {
         end_time,
         events_processed: events,
-        drained: true,
+        drained: events <= max_events,
     }
 }
 
@@ -328,23 +320,10 @@ fn replay_vm(
 }
 
 // ====================================================================
-// Epoch-sharded replay: faults, recovery and resubmission.
+// Epoch driver: fault shaping, recovery, resubmission and workflow DAGs.
 // ====================================================================
 
-/// A VM-local delivery diverted from the event queue, awaiting replay.
-enum Staged {
-    /// A delivered `VmTick`: the queue's armed settle deadline fired.
-    /// Folded back into the replay's local `armed` slot rather than kept
-    /// as an inbox entry, so mid-epoch re-arms supersede it exactly like
-    /// the queue's lazy deletion would.
-    Tick,
-    /// A `CloudletSubmit` bound for a live VM.
-    Single(CloudletId),
-    /// A `CloudletSubmitBatch` bound for a live VM.
-    Batch(Vec<CloudletId>),
-}
-
-/// A completion notification produced by a replay segment, pending
+/// A completion notification produced by a lane replay, pending
 /// delivery to the real broker at an epoch boundary.
 struct PendingReturn {
     at: SimTime,
@@ -372,21 +351,7 @@ impl Ord for PendingReturn {
     }
 }
 
-/// Input to one VM's parallel replay segment.
-struct Segment {
-    vm: VmId,
-    dc: usize,
-    /// Submissions staged this epoch, in queue pop (= kernel) order.
-    subs: Vec<(SimTime, Staged)>,
-    /// The queue tick this epoch already popped for the VM, if any.
-    popped_tick: Option<SimTime>,
-    /// The queue's armed-tick slot at flush time (un-popped deadline).
-    armed_before: Option<SimTime>,
-    sched: Box<dyn CloudletScheduler>,
-    cost: CostModel,
-}
-
-/// One finished cloudlet from a replay segment.
+/// One finished cloudlet from a lane replay.
 struct FinishedCl {
     id: CloudletId,
     finish: SimTime,
@@ -394,270 +359,8 @@ struct FinishedCl {
     return_at: SimTime,
 }
 
-/// Everything a replay segment reports back for the sequential commit.
-struct SegmentOut {
-    vm: VmId,
-    dc: usize,
-    sched: Box<dyn CloudletScheduler>,
-    /// Cloudlets delivered to the VM this epoch (status → Queued).
-    queued: Vec<CloudletId>,
-    /// Start transitions, in event order (start time set iff unset).
-    started: Vec<(CloudletId, SimTime)>,
-    finished: Vec<FinishedCl>,
-    /// Submission events delivered (one per staged submit or batch).
-    sub_events: u64,
-    /// `VmTick` events delivered.
-    ticks: u64,
-    /// Latest event time the segment put on the clock (including
-    /// completion returns' output-transfer delay).
-    last_event: SimTime,
-    /// Time of the last event the segment actually processed.
-    last_now: SimTime,
-    armed_before: Option<SimTime>,
-    armed_after: Option<SimTime>,
-}
-
-/// The epoch driver's mutable state.
-struct Driver {
-    queue: EventQueue,
-    clock: SimTime,
-    processed: u64,
-    /// Per-VM staged deliveries awaiting the next epoch flush.
-    inbox: HashMap<VmId, Vec<(SimTime, Staged)>>,
-    returns: BinaryHeap<Reverse<PendingReturn>>,
-    return_ord: u64,
-    broker_id: EntityId,
-}
-
-/// Runs a fault-injected, recovering or resubmitting scenario on the
-/// epoch-sharded engine.
-///
-/// The caller ([`crate::simulation::SimulationBuilder::run`]) has
-/// validated the scenario and built the *real* datacenter and broker
-/// entities exactly as the sequential kernel would. This driver replays
-/// the same event stream: control events (placement, host failures and
-/// repairs, VM degrades, submissions landing on dead VMs, cloudlet
-/// failures, retry wake-ups) are dispatched to the real entity handlers
-/// in queue order, while VM-local deliveries in between are staged and
-/// replayed in parallel at the next control instant. Workflow DAGs route
-/// to [`run_epochs_dag`] instead, which adds the release barrier.
-pub(crate) fn run_epochs(
-    world: &mut World,
-    dcs: &mut [Datacenter],
-    broker: &mut Broker,
-    max_events: u64,
-) -> RunStats {
-    let broker_id = EntityId::from_index(dcs.len());
-    let mut driver = Driver {
-        queue: EventQueue::new(),
-        clock: SimTime::ZERO,
-        processed: 0,
-        inbox: HashMap::new(),
-        returns: BinaryHeap::new(),
-        return_ord: 0,
-        broker_id,
-    };
-    // Start every entity at t=0 in registration order, as the kernel does.
-    for i in 0..=dcs.len() {
-        let id = EntityId::from_index(i);
-        driver.queue.push(SimTime::ZERO, id, id, Event::Start);
-    }
-    // The kernel learns the broker address from the first submission; the
-    // driver diverts submissions around the entity, so pre-seed the hint
-    // (only ever read once submissions have landed — equivalent).
-    for dc in dcs.iter_mut() {
-        dc.set_broker_hint(broker_id);
-    }
-
-    while let Some(ev) = driver.queue.pop() {
-        match ev.event {
-            Event::VmTick { vm } => {
-                driver.stage(vm, ev.time, Staged::Tick);
-                continue;
-            }
-            Event::CloudletSubmit { cloudlet, vm } if world.vm(vm).is_active() => {
-                driver.stage(vm, ev.time, Staged::Single(cloudlet));
-                continue;
-            }
-            Event::CloudletSubmitBatch { vm, ref cloudlets } if world.vm(vm).is_active() => {
-                let batch = cloudlets.clone();
-                driver.stage(vm, ev.time, Staged::Batch(batch));
-                continue;
-            }
-            _ => {}
-        }
-        // A control event. Everything staged so far was popped before it,
-        // i.e. is kernel-ordered before it: replay up to this instant,
-        // deliver matured completions, then run the real handler on the
-        // merged state.
-        driver.flush(world, dcs, Some(ev.time));
-        driver.deliver_returns(world, broker, Some(ev.time));
-        driver.clock = driver.clock.max(ev.time);
-        driver.processed += 1;
-        if driver.processed > max_events {
-            return RunStats {
-                end_time: driver.clock,
-                events_processed: driver.processed,
-                drained: false,
-            };
-        }
-        let dest = ev.dest;
-        let mut ctx = Context::attach(ev.time, dest, &mut driver.queue);
-        if dest.index() < dcs.len() {
-            dcs[dest.index()].handle(world, &mut ctx, ev);
-        } else {
-            broker.handle(world, &mut ctx, ev);
-        }
-    }
-    // Queue drained: replay whatever is still staged to completion, then
-    // deliver the remaining returns (which push nothing further — the
-    // broker's return handler only folds counters when there is no DAG).
-    driver.flush(world, dcs, None);
-    driver.deliver_returns(world, broker, None);
-    debug_assert!(driver.queue.is_empty(), "epoch driver left events behind");
-    let drained = driver.processed <= max_events;
-    RunStats {
-        end_time: driver.clock,
-        events_processed: driver.processed,
-        drained,
-    }
-}
-
-impl Driver {
-    fn stage(&mut self, vm: VmId, time: SimTime, staged: Staged) {
-        self.inbox.entry(vm).or_default().push((time, staged));
-    }
-
-    /// Replays every staged VM up to `horizon` (exclusive; `None` = to
-    /// completion), commits the results to the world in a deterministic
-    /// order and reconciles each VM's armed tick with the queue.
-    fn flush(&mut self, world: &mut World, dcs: &mut [Datacenter], horizon: Option<SimTime>) {
-        if self.inbox.is_empty() {
-            return;
-        }
-        let mut keys: Vec<VmId> = self.inbox.keys().copied().collect();
-        keys.sort_unstable_by_key(|vm| vm.index());
-        let mut segs: Vec<Segment> = Vec::with_capacity(keys.len());
-        for vm in keys {
-            let mut entries = self.inbox.remove(&vm).expect("key just listed");
-            let mut popped_tick = None;
-            entries.retain(|(t, s)| {
-                if matches!(s, Staged::Tick) {
-                    popped_tick = Some(*t);
-                    false
-                } else {
-                    true
-                }
-            });
-            let dc = world
-                .vm(vm)
-                .datacenter
-                .expect("staged deliveries imply placement")
-                .index();
-            let sched = dcs[dc]
-                .take_sched(vm)
-                .expect("staged deliveries imply a live scheduler");
-            segs.push(Segment {
-                vm,
-                dc,
-                subs: entries,
-                popped_tick,
-                armed_before: self.queue.armed_tick(vm),
-                sched,
-                cost: dcs[dc].characteristics().cost,
-            });
-        }
-        let vms = &world.vms;
-        let cloudlets = &world.cloudlets;
-        let outs: Vec<SegmentOut> = if segs.len() > 1 {
-            segs.into_par_iter()
-                .map(|s| replay_segment(s, vms, cloudlets, horizon))
-                .collect()
-        } else {
-            segs.into_iter()
-                .map(|s| replay_segment(s, vms, cloudlets, horizon))
-                .collect()
-        };
-        for out in outs {
-            self.processed += out.ticks + out.sub_events;
-            self.clock = self.clock.max(out.last_event);
-            let dc_id = EntityId::from_index(out.dc);
-            dcs[out.dc].put_sched(out.vm, out.sched);
-            dcs[out.dc].note_completed(out.finished.len() as u64);
-            if out.armed_after != out.armed_before {
-                self.queue.cancel_vm_tick(out.vm);
-                if let Some(t) = out.armed_after {
-                    self.queue
-                        .push_vm_tick(out.last_now, dc_id, dc_id, out.vm, t);
-                }
-            }
-            // Commit in the kernel's per-cloudlet transition order:
-            // delivery (Queued) → start (Running) → finish.
-            for &c in &out.queued {
-                let cl = world.cloudlet_mut(c);
-                cl.status = CloudletStatus::Queued;
-                cl.vm = Some(out.vm);
-            }
-            for &(c, t) in &out.started {
-                let cl = world.cloudlet_mut(c);
-                if cl.start_time.is_none() {
-                    cl.start_time = Some(t);
-                }
-                cl.status = CloudletStatus::Running;
-            }
-            for f in out.finished {
-                let cl = world.cloudlet_mut(f.id);
-                cl.finish_time = Some(f.finish);
-                cl.status = CloudletStatus::Finished;
-                cl.cost = f.cost;
-                self.returns.push(Reverse(PendingReturn {
-                    at: f.return_at,
-                    ord: self.return_ord,
-                    cloudlet: f.id,
-                }));
-                self.return_ord += 1;
-            }
-        }
-    }
-
-    /// Delivers matured completion notifications to the real broker, in
-    /// (time, generation) order. With no workflow DAG the return handler
-    /// only folds counters, so delivering at epoch granularity instead of
-    /// interleaved with bulk ticks is unobservable.
-    fn deliver_returns(
-        &mut self,
-        world: &mut World,
-        broker: &mut Broker,
-        horizon: Option<SimTime>,
-    ) {
-        while let Some(Reverse(head)) = self.returns.peek() {
-            if horizon.is_some_and(|h| head.at >= h) {
-                break;
-            }
-            let Reverse(r) = self.returns.pop().expect("peeked entry pops");
-            self.processed += 1;
-            self.clock = self.clock.max(r.at);
-            let ev = ScheduledEvent {
-                time: r.at,
-                seq: 0,
-                dest: self.broker_id,
-                src: self.broker_id,
-                event: Event::CloudletReturn {
-                    cloudlet: r.cloudlet,
-                },
-            };
-            let mut ctx = Context::attach(r.at, self.broker_id, &mut self.queue);
-            broker.handle(world, &mut ctx, ev);
-        }
-    }
-}
-
-// ====================================================================
-// Dependency-aware epochs: workflow DAGs on the sharded engine.
-// ====================================================================
-
-/// The dependency table the DAG epoch driver replays against, compiled
-/// once from the scenario before the entities are built.
+/// The dependency table the epoch driver replays against, compiled once
+/// from the scenario before the entities are built.
 ///
 /// Children are classified by where their release can be resolved:
 ///
@@ -673,10 +376,14 @@ impl Driver {
 ///
 /// Under fault shaping (host failures, recovery, resubmission) every
 /// child is cross: resubmission can rewrite the assignment mid-run, so
-/// the static same-VM classification would be unsound.
+/// the static same-VM classification would be unsound. A run without
+/// dependencies compiles to an edgeless plan: no local children, no
+/// cross parents, so the barrier never binds and replay is bounded by
+/// control instants alone.
 pub(crate) struct DagPlan {
     /// CSR offsets into `local_child`: `local_off[p]..local_off[p+1]`
-    /// are the locally-released children of parent `p`.
+    /// are the locally-released children of parent `p`. Empty for an
+    /// edgeless plan.
     local_off: Vec<u32>,
     local_child: Vec<u32>,
     /// Parents with at least one cross child — their completions bound
@@ -695,15 +402,27 @@ pub(crate) struct DagPlan {
 
 impl DagPlan {
     /// Classifies every dependency edge and builds the replay table.
+    /// `parents` is `None` for a run without dependencies.
     pub(crate) fn compile(
-        parents: &[Vec<CloudletId>],
+        parents: Option<&[Vec<CloudletId>]>,
         assignment: &[VmId],
         vm_count: usize,
         fault_shaped: bool,
-        arrivals: Option<Vec<SimTime>>,
+        arrivals: Option<&[SimTime]>,
         topology: Topology,
     ) -> DagPlan {
-        let n = parents.len();
+        let n = assignment.len();
+        let Some(parents) = parents else {
+            return DagPlan {
+                local_off: Vec::new(),
+                local_child: Vec::new(),
+                has_cross: vec![false; n],
+                local_mask: Vec::new(),
+                lane_pending: Vec::new(),
+                arrivals: None,
+                topology,
+            };
+        };
         let mut local_mask = vec![false; n];
         if !fault_shaped {
             for (c, ps) in parents.iter().enumerate() {
@@ -753,19 +472,16 @@ impl DagPlan {
             has_cross,
             local_mask,
             lane_pending,
-            arrivals,
+            arrivals: arrivals.map(<[SimTime]>::to_vec),
             topology,
         }
     }
 
     fn local_children(&self, parent: CloudletId) -> &[u32] {
-        let lo = self.local_off[parent.index()] as usize;
-        let hi = self.local_off[parent.index() + 1] as usize;
-        &self.local_child[lo..hi]
-    }
-
-    fn has_local_children(&self, parent: CloudletId) -> bool {
-        self.local_off[parent.index()] < self.local_off[parent.index() + 1]
+        match self.local_off.get(parent.index()..=parent.index() + 1) {
+            Some(&[lo, hi]) => &self.local_child[lo as usize..hi as usize],
+            _ => &[],
+        }
     }
 }
 
@@ -784,13 +500,31 @@ enum Bound {
     All,
 }
 
+/// A queue-staged submission bound for a live VM.
+enum Sub {
+    /// A `CloudletSubmit`.
+    One(CloudletId),
+    /// A `CloudletSubmitBatch`: one event, replayed through
+    /// `submit_many`.
+    Batch(Vec<CloudletId>),
+}
+
+impl Sub {
+    fn cloudlets(&self) -> &[CloudletId] {
+        match self {
+            Sub::One(c) => std::slice::from_ref(c),
+            Sub::Batch(cs) => cs,
+        }
+    }
+}
+
 /// One VM's staged work between flushes, plus its local release state.
 #[derive(Default)]
 struct Lane {
     /// Queue-staged submissions in pop (= kernel) order, consumed from
     /// `head`. Pop times are globally nondecreasing, so this stays
     /// sorted by construction.
-    subs: Vec<(SimTime, CloudletId)>,
+    subs: Vec<(SimTime, Sub)>,
     head: usize,
     /// The queue tick already popped for this VM, if any.
     popped_tick: Option<SimTime>,
@@ -866,8 +600,8 @@ struct LaneOut {
     armed_after: Option<SimTime>,
 }
 
-/// The DAG epoch driver's mutable state.
-struct DagDriver {
+/// The epoch driver's mutable state.
+struct Driver {
     queue: EventQueue,
     clock: SimTime,
     processed: u64,
@@ -888,22 +622,29 @@ struct DagDriver {
     broker_id: EntityId,
 }
 
-/// Runs a workflow-DAG scenario (with or without fault shaping) on the
-/// epoch-sharded engine.
+/// Runs a fault-shaped, recovering, resubmitting or workflow-DAG scenario
+/// on the epoch-sharded engine.
 ///
-/// The loop alternates between draining every queue event at or before
-/// the current release barrier — bulk deliveries are staged into lanes,
-/// control events are handled by the real entities after a bounded
-/// flush — and *release rounds* that replay all lanes up to the barrier
-/// and deliver matured completions to the real broker (whose
-/// `CloudletReturn` handler performs the cross releases). The barrier
-/// `B = min(R, G)` is sound: any future cross release happens at the
-/// return time of a pending completion (≥ R), or downstream of a staged
-/// cross-parent cloudlet whose completion is no earlier than its lane's
-/// next event (≥ G, inductively over release chains); queue events are
-/// never outrun because rounds fire only when the earliest deliverable
-/// queue event lies beyond the barrier.
-pub(crate) fn run_epochs_dag(
+/// The caller ([`crate::simulation::SimulationBuilder::run`]) has
+/// validated the scenario and built the *real* datacenter and broker
+/// entities exactly as the sequential kernel would. The loop alternates
+/// between draining every queue event at or before the current release
+/// barrier — VM-local deliveries (ticks, submissions and submission
+/// batches to live VMs) are staged into lanes, control events
+/// (placement, host failures and repairs, VM degrades, submissions
+/// landing on dead VMs, cloudlet failures, retry wake-ups) are handled by
+/// the real entities after a bounded flush — and *release rounds* that
+/// replay all lanes up to the barrier and deliver matured completions to
+/// the real broker (whose `CloudletReturn` handler performs the cross
+/// releases). The barrier `B = min(R, G)` is sound: any future cross
+/// release happens at the return time of a pending completion (≥ R), or
+/// downstream of a staged cross-parent cloudlet whose completion is no
+/// earlier than its lane's next event (≥ G, inductively over release
+/// chains); queue events are never outrun because rounds fire only when
+/// the earliest deliverable queue event lies beyond the barrier. With an
+/// edgeless plan the barrier is always `None`: control instants alone
+/// separate the parallel epochs.
+pub(crate) fn run_epochs(
     world: &mut World,
     dcs: &mut [Datacenter],
     broker: &mut Broker,
@@ -928,7 +669,7 @@ pub(crate) fn run_epochs_dag(
         });
     }
     lanes.resize_with(vm_count, Lane::default);
-    let mut driver = DagDriver {
+    let mut driver = Driver {
         queue: EventQueue::new(),
         clock: SimTime::ZERO,
         processed: 0,
@@ -941,10 +682,14 @@ pub(crate) fn run_epochs_dag(
         in_flight: vec![false; n],
         broker_id,
     };
+    // Start every entity at t=0 in registration order, as the kernel does.
     for i in 0..=dcs.len() {
         let id = EntityId::from_index(i);
         driver.queue.push(SimTime::ZERO, id, id, Event::Start);
     }
+    // The kernel learns the broker address from the first submission; the
+    // driver diverts submissions around the entity, so pre-seed the hint
+    // (only ever read once submissions have landed — equivalent).
     for dc in dcs.iter_mut() {
         dc.set_broker_hint(broker_id);
     }
@@ -960,7 +705,10 @@ pub(crate) fn run_epochs_dag(
                         driver.stage_tick(vm, ev.time);
                     }
                     Event::CloudletSubmit { cloudlet, vm } if world.vm(vm).is_active() => {
-                        driver.stage_sub(vm, ev.time, cloudlet, &plan);
+                        driver.stage_sub(vm, ev.time, Sub::One(cloudlet), &plan);
+                    }
+                    Event::CloudletSubmitBatch { vm, cloudlets } if world.vm(vm).is_active() => {
+                        driver.stage_sub(vm, ev.time, Sub::Batch(cloudlets), &plan);
                     }
                     _ => {
                         // A control event: cloudlet failures, host faults
@@ -1017,11 +765,11 @@ pub(crate) fn run_epochs_dag(
             }
         }
     }
-    debug_assert!(driver.queue.is_empty(), "DAG driver left events behind");
+    debug_assert!(driver.queue.is_empty(), "epoch driver left events behind");
     debug_assert!(driver.returns.is_empty(), "undelivered completions");
     debug_assert!(
         driver.lanes.iter().all(|l| !l.has_content()),
-        "DAG driver left lane content behind"
+        "epoch driver left lane content behind"
     );
     let drained = driver.processed <= max_events;
     RunStats {
@@ -1031,7 +779,7 @@ pub(crate) fn run_epochs_dag(
     }
 }
 
-impl DagDriver {
+impl Driver {
     /// The release barrier: the earliest instant at which a cross release
     /// can still be injected. `None` when no cross release is pending or
     /// in flight anywhere.
@@ -1072,12 +820,14 @@ impl DagDriver {
         self.mark_dirty(vm);
     }
 
-    fn stage_sub(&mut self, vm: VmId, time: SimTime, cloudlet: CloudletId, plan: &DagPlan) {
-        self.lanes[vm.index()].subs.push((time, cloudlet));
-        if plan.has_cross[cloudlet.index()] && !self.in_flight[cloudlet.index()] {
-            self.in_flight[cloudlet.index()] = true;
-            self.rel_inflight += 1;
+    fn stage_sub(&mut self, vm: VmId, time: SimTime, sub: Sub, plan: &DagPlan) {
+        for c in sub.cloudlets() {
+            if plan.has_cross[c.index()] && !self.in_flight[c.index()] {
+                self.in_flight[c.index()] = true;
+                self.rel_inflight += 1;
+            }
         }
+        self.lanes[vm.index()].subs.push((time, sub));
         self.mark_dirty(vm);
     }
 
@@ -1203,9 +953,11 @@ impl DagDriver {
     }
 
     /// Delivers matured completions to the real broker in (time,
-    /// generation) order. Unlike the fault-only driver this is where
-    /// cross releases actually happen: the broker's return handler
-    /// decrements pending-parent counters and submits freed children.
+    /// generation) order. This is where cross releases happen: the
+    /// broker's return handler decrements pending-parent counters and
+    /// submits freed children. Without dependencies it only folds
+    /// counters, so delivering at epoch granularity instead of
+    /// interleaved with bulk ticks is unobservable.
     fn deliver_returns(
         &mut self,
         world: &mut World,
@@ -1247,9 +999,11 @@ impl DagDriver {
     }
 }
 
-/// Replays one lane under `bound`: queue-staged submissions, locally
-/// released submissions, local release notifications and the settle
-/// timer, merged in kernel order.
+/// Replays one lane under `bound`: queue-staged submissions and
+/// submission batches, locally released submissions, local release
+/// notifications and the settle timer, merged in kernel order. Mirrors
+/// `Datacenter::handle_cloudlet_submit`, `handle_vm_tick` and
+/// `apply_tick` against the VM's own scheduler.
 fn replay_lane(
     seg: LaneSeg,
     vms: &[Vm],
@@ -1267,22 +1021,19 @@ fn replay_lane(
         latency,
     } = seg;
     let vm_spec = &vms[vm.index()].spec;
-    let mut out = LaneOut {
-        vm,
-        dc,
-        sched: SchedulerKind::SpaceShared.build(1.0, 1), // placeholder, replaced below
-        lane: Lane::default(),                           // placeholder, replaced below
-        queued: Vec::new(),
-        started: Vec::new(),
-        finished: Vec::new(),
-        released: Vec::new(),
-        sub_events: 0,
-        ticks: 0,
-        last_event: SimTime::ZERO,
-        last_now: SimTime::ZERO,
-        armed_before,
-        armed_after: None,
+    let running = |c: CloudletId| {
+        let spec = &cloudlets[c.index()].spec;
+        RunningCloudlet::new(c, spec.length_mi, spec.pes)
     };
+    let mut queued = Vec::new();
+    let mut started = Vec::new();
+    let mut finished = Vec::new();
+    let mut released = Vec::new();
+    let (mut sub_events, mut ticks) = (0u64, 0u64);
+    let (mut last_event, mut last_now) = (SimTime::ZERO, SimTime::ZERO);
+    // The armed deadline: either the slot still in the queue or the tick
+    // this epoch already popped — never both, since popping clears the
+    // slot and nothing re-arms it until the flush.
     let popped_tick = lane.popped_tick;
     debug_assert!(
         armed_before.is_none() || popped_tick.is_none(),
@@ -1298,8 +1049,9 @@ fn replay_lane(
     //   1 = queue-staged submission (lowest kernel seq),
     //   2 = locally released submission (pushed at release time, highest
     //       kernel seq),
-    //   3 = settle tick (same-instant submit-then-settle commutes, as in
-    //       `replay_segment`).
+    //   3 = settle tick (a tick armed earlier would carry a lower kernel
+    //       seq, but a same-instant submit and settle commute on the
+    //       scheduler, so the states agree).
     loop {
         let mut best: Option<(SimTime, u8)> = None;
         let mut consider = |t: SimTime, class: u8, ok: bool| {
@@ -1371,7 +1123,7 @@ fn replay_lane(
                         .as_ref()
                         .map(|a| a[c.index()].saturating_sub(at))
                         .unwrap_or(SimTime::ZERO);
-                    out.released.push((c, at + wait));
+                    released.push((c, at + wait));
                     lane.local_subs.push(Reverse((
                         at + wait + latency + in_delay,
                         lane.sub_ord,
@@ -1382,38 +1134,44 @@ fn replay_lane(
             }
             continue;
         }
-        out.last_now = now;
-        out.last_event = out.last_event.max(now);
+        last_now = now;
+        last_event = last_event.max(now);
         let tick = match class {
             1 => {
-                let (_, c) = lane.subs[lane.head];
+                let sub = &lane.subs[lane.head].1;
                 lane.head += 1;
-                out.sub_events += 1;
-                out.queued.push(c);
-                let spec = &cloudlets[c.index()].spec;
-                sched.submit(now, RunningCloudlet::new(c, spec.length_mi, spec.pes))
+                sub_events += 1;
+                queued.extend_from_slice(sub.cloudlets());
+                match sub {
+                    Sub::One(c) => sched.submit(now, running(*c)),
+                    Sub::Batch(cs) => {
+                        sched.submit_many(now, cs.iter().map(|&c| running(c)).collect())
+                    }
+                }
             }
             2 => {
                 let Some(Reverse((_, _, c))) = lane.local_subs.pop() else {
                     unreachable!("peeked entry pops");
                 };
-                out.sub_events += 1;
-                out.queued.push(c);
-                let spec = &cloudlets[c.index()].spec;
-                sched.submit(now, RunningCloudlet::new(c, spec.length_mi, spec.pes))
+                sub_events += 1;
+                queued.push(c);
+                sched.submit(now, running(c))
             }
             _ => {
                 armed = None;
-                out.ticks += 1;
+                ticks += 1;
                 sched.advance(now)
             }
         };
         for &c in &tick.started {
             local_starts.entry(c).or_insert(now);
-            out.started.push((c, now));
+            started.push((c, now));
         }
         for &c in &tick.finished {
             let cl = &cloudlets[c.index()];
+            // The effective start is the earliest recorded one (world from
+            // earlier epochs, else this replay); cost from the execution
+            // span, completion notified after the output transfer.
             let start = cl.start_time.or_else(|| local_starts.get(&c).copied());
             let cpu_seconds = start
                 .map(|s| now.saturating_sub(s).as_secs())
@@ -1421,12 +1179,12 @@ fn replay_lane(
             let cl_cost = cloudlet_cost(&cost, vm_spec, &cl.spec, cpu_seconds);
             let out_delay = transfer_time(cl.spec.output_size_mb, vm_spec.bw_mbps);
             let return_at = now + out_delay;
-            out.last_event = out.last_event.max(return_at);
-            if plan.has_local_children(c) {
+            last_event = last_event.max(return_at);
+            if !plan.local_children(c).is_empty() {
                 lane.local_rets.push(Reverse((return_at, lane.ret_ord, c)));
                 lane.ret_ord += 1;
             }
-            out.finished.push(FinishedCl {
+            finished.push(FinishedCl {
                 id: c,
                 finish: now,
                 cost: cl_cost,
@@ -1445,132 +1203,20 @@ fn replay_lane(
         lane.subs.drain(..lane.head);
         lane.head = 0;
     }
-    out.armed_after = armed;
-    out.sched = sched;
-    out.lane = lane;
-    out
-}
-
-/// Replays one VM's staged deliveries (plus its local settle timer) up to
-/// the epoch horizon, mirroring `Datacenter::handle_cloudlet_submit`,
-/// `handle_vm_tick` and `apply_tick` against a private scheduler.
-fn replay_segment(
-    seg: Segment,
-    vms: &[Vm],
-    cloudlets: &[Cloudlet],
-    horizon: Option<SimTime>,
-) -> SegmentOut {
-    let Segment {
+    LaneOut {
         vm,
         dc,
-        subs,
-        popped_tick,
+        sched,
+        lane,
+        queued,
+        started,
+        finished,
+        released,
+        sub_events,
+        ticks,
+        last_event,
+        last_now,
         armed_before,
-        mut sched,
-        cost,
-    } = seg;
-    let vm_spec = &vms[vm.index()].spec;
-    let mut out = SegmentOut {
-        vm,
-        dc,
-        sched: SchedulerKind::SpaceShared.build(1.0, 1), // placeholder, replaced below
-        queued: Vec::new(),
-        started: Vec::new(),
-        finished: Vec::new(),
-        sub_events: 0,
-        ticks: 0,
-        last_event: SimTime::ZERO,
-        last_now: SimTime::ZERO,
-        armed_before,
-        armed_after: None,
-    };
-    // The armed deadline: either the slot still in the queue (>= horizon)
-    // or the tick this epoch already popped — never both, since popping
-    // clears the slot and nothing re-arms it until the flush.
-    let mut armed = armed_before.or(popped_tick);
-    let mut local_starts: HashMap<CloudletId, SimTime> = HashMap::new();
-    let mut si = 0usize;
-    loop {
-        // Next event: earliest of the staged submissions and the armed
-        // tick; a tie goes to the submission (kernel: a tick armed during
-        // an earlier bulk phase would win, but a same-instant submit and
-        // settle commute on the scheduler, so the states agree).
-        let next_sub = subs.get(si).map(|g| g.0);
-        let (now, is_sub) = match (next_sub, armed) {
-            (Some(s), Some(a)) if a < s => (a, false),
-            (Some(s), _) => (s, true),
-            (None, Some(a)) => (a, false),
-            (None, None) => break,
-        };
-        if !is_sub && horizon.is_some_and(|h| now >= h) && popped_tick != Some(now) {
-            // The deadline survives past this epoch; hand it back to the
-            // queue. (A tick chosen over a remaining submission is always
-            // strictly below the horizon, so this only fires when the
-            // submissions are exhausted.)
-            break;
-        }
-        out.last_now = now;
-        out.last_event = out.last_event.max(now);
-        let tick = if is_sub {
-            let (_, staged) = &subs[si];
-            si += 1;
-            out.sub_events += 1;
-            match staged {
-                Staged::Single(c) => {
-                    out.queued.push(*c);
-                    let spec = &cloudlets[c.index()].spec;
-                    sched.submit(now, RunningCloudlet::new(*c, spec.length_mi, spec.pes))
-                }
-                Staged::Batch(cls) => {
-                    out.queued.extend(cls.iter().copied());
-                    let batch: Vec<RunningCloudlet> = cls
-                        .iter()
-                        .map(|&c| {
-                            let spec = &cloudlets[c.index()].spec;
-                            RunningCloudlet::new(c, spec.length_mi, spec.pes)
-                        })
-                        .collect();
-                    sched.submit_many(now, batch)
-                }
-                Staged::Tick => unreachable!("ticks are folded into the armed deadline"),
-            }
-        } else {
-            armed = None;
-            out.ticks += 1;
-            sched.advance(now)
-        };
-        for &c in &tick.started {
-            local_starts.entry(c).or_insert(now);
-            out.started.push((c, now));
-        }
-        for &c in &tick.finished {
-            let cl = &cloudlets[c.index()];
-            // Mirrors `Datacenter::apply_tick`: the effective start is the
-            // earliest recorded one (world from earlier epochs, else this
-            // segment), cost from the execution span, completion notified
-            // after the output transfer.
-            let start = cl.start_time.or_else(|| local_starts.get(&c).copied());
-            let cpu_seconds = start
-                .map(|s| now.saturating_sub(s).as_secs())
-                .unwrap_or(0.0);
-            let cl_cost = cloudlet_cost(&cost, vm_spec, &cl.spec, cpu_seconds);
-            let out_delay = transfer_time(cl.spec.output_size_mb, vm_spec.bw_mbps);
-            out.last_event = out.last_event.max(now + out_delay);
-            out.finished.push(FinishedCl {
-                id: c,
-                finish: now,
-                cost: cl_cost,
-                return_at: now + out_delay,
-            });
-        }
-        if let Some(p) = tick.next_completion {
-            let t = p.max(now);
-            if armed.is_none_or(|a| t < a || a < now) {
-                armed = Some(t);
-            }
-        }
+        armed_after: armed,
     }
-    out.armed_after = armed;
-    out.sched = sched;
-    out
 }

@@ -48,30 +48,13 @@ pub enum EngineKind {
     Sequential,
     /// The sharded engine: per-VM timelines replayed across rayon
     /// workers, trace-equivalent to the sequential kernel. Plain batch
-    /// scenarios run free (no synchronisation at all); fault injection,
-    /// recovery and resubmission run on the epoch-sharded driver, which
-    /// interleaves sequential control instants with parallel bulk
-    /// replay; workflow DAGs run on the dependency-aware epoch driver,
-    /// which bounds replay by a release barrier and resolves same-VM
-    /// releases inside the parallel lanes. Every workload shape is
-    /// expressible — no scenario falls back to [`Self::Sequential`].
+    /// scenarios run free (no synchronisation at all); everything else —
+    /// fault injection, recovery, resubmission, workflow DAGs — runs on
+    /// the epoch driver, which interleaves sequential control instants
+    /// with parallel lane replay, bounds DAG replay by a release barrier
+    /// and resolves same-VM releases inside the lanes. Every scenario the
+    /// builder accepts runs on the engine it asked for.
     Sharded,
-}
-
-/// An explicit record that a run executed on a different engine than the
-/// one requested. Carried on [`SimulationOutcome::fallback`] so callers
-/// (and the CLI, which prints a one-line note) always learn what ran.
-/// Since the dependency-aware epoch driver landed, no scenario produces
-/// one — the type remains so experiment outputs can record
-/// requested/ran/reason uniformly and future exclusions stay loud.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineFallback {
-    /// The engine the builder was asked for.
-    pub requested: EngineKind,
-    /// The engine that actually executed the scenario.
-    pub ran: EngineKind,
-    /// Why the substitution happened.
-    pub reason: &'static str,
 }
 
 impl EngineKind {
@@ -343,22 +326,19 @@ impl SimulationBuilder {
             }
         }
 
-        // Engine routing. Three sharded paths plus the kernel:
-        //   1. Plain batch on the sharded engine → free-running replay
-        //      (no synchronisation; the paper's dominant shape).
-        //   2. Fault-injected / recovering / resubmitting, no DAG →
-        //      epoch-sharded replay over the real entities.
-        //   3. Workflow DAGs (with or without fault shaping) →
-        //      dependency-aware epochs with a release barrier.
-        //   4. `EngineKind::Sequential` → the kernel. No scenario falls
-        //      back anymore; `EngineFallback` is never produced.
+        // Engine routing: plain batch on the sharded engine replays free
+        // (no synchronisation; the paper's dominant shape), everything
+        // else sharded runs on the epoch driver, and
+        // `EngineKind::Sequential` runs on the kernel.
+        let max_events = self.max_events.unwrap_or(Kernel::DEFAULT_MAX_EVENTS);
         let fault_shaped = self.datacenters.iter().any(|d| !d.failures.is_empty())
             || dc_failures.iter().any(|f| !f.is_empty())
             || dc_repairs.iter().any(|r| !r.is_empty())
             || dc_degrades.iter().any(|d| !d.is_empty())
             || self.recovery.is_some()
             || self.max_retries > 0;
-        if self.engine == EngineKind::Sharded && self.dependencies.is_none() && !fault_shaped {
+        let sharded = self.engine == EngineKind::Sharded;
+        if sharded && self.dependencies.is_none() && !fault_shaped {
             let mut world = World::new(self.vms, self.cloudlets);
             let stats = crate::sharded::run(
                 &mut world,
@@ -367,25 +347,19 @@ impl SimulationBuilder {
                 &self.assignment,
                 self.arrivals.as_deref(),
                 &topology,
+                max_events,
             );
-            return Ok(outcome_from_world(
-                &world,
-                stats,
-                EngineKind::Sharded,
-                self.record_mode,
-                None,
-            ));
+            return outcome_from_world(&world, stats, self.engine, self.record_mode);
         }
-        let epoch_sharded = self.engine == EngineKind::Sharded;
         // The dependency table is compiled before the broker consumes the
         // assignment, arrival and topology vectors.
-        let dag_plan = (epoch_sharded && self.dependencies.is_some()).then(|| {
+        let plan = sharded.then(|| {
             crate::sharded::DagPlan::compile(
-                self.dependencies.as_deref().expect("checked above"),
+                self.dependencies.as_deref(),
                 &self.assignment,
                 self.vms.len(),
                 fault_shaped,
-                self.arrivals.clone(),
+                self.arrivals.as_deref(),
                 topology.clone(),
             )
         });
@@ -429,51 +403,25 @@ impl SimulationBuilder {
             broker = broker.with_recovery(policy, self.rescheduler);
         }
 
-        let stats = if epoch_sharded {
-            let max_events = self.max_events.unwrap_or(Kernel::DEFAULT_MAX_EVENTS);
-            match dag_plan {
-                Some(plan) => crate::sharded::run_epochs_dag(
-                    &mut world,
-                    &mut dcs,
-                    &mut broker,
-                    max_events,
-                    plan,
-                ),
-                None => crate::sharded::run_epochs(&mut world, &mut dcs, &mut broker, max_events),
+        let stats = match plan {
+            Some(plan) => {
+                crate::sharded::run_epochs(&mut world, &mut dcs, &mut broker, max_events, plan)
             }
-        } else {
-            let mut kernel = Kernel::new();
-            if let Some(max) = self.max_events {
-                kernel = kernel.with_max_events(max);
+            None => {
+                let mut kernel = Kernel::new().with_max_events(max_events);
+                for dc in dcs {
+                    kernel.register(Box::new(dc));
+                }
+                kernel.register(Box::new(broker));
+                kernel.run(&mut world)
             }
-            for dc in dcs {
-                kernel.register(Box::new(dc));
-            }
-            kernel.register(Box::new(broker));
-            kernel.run(&mut world)
         };
-        if !stats.drained {
-            return Err(SimError::EventLimitExceeded {
-                processed: stats.events_processed,
-            });
-        }
-
-        let engine = if epoch_sharded {
-            EngineKind::Sharded
-        } else {
-            EngineKind::Sequential
-        };
-        Ok(outcome_from_world(
-            &world,
-            stats,
-            engine,
-            self.record_mode,
-            None,
-        ))
+        outcome_from_world(&world, stats, self.engine, self.record_mode)
     }
 }
 
-/// Collects run-level counters and per-cloudlet records from the world.
+/// Collects run-level counters and per-cloudlet records from the world,
+/// or returns the runaway-guard error when the run hit its event limit.
 ///
 /// The kernel owns the entities; rather than downcasting the broker we
 /// recompute the counters from the world, which is equivalent and keeps
@@ -487,8 +435,12 @@ fn outcome_from_world(
     stats: crate::kernel::RunStats,
     engine: EngineKind,
     mode: RecordMode,
-    fallback: Option<EngineFallback>,
-) -> SimulationOutcome {
+) -> Result<SimulationOutcome, SimError> {
+    if !stats.drained {
+        return Err(SimError::EventLimitExceeded {
+            processed: stats.events_processed,
+        });
+    }
     let vms_created = world.vms.iter().filter(|v| v.is_active()).count();
     let vms_rejected = world
         .vms
@@ -517,7 +469,7 @@ fn outcome_from_world(
             (Vec::new(), Some(agg))
         }
     };
-    SimulationOutcome {
+    Ok(SimulationOutcome {
         records,
         aggregate,
         end_time: stats.end_time,
@@ -527,8 +479,7 @@ fn outcome_from_world(
         cloudlets_failed,
         resilience: world.resilience,
         engine,
-        fallback,
-    }
+    })
 }
 
 /// Checks a parents-list DAG: every reference in range, no cycles
@@ -1009,7 +960,7 @@ mod tests {
                 .cloudlets(vec![CloudletSpec::homogeneous_default(); 4])
                 .assignment(base_assignment(4, 2))
         };
-        // Blueprint-level failure injection runs sharded, no fallback.
+        // Blueprint-level failure injection runs sharded.
         let vm2 = VmSpec::homogeneous_default();
         let ok = SimulationBuilder::new()
             .engine(EngineKind::Sharded)
@@ -1023,7 +974,6 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
-        assert_eq!(ok.fallback, None);
         // A non-empty fault plan: same.
         let mut plan = FaultPlan::healthy();
         plan.host_outages.push(HostOutage {
@@ -1034,21 +984,17 @@ mod tests {
         });
         let ok = base().faults(plan).run().unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
-        assert_eq!(ok.fallback, None);
         // Recovery alone also stays on the sharded engine.
         let ok = base()
             .recovery(crate::broker::RecoveryPolicy::default())
             .run()
             .unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
-        assert_eq!(ok.fallback, None);
         // An all-healthy plan injects nothing: the free-running path.
         let ok = base().faults(FaultPlan::healthy()).run().unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
-        assert_eq!(ok.fallback, None);
         assert_eq!(ok.finished_count(), 4);
-        // A workflow DAG runs on the dependency-aware epoch driver — no
-        // fallback anywhere anymore.
+        // A workflow DAG runs on the epoch driver too.
         let ok = base()
             .dependencies(vec![
                 vec![],
@@ -1059,8 +1005,39 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
-        assert_eq!(ok.fallback, None);
         assert_eq!(ok.finished_count(), 4);
+    }
+
+    #[test]
+    fn event_guard_trips_on_every_engine_path() {
+        use crate::ids::{CloudletId, HostId};
+        let vm = VmSpec::homogeneous_default();
+        let base = |engine: EngineKind| {
+            SimulationBuilder::new()
+                .engine(engine)
+                .vms(vec![vm.clone(); 2])
+                .cloudlets(vec![CloudletSpec::homogeneous_default(); 4])
+                .assignment(base_assignment(4, 2))
+                .max_events(3)
+        };
+        let blueprint =
+            || DatacenterBlueprint::sized_for(&vm, 2, 1, DatacenterCharacteristics::default());
+        for engine in [EngineKind::Sequential, EngineKind::Sharded] {
+            let plain = base(engine).datacenter(blueprint()).run();
+            let faulted = base(engine)
+                .datacenter(blueprint().with_failure(HostId(0), SimTime::new(100.0)))
+                .run();
+            let dag = base(engine)
+                .datacenter(blueprint())
+                .dependencies(vec![vec![], vec![], vec![CloudletId(0)], vec![]])
+                .run();
+            for (shape, result) in [("plain", plain), ("faulted", faulted), ("dag", dag)] {
+                assert!(
+                    matches!(result, Err(SimError::EventLimitExceeded { .. })),
+                    "{engine:?} / {shape}: a tiny event budget must trip the guard"
+                );
+            }
+        }
     }
 
     #[test]

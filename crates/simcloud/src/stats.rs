@@ -344,12 +344,8 @@ pub struct SimulationOutcome {
     /// Recovery counters accumulated during the run (all zeros on a
     /// fault-free run).
     pub resilience: ResilienceCounters,
-    /// Which engine actually executed the run.
+    /// Which engine executed the run.
     pub engine: crate::simulation::EngineKind,
-    /// `Some` when the run executed on a different engine than the one
-    /// requested (today: a sharded request with a workflow DAG runs on
-    /// the sequential kernel). `None` when the requested engine ran.
-    pub fallback: Option<crate::simulation::EngineFallback>,
 }
 
 impl SimulationOutcome {
@@ -723,7 +719,6 @@ mod tests {
             cloudlets_failed: 0,
             resilience: ResilienceCounters::default(),
             engine: crate::simulation::EngineKind::Sequential,
-            fallback: None,
         }
     }
 

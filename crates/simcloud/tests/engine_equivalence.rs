@@ -6,9 +6,10 @@
 //! kernel's, along with the same end time, event count and
 //! `ResilienceCounters` — across seeds, both scheduler flavours,
 //! homogeneous and heterogeneous fleets, fault plans, recovery policies,
-//! resubmission, workflow DAGs (alone and composed with faults), both
-//! record modes and any rayon thread count. Every shape runs sharded —
-//! no scenario reports an `EngineFallback` anymore.
+//! resubmission, batched submissions under fault shaping, workflow DAGs
+//! (alone and composed with faults), both record modes and any rayon
+//! thread count. Plain batch scenarios exercise the free-running path;
+//! every other shape exercises the epoch driver.
 
 use rand::Rng;
 use simcloud::datacenter::DatacenterBlueprint;
@@ -307,8 +308,8 @@ fn workflow_dag_and_resilience_shapes_all_run_sharded() {
             .assignment(vec![VmId(0), VmId(1)])
     };
 
-    // Workflow dependencies run on the dependency-aware epoch driver,
-    // bit-identical to the kernel — no fallback.
+    // Workflow dependencies run on the epoch driver, bit-identical to
+    // the kernel.
     let seq_deps = base(mk())
         .engine(EngineKind::Sequential)
         .dependencies(vec![vec![], vec![CloudletId(0)]])
@@ -319,14 +320,12 @@ fn workflow_dag_and_resilience_shapes_all_run_sharded() {
         .run()
         .unwrap();
     assert_eq!(with_deps.engine, EngineKind::Sharded);
-    assert_eq!(with_deps.fallback, None, "DAGs no longer fall back");
     assert_eq!(with_deps.finished_count(), 2);
     assert_identical(&seq_deps, &with_deps, "two-cloudlet chain");
 
     // Resubmission stays on the sharded engine (epoch driver).
     let with_retries = base(mk()).resubmit_failures(2).run().unwrap();
     assert_eq!(with_retries.engine, EngineKind::Sharded);
-    assert_eq!(with_retries.fallback, None);
     assert_eq!(with_retries.finished_count(), 2);
 
     // So does failure injection.
@@ -334,13 +333,12 @@ fn workflow_dag_and_resilience_shapes_all_run_sharded() {
         .run()
         .unwrap();
     assert_eq!(with_failures.engine, EngineKind::Sharded);
-    assert_eq!(with_failures.fallback, None);
 }
 
 /// The workflow shapes the paper-scale generators emit, shrunk to test
 /// size. Assignments deliberately mix same-VM edges (resolved locally
 /// inside a replay lane) and cross-VM edges (promoted to release-barrier
-/// events), so both halves of the dependency-aware epoch driver are
+/// events), so both halves of the epoch driver's DAG handling are
 /// exercised.
 #[derive(Debug, Clone, Copy)]
 enum DagShape {
@@ -493,8 +491,7 @@ fn dag_shape_matrix_matches_sequential_across_threads_seeds_and_modes() {
                     let seq = dag_outcome(shape, seed, EngineKind::Sequential, mode);
                     let shd = dag_outcome(shape, seed, EngineKind::Sharded, mode);
                     assert_eq!(seq.engine, EngineKind::Sequential, "{label}");
-                    assert_eq!(shd.engine, EngineKind::Sharded, "{label}: no fallback");
-                    assert_eq!(shd.fallback, None, "{label}");
+                    assert_eq!(shd.engine, EngineKind::Sharded, "{label}");
                     assert_eq!(
                         seq.finished_count(),
                         seq.observed_count(),
@@ -516,11 +513,14 @@ fn dag_shape_matrix_matches_sequential_across_threads_seeds_and_modes() {
 enum Resilience {
     /// Host outages, a repair and VM slowdowns; failures are final.
     Faults,
+    /// `Faults` with two shared input-file sizes, so cloudlets bound for
+    /// one VM arrive together and the broker sends submission batches.
+    FaultsBatched,
     /// Broker-level retry with backoff and cyclic rebinding.
     Recovery,
     /// Legacy resubmission (`resubmit_failures`).
     Resubmission,
-    /// Faults plus a workflow DAG — dependency-aware epochs under fault
+    /// Faults plus a workflow DAG — the epoch driver's DAG path under fault
     /// shaping (every release is cross, barrier-bounded).
     Workflow,
     /// Faults, a workflow DAG *and* broker-level recovery.
@@ -542,7 +542,7 @@ fn resilient_outcome(
     let mut rng = simcloud::rng::stream(seed, "resilience-equivalence");
     let (vm_count, cloudlet_count) = (10usize, 120usize);
     let vm = VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 2);
-    let cloudlets: Vec<CloudletSpec> = (0..cloudlet_count)
+    let mut cloudlets: Vec<CloudletSpec> = (0..cloudlet_count)
         .map(|_| {
             CloudletSpec::new(
                 rng.gen_range(1_000.0..40_000.0),
@@ -555,6 +555,19 @@ fn resilient_outcome(
     let assignment: Vec<VmId> = (0..cloudlet_count)
         .map(|_| VmId::from_index(rng.gen_range(0..vm_count)))
         .collect();
+    if res == Resilience::FaultsBatched {
+        for (i, c) in cloudlets.iter_mut().enumerate() {
+            c.file_size_mb = if i % 2 == 0 { 0.0 } else { 100.0 };
+        }
+        // The broker groups submissions by (VM, delivery delay); with a
+        // flat topology, batch arrivals and one VM bandwidth the delay is
+        // a function of the file size alone.
+        let mut groups = std::collections::HashMap::new();
+        for (vm, c) in assignment.iter().zip(&cloudlets) {
+            *groups.entry((vm.0, c.file_size_mb.to_bits())).or_insert(0) += 1;
+        }
+        assert!(groups.values().any(|&n| n > 1), "no submission batch forms");
+    }
     let mut plan = FaultPlan::healthy();
     // Host 0 (VMs 0–1) dies mid-run and comes back; host 2 (VMs 4–5)
     // dies for good; VM 9 limps for a while, VM 7 for the rest of the
@@ -609,7 +622,7 @@ fn resilient_outcome(
             .collect()
     };
     builder = match res {
-        Resilience::Faults => builder,
+        Resilience::Faults | Resilience::FaultsBatched => builder,
         Resilience::Recovery => builder.recovery(simcloud::broker::RecoveryPolicy::default()),
         Resilience::Resubmission => builder.resubmit_failures(2),
         Resilience::Workflow => builder.dependencies(sparse_deps()),
@@ -626,11 +639,12 @@ fn resilient_outcome(
 /// The tentpole obligation: faults × recovery × resubmission × workflows,
 /// across thread counts, seeds and both record modes, every sharded run
 /// bit-identical to the sequential kernel (including the resilience
-/// counters), with no shape reporting a fallback.
+/// counters).
 #[test]
 fn resilience_matrix_matches_sequential_across_threads_seeds_and_modes() {
     let variants = [
         Resilience::Faults,
+        Resilience::FaultsBatched,
         Resilience::Recovery,
         Resilience::Resubmission,
         Resilience::Workflow,
@@ -650,15 +664,16 @@ fn resilience_matrix_matches_sequential_across_threads_seeds_and_modes() {
                     let seq = resilient_outcome(seed, res, EngineKind::Sequential, mode);
                     let shd = resilient_outcome(seed, res, EngineKind::Sharded, mode);
                     assert_eq!(seq.engine, EngineKind::Sequential);
-                    assert_eq!(seq.fallback, None, "{label}: sequential never falls back");
-                    assert_eq!(shd.engine, EngineKind::Sharded, "{label}: no fallback");
-                    assert_eq!(shd.fallback, None, "{label}");
+                    assert_eq!(shd.engine, EngineKind::Sharded, "{label}");
                     // The plan must actually bite, in the way each
                     // variant is supposed to react to it.
                     match res {
                         Resilience::Faults => {
                             assert!(seq.finished_count() < 120, "{label}: no work lost");
                             faults_finished = Some(seq.finished_count());
+                        }
+                        Resilience::FaultsBatched => {
+                            assert!(seq.finished_count() < 120, "{label}: no work lost");
                         }
                         Resilience::Recovery => {
                             assert!(seq.resilience.retries > 0, "{label}: nothing retried");

@@ -114,10 +114,9 @@ impl Scenario {
     }
 
     /// Runs `assignment` on a chosen simulation engine. The sharded
-    /// engine replays every scenario shape — fault plans, recovery and
-    /// resubmission included — bit-identically to the sequential kernel.
-    /// The one exception is a workflow DAG, which runs on the sequential
-    /// kernel with the substitution recorded in `outcome.fallback`.
+    /// engine replays every scenario shape — fault plans, recovery,
+    /// resubmission and workflow DAGs included — bit-identically to the
+    /// sequential kernel.
     pub fn simulate_on(
         &self,
         assignment: Assignment,

@@ -24,7 +24,7 @@ use biosched_core::eval::EvalCache;
 use biosched_core::problem::SchedulingProblem;
 use biosched_core::scheduler::AlgorithmKind;
 use rayon::prelude::*;
-use simcloud::simulation::{EngineFallback, EngineKind};
+use simcloud::simulation::EngineKind;
 use simcloud::stats::RecordMode;
 
 use crate::scenario::Scenario;
@@ -58,14 +58,8 @@ pub struct PointResult {
     pub mean_execution_ms: f64,
     /// Cloudlets that finished (sanity: should equal `cloudlet_count`).
     pub finished: usize,
-    /// Engine the caller asked this point to simulate on.
-    pub engine_requested: EngineKind,
-    /// Engine the simulation actually ran on. Always equals
-    /// `engine_requested` today; recorded per point so a sweep that ever
-    /// mixes engines does so loudly in its output, not via a stderr note.
-    pub engine_ran: EngineKind,
-    /// Why the engines differ, when they do ([`EngineFallback`] reason).
-    pub engine_fallback_reason: Option<&'static str>,
+    /// Engine the point was simulated on.
+    pub engine: EngineKind,
     /// Winning member name when the algorithm is a meta-scheduler
     /// (portfolio or racer); `None` for single-algorithm kinds.
     pub meta_winner: Option<String>,
@@ -196,9 +190,7 @@ pub fn run_point_with(
         total_cost: outcome.total_cost(),
         mean_execution_ms: outcome.mean_execution_ms().unwrap_or(0.0),
         finished: outcome.finished_count(),
-        engine_requested: engine,
-        engine_ran: outcome.engine,
-        engine_fallback_reason: outcome.fallback.as_ref().map(|f: &EngineFallback| f.reason),
+        engine: outcome.engine,
         meta_winner: meta.as_ref().map(|m| m.winner.clone()),
         meta_spent: meta.as_ref().map(|m| {
             m.spent
@@ -320,12 +312,8 @@ pub struct RepeatedPointResult {
     pub imbalance: RepeatedMetric,
     /// Total processing cost.
     pub total_cost: RepeatedMetric,
-    /// Engine requested for every repetition (reps never mix engines).
-    pub engine_requested: EngineKind,
-    /// Engine every repetition actually ran on.
-    pub engine_ran: EngineKind,
-    /// Fallback reason, when requested and ran differ.
-    pub engine_fallback_reason: Option<&'static str>,
+    /// Engine every repetition was simulated on.
+    pub engine: EngineKind,
 }
 
 /// Two-sided 95% Student-t critical values for 1–30 degrees of freedom.
@@ -371,12 +359,6 @@ fn aggregate_reps(algorithm: AlgorithmKind, results: &[PointResult]) -> Repeated
         let values: Vec<f64> = results.iter().map(f).collect();
         summarize(&values)
     };
-    debug_assert!(
-        results
-            .iter()
-            .all(|r| r.engine_ran == results[0].engine_ran),
-        "repetitions of one point must not mix engines"
-    );
     RepeatedPointResult {
         algorithm,
         vm_count: results[0].vm_count,
@@ -385,9 +367,7 @@ fn aggregate_reps(algorithm: AlgorithmKind, results: &[PointResult]) -> Repeated
         scheduling_time_ms: pick(|r| r.scheduling_time_ms),
         imbalance: pick(|r| r.imbalance),
         total_cost: pick(|r| r.total_cost),
-        engine_requested: results[0].engine_requested,
-        engine_ran: results[0].engine_ran,
-        engine_fallback_reason: results[0].engine_fallback_reason,
+        engine: results[0].engine,
     }
 }
 
@@ -747,9 +727,7 @@ mod tests {
         .build();
         for engine in [EngineKind::Sequential, EngineKind::Sharded] {
             let r = run_point_on(&scenario, AlgorithmKind::BaseTest, 0, engine);
-            assert_eq!(r.engine_requested, engine);
-            assert_eq!(r.engine_ran, engine, "no scenario falls back anymore");
-            assert_eq!(r.engine_fallback_reason, None);
+            assert_eq!(r.engine, engine);
         }
         let rep =
             run_point_repeated_on(AlgorithmKind::BaseTest, 3, 2, EngineKind::Sharded, |seed| {
@@ -761,9 +739,7 @@ mod tests {
                 }
                 .build()
             });
-        assert_eq!(rep.engine_requested, EngineKind::Sharded);
-        assert_eq!(rep.engine_ran, EngineKind::Sharded);
-        assert_eq!(rep.engine_fallback_reason, None);
+        assert_eq!(rep.engine, EngineKind::Sharded);
     }
 
     #[test]
