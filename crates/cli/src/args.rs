@@ -367,16 +367,15 @@ mod tests {
 
     #[test]
     fn sched_params_option() {
-        let (opts, rest) = parse_common(&args(
-            "--sched-params candidates=16,sampling=prefix,shards=2",
-        ))
-        .unwrap();
+        let (opts, rest) =
+            parse_common(&args("--sched-params candidates=16,ants=10,shards=2")).unwrap();
         assert_eq!(opts.sched_params.candidates, Some(Some(16)));
         assert!(opts.sched_params.shards.is_some());
         assert!(rest.is_empty());
         // Errors propagate instead of clamping.
         assert!(parse_common(&args("--sched-params candidates=0")).is_err());
         assert!(parse_common(&args("--sched-params warp=9")).is_err());
+        assert!(parse_common(&args("--sched-params sampling=alias")).is_err());
         assert_eq!(
             parse_common(&[]).unwrap().0.sched_params,
             biosched_core::tuning::SchedTuning::default()

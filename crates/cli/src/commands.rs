@@ -56,11 +56,12 @@ scenario options (all commands):
                    slowdur; repair/slowdur accept 'never')
   --fault-seed N   fault-plan seed (default: --seed)
   --sched-params S scheduler knob overrides, comma-separated key=value:
-                   candidates=N|full strategy=random|topeta
-                   sampling=linear|prefix|alias ants=N iterations=N
-                   batch=N q0=F (AntColony only), population=N rounds=N
-                   (CuckooSOS/GSA only), budget=N quantum=N (Racing only,
-                   in evaluation units), shards=N|dc (any algorithm;
+                   candidates=N|full (N below the VM count samples
+                   top-eta candidate lists, else full rows) ants=N
+                   iterations=N batch=N q0=F (AntColony only),
+                   population=N rounds=N (CuckooSOS/GSA only), budget=N
+                   quantum=N (Racing only, in evaluation units),
+                   shards=N|dc (any algorithm;
                    divide-and-conquer over VM shards).
                    Bad keys/values are errors, never silently clamped
 

@@ -1,34 +1,5 @@
 //! ACO tuning parameters (the paper's Table II).
 
-/// How candidate lists are formed when `candidates = Some(k)` restricts
-/// each ant's choice to k VMs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CandidateStrategy {
-    /// Legacy behavior: draw k distinct VMs uniformly at random per slot
-    /// (rejection sampling). Matches `aco::reference` bit for bit.
-    Random,
-    /// η-proportional ring candidates precomputed once per batch into a
-    /// dense `k × slots` block ([`crate::eval::EvalCache::candidate_block`]).
-    /// Engages only when `k < #VMs`; otherwise the legacy full-row path
-    /// runs, preserving reference equivalence.
-    TopEta,
-}
-
-/// How a VM is drawn from the fused Eq. 5 weight row in the candidate-list
-/// fast path ([`CandidateStrategy::TopEta`] with `k < #VMs`). The legacy
-/// path always uses the linear roulette.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplingMode {
-    /// O(k) subtraction-chain roulette over the weight row.
-    Linear,
-    /// O(log k) binary search over a per-slot prefix-sum row.
-    PrefixSum,
-    /// Vose alias table over the static η^β mass plus a sparse
-    /// τ-deposit delta list — no per-iteration row rebuild at all.
-    /// Incompatible with `q0 > 0` (no dense row to argmax over).
-    Alias,
-}
-
 /// Parameters of the ant colony (Table II plus implementation knobs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AcoParams {
@@ -53,12 +24,10 @@ pub struct AcoParams {
     /// Candidate-list size: how many VMs each ant examines per choice
     /// (a standard ACO acceleration). `None` — the paper-profile default —
     /// examines every VM; [`AcoParams::for_scale`] defaults to
-    /// [`AcoParams::DEFAULT_CANDIDATES`].
+    /// [`AcoParams::DEFAULT_CANDIDATES`]. The value picks the sampling
+    /// regime: k ≥ #VMs runs the full-row linear roulette, k < #VMs the
+    /// top-η candidate blocks with prefix-sum draws.
     pub candidates: Option<usize>,
-    /// How the candidate list is formed (see [`CandidateStrategy`]).
-    pub strategy: CandidateStrategy,
-    /// How the fast path draws from the weight row (see [`SamplingMode`]).
-    pub sampling: SamplingMode,
     /// Ant Colony System exploitation probability: with probability `q0`
     /// an ant deterministically takes the best-weighted VM instead of
     /// spinning the Eq. 5 roulette. `0` (the paper's plain Ant System)
@@ -75,8 +44,7 @@ pub struct AcoParams {
 impl AcoParams {
     /// Exactly Table II, with the implementation knobs at study defaults.
     /// Ants examine the full weight row (no candidate restriction), so
-    /// plans match the pre-candidate-list study bit for bit — the
-    /// prefix-sum sampler draws the same VM the linear roulette would.
+    /// plans match the pre-candidate-list study bit for bit.
     /// Candidate lists cost 5–53 % makespan on heterogeneous fleets at
     /// figure scale, so they default on only in [`Self::for_scale`].
     pub fn paper() -> Self {
@@ -90,8 +58,6 @@ impl AcoParams {
             iterations: 8,
             batch_size: 128,
             candidates: None,
-            strategy: CandidateStrategy::TopEta,
-            sampling: SamplingMode::PrefixSum,
             q0: 0.0,
             max_vm_fraction: 0.5,
         }
@@ -126,18 +92,6 @@ impl AcoParams {
     /// Cloudlet count above which [`Self::for_scale`] switches to the
     /// reduced-effort profile.
     pub const SCALE_CUTOVER: usize = 250_000;
-
-    /// The pre-candidate-ring profile: random candidate subsets (k = 32)
-    /// with the linear roulette, as `aco::reference` implements. Bitwise
-    /// reference equivalence holds for this profile at any k.
-    pub fn reference_compat() -> Self {
-        AcoParams {
-            candidates: Some(Self::DEFAULT_CANDIDATES),
-            strategy: CandidateStrategy::Random,
-            sampling: SamplingMode::Linear,
-            ..Self::paper()
-        }
-    }
 
     /// Ant Colony System flavor: strong exploitation (q0 = 0.9).
     pub fn acs() -> Self {
@@ -187,20 +141,6 @@ impl AcoParams {
         }
         if !(0.0..=1.0).contains(&self.q0) {
             return Err(format!("q0 must be in [0,1], got {}", self.q0));
-        }
-        if self.sampling != SamplingMode::Linear && self.strategy == CandidateStrategy::Random {
-            return Err(
-                "prefix/alias sampling requires the top-eta candidate strategy \
-                 (random candidate subsets are rebuilt per draw, so there is no \
-                 stable row to index)"
-                    .into(),
-            );
-        }
-        if self.sampling == SamplingMode::Alias && self.q0 > 0.0 {
-            return Err("alias sampling is incompatible with q0 > 0 exploitation \
-                 (no dense weight row to take an argmax over); use sampling \
-                 prefix or linear"
-                .into());
         }
         if !(self.max_vm_fraction > 0.0 && self.max_vm_fraction <= 1.0) {
             return Err(format!(
@@ -285,31 +225,6 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn validation_rejects_incoherent_strategy_combos() {
-        assert!(AcoParams {
-            strategy: CandidateStrategy::Random,
-            sampling: SamplingMode::PrefixSum,
-            ..AcoParams::paper()
-        }
-        .validate()
-        .is_err());
-        assert!(AcoParams {
-            sampling: SamplingMode::Alias,
-            q0: 0.5,
-            ..AcoParams::paper()
-        }
-        .validate()
-        .is_err());
-        assert!(AcoParams {
-            sampling: SamplingMode::Alias,
-            ..AcoParams::paper()
-        }
-        .validate()
-        .is_ok());
-        assert!(AcoParams::reference_compat().validate().is_ok());
     }
 
     #[test]

@@ -267,28 +267,6 @@ impl PheromoneMatrix {
     pub fn deposited_edges(&self) -> usize {
         self.lanes.iter().map(|lane| lane.vms.len()).sum()
     }
-
-    /// `base^α` from the last [`Self::prepare_pow`] snapshot — the τ^α every
-    /// never-deposited edge shares. Must not be called before the first
-    /// snapshot.
-    #[inline]
-    pub fn base_pow(&self) -> f64 {
-        debug_assert!(!self.base_pow.is_nan(), "prepare_pow must run first");
-        self.base_pow
-    }
-
-    /// Visits every deposit-touched edge as `(slot, vm, τ^α)` using the
-    /// last [`Self::prepare_pow`] snapshot, in (slot asc, vm asc) order.
-    /// The alias-sampling fast path extracts its sparse τ-delta lists from
-    /// this walk instead of probing lanes per candidate.
-    pub fn for_each_deposited_pow(&self, mut f: impl FnMut(usize, u32, f64)) {
-        debug_assert!(!self.base_pow.is_nan(), "prepare_pow must run first");
-        for (slot, lane) in self.lanes.iter().enumerate() {
-            for (i, &vm) in lane.vms.iter().enumerate() {
-                f(slot, vm, lane.pow[i]);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

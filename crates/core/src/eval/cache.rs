@@ -144,12 +144,12 @@ impl CandidateRing {
 /// reads it instead of scanning all VMs.
 pub struct CandidateBlock {
     k: usize,
+    /// Number of slots covered.
+    slots: usize,
     /// Candidate VM indices, `[slot * k + rank]`.
     idx: Vec<u32>,
     /// `η(c, idx)^β` matching `idx` entry-wise (non-finite clipped to 0).
     eta_pow: Vec<f64>,
-    /// Per-slot `Σ η^β` over the row (alias-table base mass).
-    eta_sum: Vec<f64>,
 }
 
 impl CandidateBlock {
@@ -163,7 +163,7 @@ impl CandidateBlock {
     /// Number of slots covered.
     #[inline]
     pub fn slot_count(&self) -> usize {
-        self.eta_sum.len()
+        self.slots
     }
 
     /// Candidate VM indices of slot `s`.
@@ -176,12 +176,6 @@ impl CandidateBlock {
     #[inline]
     pub fn eta_row(&self, s: usize) -> &[f64] {
         &self.eta_pow[s * self.k..(s + 1) * self.k]
-    }
-
-    /// `Σ η^β` over slot `s`'s row.
-    #[inline]
-    pub fn eta_sum(&self, s: usize) -> f64 {
-        self.eta_sum[s]
     }
 }
 
@@ -384,7 +378,6 @@ impl EvalCache {
         let b = slots.len();
         let mut idx = Vec::with_capacity(b * k);
         let mut eta_pow = Vec::with_capacity(b * k);
-        let mut eta_sum = Vec::with_capacity(b);
         // Generation-stamped dedup: one u32 array reused across slots.
         let mut stamp = vec![0u32; v];
         let mut generation = 0u32;
@@ -393,7 +386,6 @@ impl EvalCache {
             let mut cell = (c * k) % v.max(1);
             let mut taken = 0usize;
             let mut scanned = 0usize;
-            let mut sum = 0.0;
             while taken < k && scanned < v {
                 let vm = ring.cells[cell];
                 cell += 1;
@@ -409,17 +401,15 @@ impl EvalCache {
                 let w = if w.is_finite() { w } else { 0.0 };
                 idx.push(vm);
                 eta_pow.push(w);
-                sum += w;
                 taken += 1;
             }
             debug_assert_eq!(taken, k, "ring guarantees k ≤ distinct VMs");
-            eta_sum.push(sum);
         }
         CandidateBlock {
             k,
+            slots: b,
             idx,
             eta_pow,
-            eta_sum,
         }
     }
 
@@ -700,14 +690,11 @@ mod tests {
         let beta = 0.99;
         let block = cache.candidate_block(0..p.cloudlet_count(), 4, beta);
         for s in 0..block.slot_count() {
-            let mut sum = 0.0;
             for (&vm, &w) in block.row(s).iter().zip(block.eta_row(s)) {
                 let expect = cache.heuristic(s, vm as usize).powf(beta);
                 let expect = if expect.is_finite() { expect } else { 0.0 };
                 assert_eq!(w.to_bits(), expect.to_bits());
-                sum += w;
             }
-            assert_eq!(block.eta_sum(s).to_bits(), sum.to_bits());
         }
     }
 

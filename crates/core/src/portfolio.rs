@@ -42,16 +42,17 @@ pub struct Portfolio {
 }
 
 impl Portfolio {
-    /// Builds a portfolio from explicit candidates.
-    ///
-    /// Panics on an empty candidate list.
-    pub fn new(candidates: Vec<Box<dyn Scheduler>>, objective: Objective) -> Self {
-        assert!(!candidates.is_empty(), "portfolio needs candidates");
-        Portfolio {
+    /// Builds a portfolio from explicit candidates; an empty list is an
+    /// error.
+    pub fn new(candidates: Vec<Box<dyn Scheduler>>, objective: Objective) -> Result<Self, String> {
+        if candidates.is_empty() {
+            return Err("portfolio needs candidates".into());
+        }
+        Ok(Portfolio {
             candidates,
             objective,
             last_winner: None,
-        }
+        })
     }
 
     /// The paper's four studied algorithms as a portfolio.
@@ -63,6 +64,7 @@ impl Portfolio {
                 .collect(),
             objective,
         )
+        .expect("the paper set is non-empty")
     }
 
     /// Name of the candidate that produced the last returned assignment.
@@ -150,6 +152,7 @@ mod tests {
             ],
             objective,
         )
+        .expect("non-empty candidates")
     }
 
     #[test]
@@ -204,8 +207,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "candidates")]
     fn empty_portfolio_rejected() {
-        let _ = Portfolio::new(vec![], Objective::Makespan);
+        let err = Portfolio::new(vec![], Objective::Makespan).err();
+        assert!(err.is_some_and(|e| e.contains("candidates")));
     }
 }

@@ -1,7 +1,7 @@
 //! `--sched-params` mini-language: key=value overrides for scheduler knobs.
 //!
 //! The CLI accepts a comma-separated list like
-//! `candidates=32,sampling=prefix,shards=4` and turns it into a
+//! `candidates=32,ants=10,shards=4` and turns it into a
 //! [`SchedTuning`], which then builds a scheduler for an
 //! [`AlgorithmKind`]. Unknown keys and incoherent combinations are
 //! **errors**, never silently clamped — the sweep scripts must fail loudly
@@ -13,8 +13,6 @@
 //! | key | values | applies to |
 //! |---|---|---|
 //! | `candidates` | positive integer or `full` | AntColony |
-//! | `strategy` | `random` \| `topeta` | AntColony |
-//! | `sampling` | `linear` \| `prefix` \| `alias` | AntColony |
 //! | `ants` | positive integer | AntColony |
 //! | `iterations` | positive integer | AntColony |
 //! | `batch` | positive integer | AntColony |
@@ -25,11 +23,11 @@
 //! | `quantum` | positive integer (evaluation units) | Racing |
 //! | `shards` | positive integer or `dc` | any kind (wraps in [`DivideAndConquer`]) |
 //!
-//! When `strategy=random` is given without an explicit `sampling`, the
-//! sampling follows the strategy to `linear` (random candidate subsets
-//! have no stable row for prefix/alias indexing).
+//! `candidates` also picks ACO's sampling regime: a width below the fleet
+//! size draws from top-η candidate lists, `full` (or any width covering
+//! the fleet) from full rows. There is no separate sampler key.
 
-use crate::aco::{AcoParams, AntColony, CandidateStrategy, SamplingMode};
+use crate::aco::{AcoParams, AntColony};
 use crate::cuckoo_sos::{CsosParams, CuckooSos};
 use crate::dnc::{DivideAndConquer, ShardSpec};
 use crate::gsa::{Gsa, GsaParams};
@@ -43,10 +41,6 @@ pub struct SchedTuning {
     /// Candidate-list size: `Some(None)` forces full rows (`full`),
     /// `Some(Some(k))` forces k candidates.
     pub candidates: Option<Option<usize>>,
-    /// Candidate-list formation strategy.
-    pub strategy: Option<CandidateStrategy>,
-    /// Weight-row sampling mode.
-    pub sampling: Option<SamplingMode>,
     /// Ants per iteration.
     pub ants: Option<usize>,
     /// Construction/update iterations per batch.
@@ -67,7 +61,7 @@ pub struct SchedTuning {
     pub quantum: Option<u64>,
 }
 
-const VALID_KEYS: &str = "candidates, strategy, sampling, ants, iterations, batch, q0, shards, \
+const VALID_KEYS: &str = "candidates, ants, iterations, batch, q0, shards, \
                           population, rounds, budget, quantum";
 
 fn parse_count(key: &str, value: &str) -> Result<usize, String> {
@@ -100,29 +94,6 @@ impl SchedTuning {
                         None
                     } else {
                         Some(parse_count(key, value)?)
-                    });
-                }
-                "strategy" => {
-                    tuning.strategy = Some(match value {
-                        "random" => CandidateStrategy::Random,
-                        "topeta" => CandidateStrategy::TopEta,
-                        _ => {
-                            return Err(format!(
-                                "strategy must be 'random' or 'topeta', got '{value}'"
-                            ))
-                        }
-                    });
-                }
-                "sampling" => {
-                    tuning.sampling = Some(match value {
-                        "linear" => SamplingMode::Linear,
-                        "prefix" => SamplingMode::PrefixSum,
-                        "alias" => SamplingMode::Alias,
-                        _ => {
-                            return Err(format!(
-                                "sampling must be 'linear', 'prefix' or 'alias', got '{value}'"
-                            ))
-                        }
                     });
                 }
                 "ants" => tuning.ants = Some(parse_count(key, value)?),
@@ -158,8 +129,6 @@ impl SchedTuning {
     /// True when any ACO-specific knob is set.
     fn touches_aco(&self) -> bool {
         self.candidates.is_some()
-            || self.strategy.is_some()
-            || self.sampling.is_some()
             || self.ants.is_some()
             || self.iterations.is_some()
             || self.batch.is_some()
@@ -171,17 +140,6 @@ impl SchedTuning {
         let mut p = base;
         if let Some(c) = self.candidates {
             p.candidates = c;
-        }
-        if let Some(s) = self.strategy {
-            p.strategy = s;
-            // The sampling mode follows the strategy unless pinned
-            // explicitly: random subsets only support the linear roulette.
-            if self.sampling.is_none() && s == CandidateStrategy::Random {
-                p.sampling = SamplingMode::Linear;
-            }
-        }
-        if let Some(s) = self.sampling {
-            p.sampling = s;
         }
         if let Some(a) = self.ants {
             p.ants = a;
@@ -214,8 +172,7 @@ impl SchedTuning {
     pub fn build(&self, kind: AlgorithmKind, seed: u64) -> Result<Box<dyn Scheduler>, String> {
         if self.touches_aco() && kind != AlgorithmKind::AntColony {
             return Err(format!(
-                "ACO parameters (candidates/strategy/sampling/ants/iterations/\
-                 batch/q0) only apply to AntColony, not {kind}"
+                "ACO parameters (candidates/ants/iterations/batch/q0) only apply to AntColony, not {kind}"
             ));
         }
         let population_kind = matches!(kind, AlgorithmKind::CuckooSos | AlgorithmKind::Gsa);
@@ -285,14 +242,10 @@ mod tests {
 
     #[test]
     fn parses_the_full_vocabulary() {
-        let t = SchedTuning::parse(
-            "candidates=16, strategy=topeta, sampling=alias, ants=10, \
-             iterations=3, batch=64, q0=0, shards=4",
-        )
-        .unwrap();
+        let t =
+            SchedTuning::parse("candidates=16, ants=10, iterations=3, batch=64, q0=0, shards=4")
+                .unwrap();
         assert_eq!(t.candidates, Some(Some(16)));
-        assert_eq!(t.strategy, Some(CandidateStrategy::TopEta));
-        assert_eq!(t.sampling, Some(SamplingMode::Alias));
         assert_eq!(t.ants, Some(10));
         assert_eq!(t.iterations, Some(3));
         assert_eq!(t.batch, Some(64));
@@ -314,31 +267,22 @@ mod tests {
             .contains("unknown scheduler parameter"));
         assert!(SchedTuning::parse("candidates=zero").is_err());
         assert!(SchedTuning::parse("candidates=0").is_err());
-        assert!(SchedTuning::parse("strategy=best").is_err());
-        assert!(SchedTuning::parse("sampling=magic").is_err());
+        // The sampler is fixed by the candidate-list width; the old
+        // sampler keys are unknown like any misspelt key.
+        for removed in ["strategy=random", "sampling=alias"] {
+            assert!(SchedTuning::parse(removed)
+                .unwrap_err()
+                .contains("unknown scheduler parameter"));
+        }
         assert!(SchedTuning::parse("shards=0").is_err());
         assert!(SchedTuning::parse("ants").is_err(), "missing '='");
     }
 
     #[test]
-    fn incoherent_combos_surface_aco_validation_errors() {
-        // random strategy + explicit prefix sampling: invalid, not clamped.
-        let t = SchedTuning::parse("strategy=random,sampling=prefix").unwrap();
-        assert!(t.apply_aco(AcoParams::paper()).is_err());
-        // q0>0 with alias sampling: invalid.
-        let t = SchedTuning::parse("sampling=alias,q0=0.5").unwrap();
-        assert!(t.apply_aco(AcoParams::paper()).is_err());
-        // out-of-range q0 rejected by AcoParams::validate.
+    fn out_of_range_values_surface_aco_validation_errors() {
+        // out-of-range q0 rejected by AcoParams::validate, not clamped.
         let t = SchedTuning::parse("q0=1.5").unwrap();
         assert!(t.apply_aco(AcoParams::paper()).is_err());
-    }
-
-    #[test]
-    fn sampling_follows_strategy_when_unpinned() {
-        let t = SchedTuning::parse("strategy=random").unwrap();
-        let p = t.apply_aco(AcoParams::paper()).unwrap();
-        assert_eq!(p.strategy, CandidateStrategy::Random);
-        assert_eq!(p.sampling, SamplingMode::Linear);
     }
 
     #[test]

@@ -138,17 +138,14 @@ fn aco_paper_params_match_reference() {
 #[test]
 fn aco_reference_equivalence_holds_when_candidates_cover_fleet() {
     // The acceptance bar for the candidate-list overhaul: whenever
-    // k ≥ #VMs the TopEta fast path must stand down and the optimized
+    // k ≥ #VMs the candidate-list regime must stand down and the optimized
     // scheduler must stay bitwise-equal to the frozen reference — across
     // seeds and thread counts.
-    use biosched_core::aco::{CandidateStrategy, SamplingMode};
     for shape in [Shape::Homogeneous, Shape::Heterogeneous] {
         for seed in SEEDS {
             let problem = build_problem(shape, seed);
             let params = AcoParams {
                 candidates: Some(problem.vm_count()), // k == #VMs
-                strategy: CandidateStrategy::TopEta,
-                sampling: SamplingMode::PrefixSum,
                 ..AcoParams::paper()
             };
             let expected = reference::schedule_reference(&params, seed, &problem);
@@ -168,36 +165,29 @@ fn aco_reference_equivalence_holds_when_candidates_cover_fleet() {
 
 #[test]
 fn aco_candidate_fast_path_is_thread_independent() {
-    // k < #VMs engages the candidate-list fast path. It intentionally
+    // k < #VMs engages the candidate-list regime. It intentionally
     // diverges from the reference plan, but it must stay byte-identical
-    // per seed at any thread count, in every sampling mode.
-    use biosched_core::aco::{CandidateStrategy, SamplingMode};
-    for sampling in [
-        SamplingMode::Linear,
-        SamplingMode::PrefixSum,
-        SamplingMode::Alias,
-    ] {
-        for shape in [Shape::Homogeneous, Shape::Heterogeneous] {
-            for seed in SEEDS {
-                let problem = build_problem(shape, seed);
-                let params = AcoParams {
-                    candidates: Some(8), // << 24 VMs
-                    strategy: CandidateStrategy::TopEta,
-                    sampling,
-                    ..AcoParams::paper()
-                };
-                set_threads(1);
-                let baseline = AntColony::new(params.clone(), seed).schedule(&problem);
-                baseline.validate(&problem).expect("fast path plan valid");
-                for threads in &THREAD_COUNTS[1..] {
-                    set_threads(*threads);
-                    let got = AntColony::new(params.clone(), seed).schedule(&problem);
-                    assert_eq!(
-                        baseline, got,
-                        "fast path ({sampling:?}) diverged at {threads} threads \
-                         ({shape:?}, seed {seed})"
-                    );
-                }
+    // per seed at any thread count (its plans are pinned in aco_golden).
+    for shape in [Shape::Homogeneous, Shape::Heterogeneous] {
+        for seed in SEEDS {
+            let problem = build_problem(shape, seed);
+            let params = AcoParams {
+                candidates: Some(8), // << 24 VMs
+                ..AcoParams::paper()
+            };
+            set_threads(1);
+            let baseline = AntColony::new(params.clone(), seed).schedule(&problem);
+            baseline
+                .validate(&problem)
+                .expect("candidate-list plan valid");
+            for threads in &THREAD_COUNTS[1..] {
+                set_threads(*threads);
+                let got = AntColony::new(params.clone(), seed).schedule(&problem);
+                assert_eq!(
+                    baseline, got,
+                    "candidate-list regime diverged at {threads} threads \
+                     ({shape:?}, seed {seed})"
+                );
             }
         }
     }
