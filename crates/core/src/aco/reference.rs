@@ -5,14 +5,15 @@
 //! per-candidate `powf`, `HashSet` tabu, `HashMap` pheromone storage). It
 //! exists for two reasons:
 //!
-//! 1. **Equivalence testing** — the optimized [`super::AntColony`] must
-//!    produce byte-identical assignments per seed; the
-//!    `scheduler_equivalence` integration test compares the two paths
-//!    across thread counts. Do not "optimize" this module: its value is
-//!    that it stays exactly as the pre-overhaul commit left it.
+//! 1. **Equivalence testing** — with full rows (k ≥ #VMs) the optimized
+//!    [`super::AntColony`] must produce byte-identical assignments per
+//!    seed; the `scheduler_equivalence` integration test compares the two
+//!    paths across thread counts. Do not "optimize" this module: its value
+//!    is that it stays exactly as the pre-overhaul commit left it.
 //! 2. **Benchmark baseline** — `schedbench` and the `scheduling_time`
 //!    criterion bench time it next to the optimized path so the speedup
 //!    is measured against the real former implementation, not a guess.
+//!    Its random-k branch (k < #VMs) has no `AntColony` counterpart.
 
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -75,7 +76,8 @@ impl RefPheromone {
 }
 
 /// Schedules `problem` with the pre-overhaul ACO loop. Byte-identical to
-/// [`super::AntColony::schedule`] for any parameters and seed.
+/// [`super::AntColony::schedule`] for any seed when k ≥ #VMs (full rows);
+/// its random-k branch is only the `reference_aco_ms` timing baseline.
 pub fn schedule_reference(
     params: &AcoParams,
     seed: u64,
