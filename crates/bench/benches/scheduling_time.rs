@@ -4,6 +4,7 @@
 //! one homogeneous point and one heterogeneous point — so relative
 //! scheduler costs (Base ≪ RBS < HBO < ACO) can be verified precisely.
 
+use biosched_bench::harness::with_threads;
 use biosched_core::aco::{reference, AcoParams, AntColony};
 use biosched_core::scheduler::{AlgorithmKind, Scheduler};
 use biosched_workload::heterogeneous::HeterogeneousScenario;
@@ -93,35 +94,29 @@ fn bench_colony_parallelism(c: &mut Criterion) {
     }
     .build()
     .problem();
-    let set_threads = |n: usize| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .expect("vendored rayon accepts repeated build_global");
-    };
-
     let mut group = c.benchmark_group("scheduling_time/colony_parallelism_1000vm_10000cl");
     group.sample_size(10);
     group.bench_function("reference", |b| {
-        set_threads(1);
-        b.iter(|| {
-            black_box(reference::schedule_reference(
-                &AcoParams::paper(),
-                42,
-                black_box(&problem),
-            ))
+        with_threads(1, || {
+            b.iter(|| {
+                black_box(reference::schedule_reference(
+                    &AcoParams::paper(),
+                    42,
+                    black_box(&problem),
+                ))
+            })
         })
     });
     for threads in [1usize, 4] {
         group.bench_function(BenchmarkId::new("optimized", threads), |b| {
-            set_threads(threads);
-            b.iter(|| {
-                let mut scheduler = AntColony::new(AcoParams::paper(), 42);
-                black_box(scheduler.schedule(black_box(&problem)))
+            with_threads(threads, || {
+                b.iter(|| {
+                    let mut scheduler = AntColony::new(AcoParams::paper(), 42);
+                    black_box(scheduler.schedule(black_box(&problem)))
+                })
             })
         });
     }
-    set_threads(0);
     group.finish();
 }
 

@@ -16,7 +16,7 @@
 //!
 //! Everything emitted except the `"wall"` block is computed inside the
 //! simulation, so the JSON is byte-identical no matter how many rayon
-//! threads execute it. CI exploits that: the dag-smoke job runs
+//! threads execute it. CI exploits that: its determinism matrix runs
 //! `dagbench --smoke` under `RAYON_NUM_THREADS=1` and `=4` and diffs the
 //! outputs with the machine-dependent lines stripped (`grep -v wall_ms`;
 //! every machine-dependent line contains `wall_ms`). Full mode adds the
@@ -24,117 +24,99 @@
 //! sequentially and sharded at 1 and 4 threads, aggregates compared to
 //! the bit) and the 1.2M-task ensemble that carries the speedup gate.
 
-use std::io::Write as _;
 use std::time::Instant;
 
+use biosched_bench::harness::{self, with_threads, Flag, Report, OUT, SEED};
 use biosched_workload::workflow::{self, Workflow};
 use simcloud::datacenter::DatacenterBlueprint;
 use simcloud::prelude::*;
 
-/// One matrix entry: a named workflow and the assignment rule that
-/// decides how many releases resolve locally vs cross-shard.
-struct ShapePoint {
+/// One tier: the equivalence-matrix sizes plus, in full mode, the
+/// paper-scale points that carry the wall-clock gate.
+struct Tier {
     name: &'static str,
-    workflow: Workflow,
-    /// Maps task id → VM index (over `vms` VMs).
-    assign: fn(usize, usize) -> usize,
+    /// VMs under every matrix shape.
     vms: usize,
+    chain_tasks: usize,
+    /// `fork_join` (width, depth).
+    fork_join: (usize, usize),
+    /// `layered_sparse` (layers, width).
+    layered: (usize, usize),
+    /// `pipeline_ensemble` (jobs, stages).
+    ensemble: (usize, usize),
+    paper_scale: Option<PaperScale>,
 }
 
-/// Chains colocated in runs of ten: mostly local releases, one cross
-/// hop per run boundary.
-fn assign_runs_of_ten(task: usize, vms: usize) -> usize {
-    (task / 10) % vms
+/// The paper-scale points: a layered DAG `layers` deep and `vms` wide
+/// over `vms` VMs, and a `jobs` × 10-stage colocated ensemble that must
+/// run ≥ 1.3× faster sharded than sequential.
+struct PaperScale {
+    vms: usize,
+    layers: usize,
+    jobs: usize,
 }
 
-/// Round-robin spread: consecutive tasks land on different VMs, so
-/// almost every release crosses shards.
-fn assign_spread(task: usize, vms: usize) -> usize {
-    task % vms
-}
+const FULL: Tier = Tier {
+    name: "full",
+    vms: 256,
+    chain_tasks: 20_000,
+    fork_join: (2_000, 4),
+    layered: (8, 2_500),
+    ensemble: (2_000, 10),
+    paper_scale: Some(PaperScale {
+        vms: 100_000,
+        layers: 10,
+        jobs: 120_000,
+    }),
+};
 
-/// Whole pipelines pinned to one VM (10-stage jobs): every release is
-/// local, chains replay without a single barrier.
-fn assign_colocated_10(task: usize, vms: usize) -> usize {
-    (task / 10) % vms
-}
+/// CI preset: the same shapes ~20× smaller, no paper-scale points.
+const SMOKE: Tier = Tier {
+    name: "smoke",
+    vms: 64,
+    chain_tasks: 1_000,
+    fork_join: (100, 3),
+    layered: (6, 200),
+    ensemble: (200, 5),
+    paper_scale: None,
+};
 
-/// Five-stage variant of [`assign_colocated_10`] for the smoke tier.
-fn assign_colocated_5(task: usize, vms: usize) -> usize {
-    (task / 5) % vms
-}
-
-/// The equivalence matrix at either tier. Shapes match the generators
-/// the paper-scale tier uses; smoke shrinks counts ~20×.
-fn matrix(smoke: bool, seed: u64) -> Vec<ShapePoint> {
-    if smoke {
-        vec![
-            ShapePoint {
-                name: "chain",
-                workflow: workflow::chain(1_000, 4_000.0),
-                assign: assign_runs_of_ten,
-                vms: 64,
-            },
-            ShapePoint {
-                name: "fork_join",
-                workflow: workflow::fork_join(100, 3, 4_000.0),
-                assign: assign_spread,
-                vms: 64,
-            },
-            ShapePoint {
-                name: "layered_sparse",
-                workflow: workflow::layered_sparse(6, 200, 3, (500.0, 2_000.0), seed),
-                assign: assign_spread,
-                vms: 64,
-            },
-            ShapePoint {
-                name: "pipeline_ensemble",
-                workflow: workflow::pipeline_ensemble(200, 5, 1_000.0, seed),
-                assign: assign_colocated_5,
-                vms: 64,
-            },
-        ]
-    } else {
-        vec![
-            ShapePoint {
-                name: "chain",
-                workflow: workflow::chain(20_000, 4_000.0),
-                assign: assign_runs_of_ten,
-                vms: 256,
-            },
-            ShapePoint {
-                name: "fork_join",
-                workflow: workflow::fork_join(2_000, 4, 4_000.0),
-                assign: assign_spread,
-                vms: 256,
-            },
-            ShapePoint {
-                name: "layered_sparse",
-                workflow: workflow::layered_sparse(8, 2_500, 3, (500.0, 2_000.0), seed),
-                assign: assign_spread,
-                vms: 256,
-            },
-            ShapePoint {
-                name: "pipeline_ensemble",
-                workflow: workflow::pipeline_ensemble(2_000, 10, 1_000.0, seed),
-                assign: assign_colocated_10,
-                vms: 256,
-            },
-        ]
-    }
+/// The equivalence matrix of `tier` as (name, workflow, run length):
+/// task `t` lands on VM `(t / run) % vms`, which decides how many
+/// releases resolve locally vs cross-shard. Chains are colocated in runs
+/// of ten (one cross hop per run boundary), fork-join and layered DAGs
+/// spread round-robin (almost every release crosses shards), and whole
+/// pipelines are pinned to one VM (every release is local).
+fn matrix(tier: &Tier, seed: u64) -> Vec<(&'static str, Workflow, usize)> {
+    let ((width, depth), (layers, layer_width)) = (tier.fork_join, tier.layered);
+    let (jobs, stages) = tier.ensemble;
+    vec![
+        ("chain", workflow::chain(tier.chain_tasks, 4_000.0), 10),
+        ("fork_join", workflow::fork_join(width, depth, 4_000.0), 1),
+        (
+            "layered_sparse",
+            workflow::layered_sparse(layers, layer_width, 3, (500.0, 2_000.0), seed),
+            1,
+        ),
+        (
+            "pipeline_ensemble",
+            workflow::pipeline_ensemble(jobs, stages, 1_000.0, seed),
+            stages,
+        ),
+    ]
 }
 
 /// Runs one workflow on `engine` in aggregate mode; returns the outcome
 /// and the wall clock in ms.
 fn run_shape(
     wf: &Workflow,
-    assign: fn(usize, usize) -> usize,
+    run: usize,
     vms: usize,
     engine: EngineKind,
 ) -> (SimulationOutcome, f64) {
     let vm = VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 2);
     let assignment: Vec<VmId> = (0..wf.len())
-        .map(|c| VmId::from_index(assign(c, vms)))
+        .map(|c| VmId::from_index((c / run) % vms))
         .collect();
     let wall = Instant::now();
     let outcome = SimulationBuilder::new()
@@ -164,35 +146,19 @@ fn run_shape(
 
 /// Asserts every aggregate the outcome can answer agrees to the bit.
 fn assert_aggregates_match(a: &SimulationOutcome, b: &SimulationOutcome, label: &str) {
-    let f = |v: Option<f64>| v.map(f64::to_bits);
-    assert_eq!(a.finished_count(), b.finished_count(), "{label}: finished");
-    assert_eq!(a.observed_count(), b.observed_count(), "{label}: observed");
+    let aggregates = |o: &SimulationOutcome| {
+        let f = |v: Option<f64>| v.map(f64::to_bits);
+        (
+            (o.finished_count(), o.observed_count(), o.events_processed),
+            (o.end_time.as_millis().to_bits(), o.total_cost().to_bits()),
+            [o.simulation_time_ms(), o.mean_execution_ms(), o.goodput()].map(f),
+        )
+    };
     assert_eq!(
-        a.end_time.as_millis().to_bits(),
-        b.end_time.as_millis().to_bits(),
-        "{label}: end_time ({} vs {})",
-        a.end_time.as_millis(),
-        b.end_time.as_millis()
-    );
-    assert_eq!(
-        f(a.simulation_time_ms()),
-        f(b.simulation_time_ms()),
-        "{label}: simulation_time_ms"
-    );
-    assert_eq!(
-        f(a.mean_execution_ms()),
-        f(b.mean_execution_ms()),
-        "{label}: mean_execution_ms"
-    );
-    assert_eq!(f(a.goodput()), f(b.goodput()), "{label}: goodput");
-    assert_eq!(
-        a.total_cost().to_bits(),
-        b.total_cost().to_bits(),
-        "{label}: total_cost"
-    );
-    assert_eq!(
-        a.events_processed, b.events_processed,
-        "{label}: events_processed"
+        aggregates(a),
+        aggregates(b),
+        "{label}: ((finished, observed, events), (end_time, cost), \
+         [makespan, mean_execution, goodput]) diverged"
     );
 }
 
@@ -201,135 +167,134 @@ fn assert_aggregates_match(a: &SimulationOutcome, b: &SimulationOutcome, label: 
 /// critical path is exactly its task count × length (both f64-exact).
 fn assert_critical_path_memoized(seed: u64) {
     let chain = workflow::chain(1_000, 10.0);
-    let first = chain.critical_path_mi();
-    assert_eq!(
-        first.to_bits(),
-        (10_000.0f64).to_bits(),
-        "chain lower bound"
-    );
-    assert_eq!(
-        first.to_bits(),
-        chain.critical_path_mi().to_bits(),
-        "memoized repeat call"
-    );
-    let a = workflow::layered_sparse(5, 100, 3, (500.0, 2_000.0), seed);
-    let b = workflow::layered_sparse(5, 100, 3, (500.0, 2_000.0), seed);
+    for call in ["chain lower bound", "memoized repeat call"] {
+        assert_eq!(
+            chain.critical_path_mi().to_bits(),
+            10_000.0f64.to_bits(),
+            "{call}"
+        );
+    }
+    let layered = || workflow::layered_sparse(5, 100, 3, (500.0, 2_000.0), seed);
+    let (a, b) = (layered(), layered());
     let cached = a.critical_path_mi();
     assert!(cached > 0.0);
-    assert_eq!(cached.to_bits(), a.critical_path_mi().to_bits());
     assert_eq!(
-        cached.to_bits(),
-        b.critical_path_mi().to_bits(),
+        [a.critical_path_mi(), b.critical_path_mi()].map(f64::to_bits),
+        [cached.to_bits(); 2],
         "memoized value equals a fresh workflow's computation"
     );
 }
 
-fn engine_label(e: EngineKind) -> &'static str {
-    match e {
-        EngineKind::Sequential => "sequential",
-        EngineKind::Sharded => "sharded",
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    let mut out_path = String::from("BENCH_workflows.json");
-    let mut seed = 42u64;
-    let mut smoke = false;
-    let mut threads: Option<usize> = None;
-    let mut big_vms = 100_000usize;
-    let mut big_layers = 10usize;
-    let mut big_jobs = 120_000usize;
-    while let Some(a) = iter.next() {
-        let mut val = || iter.next().expect("flag value").clone();
-        match a.as_str() {
-            "--out" => out_path = val(),
-            "--seed" => seed = val().parse().unwrap(),
-            "--smoke" => smoke = true,
-            "--threads" => threads = Some(val().parse().unwrap()),
-            "--big-vms" => big_vms = val().parse().unwrap(),
-            "--big-layers" => big_layers = val().parse().unwrap(),
-            "--big-jobs" => big_jobs = val().parse().unwrap(),
-            other => panic!(
-                "unknown flag {other} (try: --out F --seed N --smoke --threads N \
-                 --big-vms N --big-layers N --big-jobs N)"
-            ),
-        }
-    }
-    if let Some(n) = threads {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .expect("thread pool");
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let flags = [OUT, SEED, Flag::switch("--smoke")];
+    let (out_path, seed, tier) = harness::parse_or_exit("dagbench", &flags, &argv, |a| {
+        Ok((
+            a.get("--out", "BENCH_workflows.json".to_string())?,
+            a.get("--seed", 42u64)?,
+            if a.switch("--smoke") { SMOKE } else { FULL },
+        ))
+    });
 
     assert_critical_path_memoized(seed);
 
-    let points = matrix(smoke, seed);
+    let shapes = matrix(&tier, seed);
+    let vms = tier.vms;
     eprintln!(
         "workflow matrix ({}): {} shapes × 2 engines, seed {seed}",
-        if smoke { "smoke" } else { "full" },
-        points.len(),
+        tier.name,
+        shapes.len(),
     );
-    // (shape meta, per-engine outcome + wall)
-    let mut rows = Vec::new();
-    for p in &points {
-        let (seq, seq_wall) = run_shape(&p.workflow, p.assign, p.vms, EngineKind::Sequential);
-        let (shd, shd_wall) = run_shape(&p.workflow, p.assign, p.vms, EngineKind::Sharded);
-        assert_aggregates_match(&seq, &shd, p.name);
+    let mut points = Vec::new();
+    let mut wall = Vec::new();
+    for (name, wf, run) in &shapes {
+        let (seq, seq_wall) = run_shape(wf, *run, vms, EngineKind::Sequential);
+        let (shd, shd_wall) = run_shape(wf, *run, vms, EngineKind::Sharded);
+        assert_aggregates_match(&seq, &shd, name);
         eprintln!(
-            "  {:>18}: {} tasks / {} edges / {} VMs — sequential {seq_wall:.0} ms, \
+            "  {:>18}: {} tasks / {} edges / {vms} VMs — sequential {seq_wall:.0} ms, \
              sharded {shd_wall:.0} ms",
-            p.name,
-            p.workflow.len(),
-            p.workflow.edge_count(),
-            p.vms,
-        );
-        rows.push((p, seq, seq_wall, shd_wall));
-    }
-
-    // Paper-scale points (full mode only; CI smoke must stay fast).
-    let mut big_rows = Vec::new();
-    let mut big_tasks = 0usize;
-    let mut largest: Option<(usize, f64, f64, f64)> = None;
-    if !smoke {
-        // 1M-task layered DAG over 100k VMs: sequential once, sharded at
-        // 1 and 4 threads — aggregates must agree to the bit everywhere.
-        let wf = workflow::layered_sparse(big_layers, big_vms, 2, (500.0, 2_000.0), seed);
-        eprintln!(
-            "layered at paper scale: {} tasks / {} edges / {big_vms} VMs",
+            name,
             wf.len(),
             wf.edge_count(),
         );
-        let (seq, seq_wall) = run_shape(&wf, assign_spread, big_vms, EngineKind::Sequential);
+        points.push(format!(
+            "{{\"shape\": \"{}\", \"tasks\": {}, \"edges\": {}, \"vms\": {vms}, \
+             \"critical_path_mi\": {:?}, \"finished\": {}, \"makespan_ms\": {:?}, \
+             \"mean_execution_ms\": {:?}, \"goodput\": {:?}, \"events\": {}}}",
+            name,
+            wf.len(),
+            wf.edge_count(),
+            wf.critical_path_mi(),
+            seq.finished_count(),
+            seq.end_time.as_millis(),
+            seq.mean_execution_ms().unwrap_or(0.0),
+            seq.goodput().unwrap_or(0.0),
+            seq.events_processed,
+        ));
+        for (engine, w) in [
+            (EngineKind::Sequential, seq_wall),
+            (EngineKind::Sharded, shd_wall),
+        ] {
+            wall.push(format!(
+                "{{\"shape\": \"{}\", \"engine\": \"{}\", \"tasks\": {}, \
+                 \"vms\": {vms}, \"wall_ms\": {w:.1}}}",
+                name,
+                engine.name(),
+                wf.len(),
+            ));
+        }
+    }
+
+    // Paper-scale points (full tier only; CI smoke must stay fast).
+    if let Some(PaperScale {
+        vms: big_vms,
+        layers,
+        jobs,
+    }) = tier.paper_scale
+    {
+        // 1M-task layered DAG over 100k VMs: sequential once, sharded at
+        // 1 and 4 threads — aggregates must agree to the bit everywhere.
+        let wf = workflow::layered_sparse(layers, big_vms, 2, (500.0, 2_000.0), seed);
+        let tasks = wf.len();
+        eprintln!(
+            "layered at paper scale: {tasks} tasks / {} edges / {big_vms} VMs",
+            wf.edge_count(),
+        );
+        let paper_row = |engine: &str, w: f64| {
+            format!(
+                "{{\"shape\": \"layered_sparse\", \"point\": \"paper-scale\", \
+                 \"engine\": \"{engine}\", \"tasks\": {tasks}, \"vms\": {big_vms}, \
+                 \"wall_ms\": {w:.1}}}",
+            )
+        };
+        let (seq, seq_wall) = run_shape(&wf, 1, big_vms, EngineKind::Sequential);
         eprintln!("  sequential: {seq_wall:.0} ms");
+        wall.push(paper_row(EngineKind::Sequential.name(), seq_wall));
         for pool in [1usize, 4] {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(pool)
-                .build_global()
-                .expect("vendored rayon accepts repeated global builds");
-            let (shd, shd_wall) = run_shape(&wf, assign_spread, big_vms, EngineKind::Sharded);
+            let (shd, shd_wall) =
+                with_threads(pool, || run_shape(&wf, 1, big_vms, EngineKind::Sharded));
             assert_aggregates_match(&seq, &shd, &format!("layered 1M, {pool} threads"));
             eprintln!("  sharded ({pool} threads): {shd_wall:.0} ms");
-            big_rows.push((pool, shd_wall));
+            wall.push(paper_row(
+                &format!("{}-{pool}t", EngineKind::Sharded.name()),
+                shd_wall,
+            ));
         }
-        big_rows.insert(0, (0, seq_wall)); // pool 0 = sequential row
-        big_tasks = wf.len();
 
         // The largest point: a colocated pipeline ensemble (10-stage
         // jobs pinned to one VM each) — every release resolves inside a
         // replay lane, so the epoch driver drains the whole DAG in one
-        // flush. This is the shape that carries the ≥1.3× gate.
-        let wf = workflow::pipeline_ensemble(big_jobs, 10, 1_000.0, seed);
+        // flush. This is the shape that carries the ≥1.3× gate, on the
+        // automatic (`RAYON_NUM_THREADS`) pool.
+        let wf = workflow::pipeline_ensemble(jobs, 10, 1_000.0, seed);
         eprintln!(
-            "largest point: pipeline ensemble, {} tasks / {} VMs (colocated)",
+            "largest point: pipeline ensemble, {} tasks / {big_vms} VMs (colocated)",
             wf.len(),
-            big_vms,
         );
-        let (seq, seq_wall) = run_shape(&wf, assign_colocated_10, big_vms, EngineKind::Sequential);
+        let (seq, seq_wall) = run_shape(&wf, 10, big_vms, EngineKind::Sequential);
         eprintln!("  sequential: {seq_wall:.0} ms");
-        let (shd, shd_wall) = run_shape(&wf, assign_colocated_10, big_vms, EngineKind::Sharded);
+        let (shd, shd_wall) = run_shape(&wf, 10, big_vms, EngineKind::Sharded);
         eprintln!("  sharded:    {shd_wall:.0} ms");
         assert_aggregates_match(&seq, &shd, "largest ensemble");
         let speedup = seq_wall / shd_wall;
@@ -339,78 +304,25 @@ fn main() {
             "the dependency-aware epoch driver must beat the kernel ≥1.3× on the \
              largest point, got {speedup:.2}× ({seq_wall:.0} ms vs {shd_wall:.0} ms)"
         );
-        largest = Some((wf.len(), seq_wall, shd_wall, speedup));
-    }
-
-    let mut json = String::from("{\n  \"bench\": \"workflows\",\n");
-    json.push_str(&format!(
-        "  \"seed\": {seed},\n  \"tier\": \"{}\",\n",
-        if smoke { "smoke" } else { "full" }
-    ));
-    json.push_str(
-        "  \"note\": \"aggregates are computed in-simulation and byte-identical across \
-         engines and rayon thread counts (asserted before writing); wall_ms lines are \
-         machine-dependent and are stripped before CI diffs\",\n",
-    );
-    json.push_str("  \"points\": [\n");
-    for (i, (p, seq, _, _)) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"tasks\": {}, \"edges\": {}, \"vms\": {}, \
-             \"critical_path_mi\": {:?}, \"finished\": {}, \"makespan_ms\": {:?}, \
-             \"mean_execution_ms\": {:?}, \"goodput\": {:?}, \"events\": {}}}{}\n",
-            p.name,
-            p.workflow.len(),
-            p.workflow.edge_count(),
-            p.vms,
-            p.workflow.critical_path_mi(),
-            seq.finished_count(),
-            seq.end_time.as_millis(),
-            seq.mean_execution_ms().unwrap_or(0.0),
-            seq.goodput().unwrap_or(0.0),
-            seq.events_processed,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"wall\": [\n");
-    let mut wall_lines: Vec<String> = Vec::new();
-    for (p, _, seq_wall, shd_wall) in &rows {
-        for (engine, w) in [("sequential", seq_wall), ("sharded", shd_wall)] {
-            wall_lines.push(format!(
-                "    {{\"shape\": \"{}\", \"engine\": \"{engine}\", \"tasks\": {}, \
-                 \"vms\": {}, \"wall_ms\": {w:.1}}}",
-                p.name,
-                p.workflow.len(),
-                p.vms,
-            ));
-        }
-    }
-    for (pool, w) in &big_rows {
-        let engine = if *pool == 0 {
-            engine_label(EngineKind::Sequential).to_string()
-        } else {
-            format!("{}-{pool}t", engine_label(EngineKind::Sharded))
-        };
-        wall_lines.push(format!(
-            "    {{\"shape\": \"layered_sparse\", \"point\": \"paper-scale\", \
-             \"engine\": \"{engine}\", \"tasks\": {big_tasks}, \"vms\": {big_vms}, \
-             \"wall_ms\": {w:.1}}}",
-        ));
-    }
-    if let Some((tasks, seq_wall, shd_wall, speedup)) = largest {
-        wall_lines.push(format!(
-            "    {{\"shape\": \"pipeline_ensemble\", \"point\": \"largest\", \
-             \"tasks\": {tasks}, \"vms\": {big_vms}, \
+        wall.push(format!(
+            "{{\"shape\": \"pipeline_ensemble\", \"point\": \"largest\", \
+             \"tasks\": {}, \"vms\": {big_vms}, \
              \"sequential_wall_ms\": {seq_wall:.1}, \"sharded_wall_ms\": {shd_wall:.1}, \
              \"speedup_wall_ms\": {speedup:.2}}}",
+            wf.len(),
         ));
     }
-    json.push_str(&wall_lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
 
-    let mut f = std::fs::File::create(&out_path).expect("output file");
-    f.write_all(json.as_bytes()).expect("write json");
-    let peak_rss = biosched_bench::rss::peak_rss_kb()
-        .map_or_else(|| "unknown".to_string(), |kb| kb.to_string());
-    eprintln!("wrote {out_path} (peak RSS {peak_rss} kB)");
-    print!("{json}");
+    Report::new("workflows")
+        .field("seed", seed)
+        .text("tier", tier.name)
+        .text(
+            "note",
+            "aggregates are computed in-simulation and byte-identical across engines and rayon \
+             thread counts (asserted before writing); wall_ms lines are machine-dependent and \
+             are stripped before CI diffs",
+        )
+        .section("points", points)
+        .section("wall", wall)
+        .write(&out_path);
 }

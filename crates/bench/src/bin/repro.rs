@@ -22,8 +22,8 @@
 //!   --seed N            base RNG seed (default 42)
 //!   --scale N           homogeneous down-scale divisor (default 100;
 //!                       1 = paper scale: 10^6 cloudlets, takes hours)
-//!   --full-scale        shorthand for --scale 1 and 5000 heterogeneous
-//!                       cloudlets
+//!   --full-scale        defaults --scale to 1 and --hetero-cloudlets
+//!                       to 5000 (explicit values still win)
 //!   --hetero-cloudlets N  heterogeneous workload size (default 1000)
 //!   --csv DIR           also write each figure/table as CSV under DIR
 //!   --ascii / --no-ascii  toggle ASCII charts (default on)
@@ -32,13 +32,13 @@
 //! ```
 
 use std::path::PathBuf;
-use std::process::ExitCode;
 
 use biosched_bench::convergence::{convergence_figure, ConvergenceConfig};
 use biosched_bench::extended::{extended_comparison, ExtendedConfig};
 use biosched_bench::figures::{
     figure_from_results, heterogeneous_sweep_on, homogeneous_sweep_on, Metric,
 };
+use biosched_bench::harness::{self, Args, Flag, SEED};
 use biosched_bench::tables::all_tables;
 use biosched_metrics::report::{fmt_value, Table};
 use biosched_metrics::series::FigureSeries;
@@ -58,76 +58,38 @@ struct Options {
     engine: EngineKind,
 }
 
-fn usage() -> &'static str {
-    "usage: repro <fig4a|fig4b|fig5a|fig5b|fig6|fig6a|fig6b|fig6c|fig6d|fig6-stats|resilience|stream|tables|extended|convergence|all> \
-     [--seed N] [--scale N] [--full-scale] [--hetero-cloudlets N] [--csv DIR] [--ascii] \
-     [--engine sequential|sharded]"
-}
+const COMMANDS: &str = "fig4a fig4b fig5a fig5b fig6 fig6a fig6b fig6c fig6d fig6-stats \
+                        resilience stream tables extended convergence all";
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        command: String::new(),
-        seed: 42,
-        scale: 100,
-        hetero_cloudlets: 1_000,
-        csv_dir: None,
-        ascii: true,
-        engine: EngineKind::Sequential,
-    };
-    let mut it = args.iter();
-    match it.next() {
-        Some(cmd) if !cmd.starts_with("--") => opts.command = cmd.clone(),
-        _ => return Err(usage().to_string()),
+const FLAGS: &[Flag] = &[
+    SEED,
+    Flag::value("--scale", "N"),
+    Flag::switch("--full-scale"),
+    Flag::value("--hetero-cloudlets", "N"),
+    Flag::value("--csv", "DIR"),
+    Flag::switch("--ascii"),
+    Flag::switch("--no-ascii"),
+    Flag::value("--engine", "sequential|sharded"),
+];
+
+/// `--full-scale` only changes the defaults: an explicit `--scale` or
+/// `--hetero-cloudlets` still wins.
+fn parse_args(command: &str, a: &Args) -> Result<Options, String> {
+    if !COMMANDS.split_whitespace().any(|c| c == command) {
+        return Err(format!("unknown command '{command}' (try: {COMMANDS})"));
     }
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                opts.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--scale" => {
-                opts.scale = it
-                    .next()
-                    .ok_or("--scale needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --scale: {e}"))?;
-                if opts.scale == 0 {
-                    return Err("--scale must be >= 1".into());
-                }
-            }
-            "--full-scale" => {
-                opts.scale = 1;
-                opts.hetero_cloudlets = 5_000;
-            }
-            "--hetero-cloudlets" => {
-                opts.hetero_cloudlets = it
-                    .next()
-                    .ok_or("--hetero-cloudlets needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --hetero-cloudlets: {e}"))?;
-            }
-            "--csv" => {
-                opts.csv_dir = Some(PathBuf::from(it.next().ok_or("--csv needs a directory")?));
-            }
-            "--ascii" => opts.ascii = true,
-            "--no-ascii" => opts.ascii = false,
-            "--engine" => {
-                opts.engine = match it
-                    .next()
-                    .ok_or("--engine needs a value")?
-                    .to_ascii_lowercase()
-                    .as_str()
-                {
-                    "sequential" | "seq" => EngineKind::Sequential,
-                    "sharded" => EngineKind::Sharded,
-                    other => return Err(format!("bad --engine: '{other}'")),
-                };
-            }
-            other => return Err(format!("unknown option {other}\n{}", usage())),
-        }
+    let full = a.switch("--full-scale");
+    let opts = Options {
+        command: command.to_string(),
+        seed: a.get("--seed", 42)?,
+        scale: a.get("--scale", if full { 1 } else { 100 })?,
+        hetero_cloudlets: a.get("--hetero-cloudlets", if full { 5_000 } else { 1_000 })?,
+        csv_dir: a.opt("--csv")?,
+        ascii: !a.switch("--no-ascii"),
+        engine: a.get("--engine", EngineKind::Sequential)?,
+    };
+    if opts.scale == 0 {
+        return Err("--scale must be >= 1".into());
     }
     Ok(opts)
 }
@@ -336,9 +298,14 @@ fn stream_family(opts: &Options) {
     emit_figure(&latency_fig, "stream_sched_latency", opts);
     emit_figure(&backlog_fig, "stream_backlog", opts);
     println!("\n{}", t.render());
+    write_table(&t, "stream_summary", opts);
+}
+
+/// Writes `table` as `<name>.csv` under `--csv DIR`, when given.
+fn write_table(table: &Table, name: &str, opts: &Options) {
     if let Some(dir) = &opts.csv_dir {
-        let path = dir.join("stream_summary.csv");
-        if t.write_csv(&path).is_ok() {
+        let path = dir.join(format!("{name}.csv"));
+        if table.write_csv(&path).is_ok() {
             println!("wrote {}", path.display());
         }
     }
@@ -348,31 +315,18 @@ fn print_tables(opts: &Options) {
     for (title, table) in all_tables() {
         println!("\n=== {title} ===");
         println!("{}", table.render());
-        if let Some(dir) = &opts.csv_dir {
-            let slug: String = title
-                .chars()
-                .take_while(|c| *c != '—')
-                .collect::<String>()
-                .trim()
-                .to_lowercase()
-                .replace(' ', "_");
-            let path = dir.join(format!("{slug}.csv"));
-            if table.write_csv(&path).is_ok() {
-                println!("wrote {}", path.display());
-            }
-        }
+        let slug: String = title.chars().take_while(|c| *c != '—').collect();
+        write_table(&table, &slug.trim().to_lowercase().replace(' ', "_"), opts);
     }
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (command, flags) = match argv.split_first() {
+        Some((c, rest)) if !c.starts_with("--") => (c.as_str(), rest),
+        _ => ("", &argv[..]),
     };
+    let opts = harness::parse_or_exit("repro <command>", FLAGS, flags, |a| parse_args(command, a));
 
     let fig4a = (
         Metric::SimulationTime,
@@ -479,12 +433,7 @@ fn main() -> ExitCode {
                 }
             }
             println!("\n{}", t.render());
-            if let Some(dir) = &opts.csv_dir {
-                let path = dir.join("fig6_stats.csv");
-                if t.write_csv(&path).is_ok() {
-                    println!("wrote {}", path.display());
-                }
-            }
+            write_table(&t, "fig6_stats", &opts);
         }
         "resilience" => {
             use biosched_workload::heterogeneous::HeterogeneousScenario;
@@ -559,12 +508,7 @@ fn main() -> ExitCode {
                 }
             }
             println!("\n{}", t.render());
-            if let Some(dir) = &opts.csv_dir {
-                let path = dir.join("resilience.csv");
-                if t.write_csv(&path).is_ok() {
-                    println!("wrote {}", path.display());
-                }
-            }
+            write_table(&t, "resilience", &opts);
 
             // Paper-scale spotlight: the harshest fraction at the
             // paper's nominal fleet (100k VMs / 1M cloudlets, divided
@@ -649,12 +593,7 @@ fn main() -> ExitCode {
                 ..ExtendedConfig::default()
             });
             println!("\n{}", table.render());
-            if let Some(dir) = &opts.csv_dir {
-                let path = dir.join("extended_comparison.csv");
-                if table.write_csv(&path).is_ok() {
-                    println!("wrote {}", path.display());
-                }
-            }
+            write_table(&table, "extended_comparison", &opts);
         }
         "stream" => stream_family(&opts),
         "all" => {
@@ -666,10 +605,6 @@ fn main() -> ExitCode {
             heterogeneous(&fig6_all, &opts);
             stream_family(&opts);
         }
-        other => {
-            eprintln!("unknown command {other}\n{}", usage());
-            return ExitCode::FAILURE;
-        }
+        _ => unreachable!("parse_args accepts only COMMANDS"),
     }
-    ExitCode::SUCCESS
 }

@@ -16,14 +16,15 @@
 //!   retention contract `RecordMode` exists for.
 //!
 //! `VmHWM` is monotonic per process, so every configuration runs in its
-//! own child process (the parent re-executes its own binary with
-//! `--child <mode>`); each child prints one JSON line with its wall time
-//! and peak RSS, and the parent assembles the comparison file.
+//! own child process ([`harness::spawn_self`] re-runs this binary as
+//! `reprobench child --mode <mode> …`); each child emits its wall time,
+//! peak RSS and finished count, and the parent assembles the comparison
+//! file.
 
-use std::io::Write as _;
 use std::time::Instant;
 
 use biosched_bench::figures::{heterogeneous_sweep_on, homogeneous_sweep_on};
+use biosched_bench::harness::{self, opt_json, Flag, Report, OUT, SEED};
 use biosched_bench::rss::peak_rss_kb;
 use biosched_core::eval::EvalCache;
 use biosched_core::scheduler::AlgorithmKind;
@@ -31,92 +32,57 @@ use biosched_workload::heterogeneous::{
     fig6_vm_points, HeterogeneousScenario, DEFAULT_DATACENTERS,
 };
 use biosched_workload::homogeneous::{fig4a_vm_points, fig4b_vm_points, HomogeneousScenario};
+use biosched_workload::scenario::Scenario;
 use rayon::prelude::*;
 use simcloud::simulation::EngineKind;
 use simcloud::stats::RecordMode;
 
+const FLAGS: &[Flag] = &[
+    OUT,
+    Flag::value("--scale", "N"),
+    SEED,
+    Flag::value("--hetero-cloudlets", "N"),
+];
+
 #[derive(Debug, Clone)]
 struct Options {
-    out_path: String,
     scale: usize,
     seed: u64,
     hetero_cloudlets: usize,
-    child: Option<String>,
 }
 
-fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    let mut opts = Options {
-        out_path: "BENCH_repro.json".into(),
-        scale: 10,
-        seed: 42,
-        hetero_cloudlets: 1_000,
-        child: None,
-    };
-    while let Some(a) = iter.next() {
-        let mut val = || iter.next().expect("flag value").clone();
-        match a.as_str() {
-            "--out" => opts.out_path = val(),
-            "--scale" => opts.scale = val().parse().expect("numeric --scale"),
-            "--seed" => opts.seed = val().parse().expect("numeric --seed"),
-            "--hetero-cloudlets" => {
-                opts.hetero_cloudlets = val().parse().expect("numeric --hetero-cloudlets")
-            }
-            "--child" => opts.child = Some(val()),
-            other => panic!(
-                "unknown flag {other} (try: --out F --scale N --seed N --hetero-cloudlets N)"
-            ),
+impl Options {
+    fn parse(a: &harness::Args) -> Result<Self, String> {
+        let opts = Options {
+            scale: a.get("--scale", 10)?,
+            seed: a.get("--seed", 42)?,
+            hetero_cloudlets: a.get("--hetero-cloudlets", 1_000)?,
+        };
+        if opts.scale == 0 {
+            return Err("--scale must be >= 1".into());
         }
+        Ok(opts)
     }
-    assert!(opts.scale >= 1, "--scale must be >= 1");
-    opts
 }
 
-/// Pre-overhaul pipeline replica for one homogeneous axis: parallel over
-/// points, serial over algorithms, a fresh problem and private scheduler
-/// cache per (point, algorithm), full per-cloudlet records.
-fn legacy_homogeneous_sweep(points: &[usize], scale: usize, seed: u64) -> usize {
+/// Pre-overhaul pipeline replica for one axis: parallel over points,
+/// serial over algorithms, a fresh problem and private scheduler cache
+/// per (point, algorithm), full per-cloudlet records.
+fn legacy_sweep(points: &[usize], seed: u64, build: impl Fn(usize) -> Scenario + Sync) -> usize {
     points
         .par_iter()
         .map(|&vms| {
-            let scenario = HomogeneousScenario::scaled(vms, scale).build();
-            let mut finished = 0usize;
-            for &alg in &AlgorithmKind::PAPER_SET {
-                let problem = scenario.problem();
-                let assignment = alg.build(seed).schedule(&problem);
-                let outcome = scenario
-                    .simulate_on(assignment, EngineKind::Sequential)
-                    .expect("legacy simulation");
-                finished += outcome.finished_count();
-            }
-            finished
-        })
-        .sum()
-}
-
-/// Pre-overhaul heterogeneous sweep replica (same nested shape).
-fn legacy_heterogeneous_sweep(points: &[usize], cloudlets: usize, seed: u64) -> usize {
-    points
-        .par_iter()
-        .map(|&vms| {
-            let scenario = HeterogeneousScenario {
-                vm_count: vms,
-                cloudlet_count: cloudlets,
-                datacenter_count: DEFAULT_DATACENTERS,
-                seed,
-            }
-            .build();
-            let mut finished = 0usize;
-            for &alg in &AlgorithmKind::PAPER_SET {
-                let problem = scenario.problem();
-                let assignment = alg.build(seed).schedule(&problem);
-                let outcome = scenario
-                    .simulate_on(assignment, EngineKind::Sequential)
-                    .expect("legacy simulation");
-                finished += outcome.finished_count();
-            }
-            finished
+            let scenario = build(vms);
+            AlgorithmKind::PAPER_SET
+                .iter()
+                .map(|alg| {
+                    let assignment = alg.build(seed).schedule(&scenario.problem());
+                    scenario
+                        .simulate_on(assignment, EngineKind::Sequential)
+                        .expect("legacy simulation")
+                        .finished_count()
+                })
+                .sum::<usize>()
         })
         .sum()
 }
@@ -124,13 +90,23 @@ fn legacy_heterogeneous_sweep(points: &[usize], cloudlets: usize, seed: u64) -> 
 /// The `repro all` figure workload, pre-overhaul: Figs. 4a/5a and 4b/5b
 /// each re-ran their sweep, so both homogeneous axes execute twice.
 fn child_legacy(opts: &Options) -> usize {
-    let mut finished = 0usize;
-    for _ in 0..2 {
-        finished += legacy_homogeneous_sweep(&fig4a_vm_points(), opts.scale, opts.seed);
-        finished += legacy_homogeneous_sweep(&fig4b_vm_points(), opts.scale, opts.seed);
-    }
-    finished += legacy_heterogeneous_sweep(&fig6_vm_points(), opts.hetero_cloudlets, opts.seed);
-    finished
+    let homogeneous = |points: Vec<usize>| {
+        legacy_sweep(&points, opts.seed, |vms| {
+            HomogeneousScenario::scaled(vms, opts.scale).build()
+        })
+    };
+    (0..2)
+        .map(|_| homogeneous(fig4a_vm_points()) + homogeneous(fig4b_vm_points()))
+        .sum::<usize>()
+        + legacy_sweep(&fig6_vm_points(), opts.seed, |vms| {
+            HeterogeneousScenario {
+                vm_count: vms,
+                cloudlet_count: opts.hetero_cloudlets,
+                datacenter_count: DEFAULT_DATACENTERS,
+                seed: opts.seed,
+            }
+            .build()
+        })
 }
 
 /// The same figure workload on the current pipeline: one flat
@@ -173,92 +149,66 @@ fn child_mem(opts: &Options, mode: RecordMode) -> usize {
     held.iter().map(|o| o.finished_count()).sum()
 }
 
-fn run_child(opts: &Options, mode: &str) {
+fn run_child(opts: &Options, mode: &str) -> Result<(), String> {
     let start = Instant::now();
     let finished = match mode {
         "legacy" => child_legacy(opts),
         "overhauled" => child_overhauled(opts),
         "mem-full" => child_mem(opts, RecordMode::Full),
         "mem-aggregate" => child_mem(opts, RecordMode::Aggregate),
-        other => panic!("unknown --child mode {other}"),
+        other => return Err(format!("unknown child mode {other}")),
     };
     let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
     assert!(finished > 0, "child {mode} finished zero cloudlets");
-    let rss = peak_rss_kb().map_or_else(|| "null".to_string(), |kb| kb.to_string());
+    let rss = opt_json(peak_rss_kb());
     eprintln!("child {mode}: {finished} cloudlets finished, {wall_ms:.0} ms, rss {rss} kB");
-    println!("{{\"wall_ms\": {wall_ms:.3}, \"peak_rss_kb\": {rss}, \"finished\": {finished}}}");
+    harness::emit("wall_ms", wall_ms);
+    harness::emit("peak_rss_kb", rss);
+    harness::emit("finished", finished);
+    Ok(())
 }
 
 #[derive(Debug, Clone, Copy)]
-struct ChildReport {
+struct ChildRun {
     wall_ms: f64,
-    peak_rss_kb: Option<f64>,
+    peak_rss_kb: Option<u64>,
     finished: usize,
 }
 
-fn json_number(line: &str, key: &str) -> Option<f64> {
-    let idx = line.find(&format!("\"{key}\":"))?;
-    let rest = line[idx..].split(':').nth(1)?;
-    let token: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    token.parse().ok()
-}
-
-fn spawn_child(opts: &Options, mode: &str) -> ChildReport {
-    let exe = std::env::current_exe().expect("own binary path");
+/// Runs configuration `mode` as `reprobench child <mode> <argv…>`.
+fn spawn_child(argv: &[String], mode: &str) -> ChildRun {
     eprintln!("running child {mode}…");
-    let output = std::process::Command::new(exe)
-        .args([
-            "--child",
-            mode,
-            "--scale",
-            &opts.scale.to_string(),
-            "--seed",
-            &opts.seed.to_string(),
-            "--hetero-cloudlets",
-            &opts.hetero_cloudlets.to_string(),
-        ])
-        .output()
-        .expect("spawn child");
-    std::io::stderr()
-        .write_all(&output.stderr)
-        .expect("relay child stderr");
-    assert!(
-        output.status.success(),
-        "child {mode} failed with {:?}",
-        output.status
-    );
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let line = stdout
-        .lines()
-        .rev()
-        .find(|l| l.contains("\"wall_ms\""))
-        .unwrap_or_else(|| panic!("child {mode} printed no report: {stdout}"));
-    ChildReport {
-        wall_ms: json_number(line, "wall_ms").expect("wall_ms in child report"),
-        peak_rss_kb: json_number(line, "peak_rss_kb"),
-        finished: json_number(line, "finished").expect("finished in child report") as usize,
-    }
-}
-
-fn fmt_rss(kb: Option<f64>) -> String {
-    kb.map_or_else(|| "null".to_string(), |v| format!("{v:.0}"))
+    let args = [&[mode.to_string()], argv].concat();
+    let run = || -> Result<ChildRun, String> {
+        let report = harness::spawn_self(&args)?;
+        Ok(ChildRun {
+            wall_ms: report.get("wall_ms")?,
+            peak_rss_kb: report.opt("peak_rss_kb")?,
+            finished: report.get("finished")?,
+        })
+    };
+    run().unwrap_or_else(|e| panic!("child {mode}: {e}"))
 }
 
 fn main() {
-    let opts = parse_args();
-    if let Some(mode) = &opts.child {
-        run_child(&opts, mode);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some((mode, rest)) = harness::child_args(&argv).and_then(<[String]>::split_first) {
+        harness::parse_or_exit("reprobench child <mode>", FLAGS, rest, |a| {
+            run_child(&Options::parse(a)?, mode)
+        });
         return;
     }
+    let (out_path, opts) = harness::parse_or_exit("reprobench", FLAGS, &argv, |a| {
+        Ok((
+            a.get("--out", "BENCH_repro.json".to_string())?,
+            Options::parse(a)?,
+        ))
+    });
 
-    let legacy = spawn_child(&opts, "legacy");
-    let overhauled = spawn_child(&opts, "overhauled");
-    let mem_full = spawn_child(&opts, "mem-full");
-    let mem_aggregate = spawn_child(&opts, "mem-aggregate");
+    let legacy = spawn_child(&argv, "legacy");
+    let overhauled = spawn_child(&argv, "overhauled");
+    let mem_full = spawn_child(&argv, "mem-full");
+    let mem_aggregate = spawn_child(&argv, "mem-aggregate");
 
     // The two pipelines must complete identical per-sweep workloads; the
     // legacy one simply runs the homogeneous half twice.
@@ -276,7 +226,7 @@ fn main() {
 
     let speedup = legacy.wall_ms / overhauled.wall_ms;
     let rss_ratio = match (mem_full.peak_rss_kb, mem_aggregate.peak_rss_kb) {
-        (Some(f), Some(a)) if a > 0.0 => Some(f / a),
+        (Some(f), Some(a)) if a > 0 => Some(f as f64 / a as f64),
         _ => None,
     };
     eprintln!(
@@ -286,40 +236,46 @@ fn main() {
     if let Some(r) = rss_ratio {
         eprintln!(
             "record retention: full {} kB vs aggregate {} kB ({r:.2}x)",
-            fmt_rss(mem_full.peak_rss_kb),
-            fmt_rss(mem_aggregate.peak_rss_kb)
+            opt_json(mem_full.peak_rss_kb),
+            opt_json(mem_aggregate.peak_rss_kb)
         );
     }
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\n  \"bench\": \"repro\",\n  \"machine_cores\": {cores},\n  \"seed\": {},\n  \
-         \"scale\": {},\n  \"hetero_cloudlets\": {},\n  \"end_to_end\": {{\n    \
-         \"workload\": \"repro all figure sweeps (figs 4, 5, 6)\",\n    \
-         \"legacy\": {{\"wall_ms\": {:.1}, \"peak_rss_kb\": {}, \"finished\": {}}},\n    \
-         \"overhauled\": {{\"wall_ms\": {:.1}, \"peak_rss_kb\": {}, \"finished\": {}}},\n    \
-         \"speedup\": {speedup:.2}\n  }},\n  \"record_memory\": {{\n    \
-         \"workload\": \"fig4b axis, all outcomes held\",\n    \
-         \"full\": {{\"wall_ms\": {:.1}, \"peak_rss_kb\": {}}},\n    \
-         \"aggregate\": {{\"wall_ms\": {:.1}, \"peak_rss_kb\": {}}},\n    \
-         \"rss_ratio\": {}\n  }}\n}}\n",
-        opts.seed,
-        opts.scale,
-        opts.hetero_cloudlets,
-        legacy.wall_ms,
-        fmt_rss(legacy.peak_rss_kb),
-        legacy.finished,
-        overhauled.wall_ms,
-        fmt_rss(overhauled.peak_rss_kb),
-        overhauled.finished,
-        mem_full.wall_ms,
-        fmt_rss(mem_full.peak_rss_kb),
-        mem_aggregate.wall_ms,
-        fmt_rss(mem_aggregate.peak_rss_kb),
-        rss_ratio.map_or_else(|| "null".to_string(), |r| format!("{r:.2}")),
-    );
-    let mut f = std::fs::File::create(&opts.out_path).expect("output file");
-    f.write_all(json.as_bytes()).expect("write json");
-    eprintln!("wrote {}", opts.out_path);
-    print!("{json}");
+    let run = |r: &ChildRun| {
+        format!(
+            "{{\"wall_ms\": {:.1}, \"peak_rss_kb\": {}",
+            r.wall_ms,
+            opt_json(r.peak_rss_kb)
+        )
+    };
+    Report::new("repro")
+        .field("machine_cores", harness::machine_cores())
+        .field("seed", opts.seed)
+        .field("scale", opts.scale)
+        .field("hetero_cloudlets", opts.hetero_cloudlets)
+        .field(
+            "end_to_end",
+            format!(
+                "{{\n    \"workload\": \"repro all figure sweeps (figs 4, 5, 6)\",\n    \
+                 \"legacy\": {}, \"finished\": {}}},\n    \
+                 \"overhauled\": {}, \"finished\": {}}},\n    \
+                 \"speedup\": {speedup:.2}\n  }}",
+                run(&legacy),
+                legacy.finished,
+                run(&overhauled),
+                overhauled.finished,
+            ),
+        )
+        .field(
+            "record_memory",
+            format!(
+                "{{\n    \"workload\": \"fig4b axis, all outcomes held\",\n    \
+                 \"full\": {}}},\n    \"aggregate\": {}}},\n    \
+                 \"rss_ratio\": {}\n  }}",
+                run(&mem_full),
+                run(&mem_aggregate),
+                rss_ratio.map_or_else(|| "null".to_string(), |r| format!("{r:.2}")),
+            ),
+        )
+        .write(&out_path);
 }

@@ -33,14 +33,13 @@
 //! left at the scales they can finish in sensible wall-clock. Every point also records the
 //! plan's estimated makespan so speed never silently trades away quality.
 //!
-//! Thread counts are switched in-process through rayon's global builder
-//! (the vendored shim lets the latest `build_global` win), so one run
-//! covers the whole matrix.
+//! Thread counts are switched in-process through
+//! [`harness::with_threads`], so one run covers the whole matrix.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::time::Instant;
 
+use biosched_bench::harness::{self, with_threads, Flag, Report, OUT, SEED};
 use biosched_core::aco::{reference, AcoParams, AntColony, PheromoneMatrix};
 use biosched_core::assignment::Assignment;
 use biosched_core::dnc::{DivideAndConquer, ShardSpec};
@@ -58,6 +57,15 @@ const SCALES: &[(&str, usize)] = &[("1k", 1_000), ("10k", 100), ("100k", 10), ("
 /// Cloudlet count from which the reduced large-scale roster runs.
 const LARGE_SCALE_CLOUDLETS: usize = 50_000;
 
+const FLAGS: &[Flag] = &[
+    OUT,
+    Flag::value("--threads", "N,N"),
+    Flag::value("--scales", "1k,10k,100k,1m"),
+    SEED,
+    Flag::value("--reps", "N"),
+    Flag::value("--budget-ms", "B"),
+];
+
 struct Point {
     algorithm: String,
     scale: String,
@@ -69,13 +77,6 @@ struct Point {
 }
 
 type Builder = Box<dyn Fn(u64) -> Box<dyn Scheduler>>;
-
-fn set_threads(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("thread pool");
-}
 
 /// Best-of-`reps` wall time of one scheduling run.
 fn time_best<F: FnMut() -> f64>(reps: usize, mut run: F) -> f64 {
@@ -243,34 +244,21 @@ fn roster(cloudlets: usize) -> Vec<(String, Builder)> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    let mut out_path = String::from("BENCH_schedulers.json");
-    let mut thread_counts: Vec<usize> = vec![1, 4];
-    let mut scales: Vec<String> = SCALES.iter().map(|(l, _)| l.to_string()).collect();
-    let mut seed = 42u64;
-    let mut reps = 2usize;
-    let mut budget_ms: Option<f64> = None;
-    while let Some(a) = iter.next() {
-        let mut val = || iter.next().expect("flag value").clone();
-        match a.as_str() {
-            "--out" => out_path = val(),
-            "--threads" => {
-                thread_counts = val()
-                    .split(',')
-                    .map(|t| t.parse().expect("numeric thread count"))
-                    .collect()
-            }
-            "--scales" => scales = val().split(',').map(str::to_string).collect(),
-            "--seed" => seed = val().parse().unwrap(),
-            "--reps" => reps = val().parse().unwrap(),
-            "--budget-ms" => budget_ms = Some(val().parse().expect("numeric budget")),
-            other => panic!(
-                "unknown flag {other} (try: --out F --threads 1,4 --scales 1k,10k,100k,1m \
-                 --seed N --reps N --budget-ms B)"
-            ),
-        }
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (out_path, thread_counts, scales, seed, reps, budget_ms) =
+        harness::parse_or_exit("schedbench", FLAGS, &argv, |a| {
+            Ok((
+                a.get("--out", "BENCH_schedulers.json".to_string())?,
+                a.list::<usize>("--threads", vec![1, 4])?,
+                a.list(
+                    "--scales",
+                    SCALES.iter().map(|(l, _)| l.to_string()).collect(),
+                )?,
+                a.get("--seed", 42u64)?,
+                a.get("--reps", 2usize)?,
+                a.opt::<f64>("--budget-ms")?,
+            ))
+        });
 
     incremental_pow_gate();
 
@@ -283,8 +271,7 @@ fn main() {
     let mut aco_times: HashMap<(String, usize), f64> = HashMap::new();
     let largest_scale = SCALES
         .iter()
-        .filter(|(l, _)| scales.iter().any(|s| s == l))
-        .next_back()
+        .rfind(|(l, _)| scales.iter().any(|s| s == l))
         .map(|&(l, d)| (l.to_string(), d));
 
     for (label, divisor) in SCALES {
@@ -316,110 +303,98 @@ fn main() {
         };
 
         for &threads in &thread_counts {
-            set_threads(threads);
-
-            let mut ref_assignment = None;
-            if !large {
-                // Frozen pre-overhaul ACO with k = 32 random candidate
-                // subsets: the honest baseline (the history in
-                // `reference_aco_ms` has always timed this profile), timed
-                // on the same pool so the comparison is at equal
-                // parallelism.
-                let ref_ms = time_best(scale_reps, || {
-                    let t = Instant::now();
-                    let a = reference::schedule_reference(&ref_params, seed, &problem);
-                    let ms = t.elapsed().as_secs_f64() * 1_000.0;
-                    ref_assignment = Some(a);
-                    ms
-                });
-                let est = ref_assignment
-                    .as_ref()
-                    .expect("reference ran")
-                    .estimated_makespan_ms(&problem);
-                points.push(Point {
-                    algorithm: "AntColony(ref)".into(),
+            with_threads(threads, || {
+                let point = |algorithm: String, sched_ms: f64, est_makespan_ms: f64| Point {
+                    algorithm,
                     scale: label.to_string(),
                     vms: shape.vm_count,
                     cloudlets: shape.cloudlet_count,
                     threads,
-                    sched_ms: ref_ms,
-                    est_makespan_ms: est,
-                });
-                summary.push((label.to_string(), threads, ref_ms));
-            }
-
-            for (name, build) in roster(shape.cloudlet_count) {
-                let mut last: Option<Assignment> = None;
-                let ms = time_best(scale_reps, || {
-                    let mut scheduler = build(seed);
-                    let t = Instant::now();
-                    let a = scheduler.schedule(&problem);
-                    let ms = t.elapsed().as_secs_f64() * 1_000.0;
-                    last = Some(a);
-                    ms
-                });
-                let a = last.expect("scheduler ran");
-                a.validate(&problem)
-                    .unwrap_or_else(|e| panic!("{name} invalid plan at {label}: {e}"));
-                if name == "AntColony" {
-                    if let Some(expected) = &full_row_reference {
-                        assert_eq!(
-                            &a, expected,
-                            "full-row ACO diverged from the frozen reference \
-                             at {threads} threads, scale {label}"
-                        );
-                    }
+                    sched_ms,
+                    est_makespan_ms,
+                };
+                let mut ref_assignment = None;
+                if !large {
+                    // Frozen pre-overhaul ACO with k = 32 random candidate
+                    // subsets: the honest baseline (the history in
+                    // `reference_aco_ms` has always timed this profile), timed
+                    // on the same pool so the comparison is at equal
+                    // parallelism.
+                    let ref_ms = time_best(scale_reps, || {
+                        let t = Instant::now();
+                        let a = reference::schedule_reference(&ref_params, seed, &problem);
+                        let ms = t.elapsed().as_secs_f64() * 1_000.0;
+                        ref_assignment = Some(a);
+                        ms
+                    });
+                    let est = ref_assignment
+                        .as_ref()
+                        .expect("reference ran")
+                        .estimated_makespan_ms(&problem);
+                    points.push(point("AntColony(ref)".into(), ref_ms, est));
+                    summary.push((label.to_string(), threads, ref_ms));
                 }
-                match plans.entry((name.clone(), label.to_string())) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(a.clone());
+
+                for (name, build) in roster(shape.cloudlet_count) {
+                    let mut last: Option<Assignment> = None;
+                    let ms = time_best(scale_reps, || {
+                        let mut scheduler = build(seed);
+                        let t = Instant::now();
+                        let a = scheduler.schedule(&problem);
+                        let ms = t.elapsed().as_secs_f64() * 1_000.0;
+                        last = Some(a);
+                        ms
+                    });
+                    let a = last.expect("scheduler ran");
+                    a.validate(&problem)
+                        .unwrap_or_else(|e| panic!("{name} invalid plan at {label}: {e}"));
+                    if name == "AntColony" {
+                        if let Some(expected) = &full_row_reference {
+                            assert_eq!(
+                                &a, expected,
+                                "full-row ACO diverged from the frozen reference \
+                                 at {threads} threads, scale {label}"
+                            );
+                        }
                     }
-                    std::collections::hash_map::Entry::Occupied(e) => {
+                    if let Some(first) = plans.insert((name.clone(), label.to_string()), a.clone())
+                    {
                         assert_eq!(
-                            e.get(),
-                            &a,
+                            first, a,
                             "{name} plan changed with thread count at scale {label}"
                         );
                     }
+                    if name == "AntColony(topk)" {
+                        aco_times.insert((label.to_string(), threads), ms);
+                    }
+                    let est = a.estimated_makespan_ms(&problem);
+                    eprintln!("  {threads}t {name}: {ms:.1} ms (est makespan {est:.0} ms)");
+                    points.push(point(name, ms, est));
                 }
-                if name == "AntColony(topk)" {
-                    aco_times.insert((label.to_string(), threads), ms);
-                }
-                let est = a.estimated_makespan_ms(&problem);
-                eprintln!("  {threads}t {name}: {ms:.1} ms (est makespan {est:.0} ms)");
-                points.push(Point {
-                    algorithm: name,
-                    scale: label.to_string(),
-                    vms: shape.vm_count,
-                    cloudlets: shape.cloudlet_count,
-                    threads,
-                    sched_ms: ms,
-                    est_makespan_ms: est,
-                });
-            }
 
-            // Quality gate: the candidate-list fast path must stay within
-            // 1% of the unrestricted full-row ACO at the 10k gate point.
-            if *label == "10k" {
-                let topk = plans
-                    .get(&("AntColony(topk)".to_string(), label.to_string()))
-                    .expect("candidate-list ACO ran")
-                    .estimated_makespan_ms(&problem);
-                let full = plans
-                    .get(&("AntColony".to_string(), label.to_string()))
-                    .expect("full-row ACO ran")
-                    .estimated_makespan_ms(&problem);
-                assert!(
-                    topk <= full * 1.01,
-                    "candidate-list ACO makespan {topk:.1} ms exceeds 1% over \
-                     full-row {full:.1} ms at the 10k gate"
-                );
-                eprintln!(
-                    "  quality gate: top-k {topk:.1} ms vs full-row {full:.1} ms \
-                     ({:+.3}%)",
-                    (topk / full - 1.0) * 100.0
-                );
-            }
+                // Quality gate: the candidate-list fast path must stay within
+                // 1% of the unrestricted full-row ACO at the 10k gate point.
+                if *label == "10k" {
+                    let topk = plans
+                        .get(&("AntColony(topk)".to_string(), label.to_string()))
+                        .expect("candidate-list ACO ran")
+                        .estimated_makespan_ms(&problem);
+                    let full = plans
+                        .get(&("AntColony".to_string(), label.to_string()))
+                        .expect("full-row ACO ran")
+                        .estimated_makespan_ms(&problem);
+                    assert!(
+                        topk <= full * 1.01,
+                        "candidate-list ACO makespan {topk:.1} ms exceeds 1% over \
+                         full-row {full:.1} ms at the 10k gate"
+                    );
+                    eprintln!(
+                        "  quality gate: top-k {topk:.1} ms vs full-row {full:.1} ms \
+                         ({:+.3}%)",
+                        (topk / full - 1.0) * 100.0
+                    );
+                }
+            });
         }
 
         // Parity gate: at 1k the candidate-list ACO stays on the serial
@@ -437,7 +412,6 @@ fn main() {
             }
         }
     }
-    set_threads(0);
 
     // Wall-clock budget gate on the headline configuration.
     if let (Some(budget), Some((largest, divisor))) = (budget_ms, largest_scale) {
@@ -464,36 +438,23 @@ fn main() {
         eprintln!("budget gate: {gate_algorithm} at {largest} = {worst:.0} ms <= {budget:.0} ms");
     }
 
-    let peak_rss =
-        biosched_bench::rss::peak_rss_kb().map_or_else(|| "null".to_string(), |kb| kb.to_string());
-    let mut json = String::from("{\n  \"bench\": \"schedulers\",\n");
-    json.push_str(&format!(
-        "  \"machine_cores\": {},\n  \"seed\": {seed},\n  \"peak_rss_kb\": {peak_rss},\n  \"points\": [\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"scale\": \"{}\", \"vms\": {}, \"cloudlets\": {}, \"threads\": {}, \"sched_ms\": {:.3}, \"est_makespan_ms\": {:.3}}}{}\n",
-            p.algorithm,
-            p.scale,
-            p.vms,
-            p.cloudlets,
-            p.threads,
-            p.sched_ms,
-            p.est_makespan_ms,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"reference_aco_ms\": [\n");
-    for (i, (scale, threads, ms)) in summary.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scale\": \"{scale}\", \"threads\": {threads}, \"sched_ms\": {ms:.3}}}{}\n",
-            if i + 1 < summary.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let mut f = std::fs::File::create(&out_path).expect("output file");
-    f.write_all(json.as_bytes()).expect("write json");
-    eprintln!("wrote {out_path}");
-    print!("{json}");
+    let points = points.iter().map(|p| {
+        format!(
+            "{{\"algorithm\": \"{}\", \"scale\": \"{}\", \"vms\": {}, \"cloudlets\": {}, \"threads\": {}, \"sched_ms\": {:.3}, \"est_makespan_ms\": {:.3}}}",
+            p.algorithm, p.scale, p.vms, p.cloudlets, p.threads, p.sched_ms, p.est_makespan_ms,
+        )
+    });
+    let reference = summary.iter().map(|(scale, threads, ms)| {
+        format!("{{\"scale\": \"{scale}\", \"threads\": {threads}, \"sched_ms\": {ms:.3}}}")
+    });
+    Report::new("schedulers")
+        .field("machine_cores", harness::machine_cores())
+        .field("seed", seed)
+        .field(
+            "peak_rss_kb",
+            harness::opt_json(biosched_bench::rss::peak_rss_kb()),
+        )
+        .section("points", points)
+        .section("reference_aco_ms", reference)
+        .write(&out_path);
 }

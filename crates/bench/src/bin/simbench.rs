@@ -2,16 +2,16 @@
 //!
 //! Measures wall-clock, event throughput and peak RSS of the discrete-event
 //! simulator at 1k/10k/100k-cloudlet scales (the paper's 10:1 cloudlet:VM
-//! ratio) for each engine, plus the full paper-scale point (100 000 VMs /
+//! ratio) on both engines, plus the full paper-scale point (100 000 VMs /
 //! 1 000 000 cloudlets) with `--full-scale`.
 //!
-//! Each point runs in a child process (this binary re-invoked in `point`
-//! mode) so peak-RSS figures are per-point rather than cumulative.
+//! Each point runs in a child process (this binary re-invoked as
+//! `simbench child`) so peak-RSS figures are per-point rather than
+//! cumulative.
 
-use std::io::Write as _;
-use std::process::Command;
 use std::time::Instant;
 
+use biosched_bench::harness::{self, Flag, Report, OUT};
 use biosched_core::scheduler::AlgorithmKind;
 use biosched_workload::homogeneous::HomogeneousScenario;
 use simcloud::simulation::EngineKind;
@@ -19,19 +19,22 @@ use simcloud::simulation::EngineKind;
 /// (label, divisor into the paper's 100k-VM / 1M-cloudlet point).
 const SCALES: &[(&str, usize)] = &[("1k", 1_000), ("10k", 100), ("100k", 10)];
 
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines().find_map(|l| {
-                l.strip_prefix("VmHWM:")
-                    .and_then(|v| v.trim().trim_end_matches(" kB").trim().parse().ok())
-            })
-        })
-        .unwrap_or(0)
-}
+const FLAGS: &[Flag] = &[
+    OUT,
+    Flag::switch("--full-scale"),
+    Flag::value("--threads", "N"),
+];
 
-fn run_point(vms: usize, cloudlets: usize, engine: &str) {
+const CHILD_FLAGS: &[Flag] = &[
+    Flag::value("--vms", "N"),
+    Flag::value("--cloudlets", "N"),
+    Flag::value("--engine", "E"),
+    Flag::value("--threads", "N"),
+];
+
+/// Child side: simulates one point, then emits its wall clock, event
+/// count and peak RSS.
+fn run_point(vms: usize, cloudlets: usize, engine: EngineKind) {
     let scenario = HomogeneousScenario {
         vm_count: vms,
         cloudlet_count: cloudlets,
@@ -40,176 +43,87 @@ fn run_point(vms: usize, cloudlets: usize, engine: &str) {
     let assignment = AlgorithmKind::BaseTest
         .build(0)
         .schedule(&scenario.problem());
-    let kind = match engine {
-        "sequential" => EngineKind::Sequential,
-        "sharded" => EngineKind::Sharded,
-        other => panic!("unknown engine {other} (try: sequential, sharded)"),
-    };
     let started = Instant::now();
     let outcome = scenario
-        .simulate_on(assignment, kind)
+        .simulate_on(assignment, engine)
         .expect("simulation must complete");
     let wall = started.elapsed().as_secs_f64() * 1_000.0;
     assert_eq!(outcome.finished_count(), cloudlets, "all cloudlets finish");
-    assert_eq!(outcome.engine, kind, "requested engine must actually run");
-    println!("wall_ms={wall}");
-    println!("events={}", outcome.events_processed);
-    println!("end_time_ms={}", outcome.end_time.as_millis());
-    println!("peak_rss_kb={}", peak_rss_kb());
+    assert_eq!(outcome.engine, engine, "requested engine must actually run");
+    harness::emit("wall_ms", wall);
+    harness::emit("events", outcome.events_processed);
+    let rss = biosched_bench::rss::peak_rss_kb();
+    harness::emit("peak_rss_kb", harness::opt_json(rss));
 }
 
-struct PointOut {
-    label: String,
-    vms: usize,
-    cloudlets: usize,
-    engine: String,
-    threads: usize,
-    wall_ms: f64,
-    events: u64,
-    events_per_sec: f64,
-    peak_rss_kb: u64,
-}
-
+/// Parent side: runs one point in a child and renders its `points` row.
 fn spawn_point(
     label: &str,
-    vms: usize,
-    cloudlets: usize,
-    engine: &str,
+    (vms, cloudlets): (usize, usize),
+    engine: EngineKind,
     threads: usize,
-) -> PointOut {
-    let exe = std::env::current_exe().expect("own path");
-    let out = Command::new(exe)
-        .args([
-            "point",
-            "--vms",
-            &vms.to_string(),
-            "--cloudlets",
-            &cloudlets.to_string(),
-            "--engine",
-            engine,
-            "--threads",
-            &threads.to_string(),
-        ])
-        .output()
-        .expect("child benchmark process");
-    assert!(
-        out.status.success(),
-        "point {label}/{engine} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
+) -> Result<String, String> {
+    let args = format!(
+        "--vms {vms} --cloudlets {cloudlets} --engine {} --threads {threads}",
+        engine.name()
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let get = |key: &str| -> f64 {
-        stdout
-            .lines()
-            .find_map(|l| l.strip_prefix(&format!("{key}=")))
-            .unwrap_or_else(|| panic!("child output missing {key}"))
-            .parse()
-            .expect("numeric field")
-    };
-    let wall_ms = get("wall_ms");
-    let events = get("events") as u64;
-    PointOut {
-        label: label.to_string(),
-        vms,
-        cloudlets,
-        engine: engine.to_string(),
-        threads,
-        wall_ms,
-        events,
-        events_per_sec: events as f64 / (wall_ms / 1_000.0),
-        peak_rss_kb: get("peak_rss_kb") as u64,
-    }
+    let args: Vec<String> = args.split(' ').map(String::from).collect();
+    let report = harness::spawn_self(&args)?;
+    let (wall_ms, events) = (report.get::<f64>("wall_ms")?, report.get::<u64>("events")?);
+    Ok(format!(
+        "{{\"scale\": \"{label}\", \"vms\": {vms}, \"cloudlets\": {cloudlets}, \"engine\": \"{}\", \"threads\": {threads}, \"wall_ms\": {wall_ms:.3}, \"events\": {events}, \"events_per_sec\": {:.1}, \"peak_rss_kb\": {}}}",
+        engine.name(),
+        events as f64 / (wall_ms / 1_000.0),
+        harness::opt_json(report.opt::<u64>("peak_rss_kb")?),
+    ))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    if args.first().map(String::as_str) == Some("point") {
-        let mut vms = 0usize;
-        let mut cloudlets = 0usize;
-        let mut engine = String::from("sequential");
-        let mut threads = 1usize;
-        iter.next();
-        while let Some(a) = iter.next() {
-            let mut val = || iter.next().expect("flag value").clone();
-            match a.as_str() {
-                "--vms" => vms = val().parse().unwrap(),
-                "--cloudlets" => cloudlets = val().parse().unwrap(),
-                "--engine" => engine = val(),
-                "--threads" => threads = val().parse().unwrap(),
-                other => panic!("unknown point flag {other}"),
-            }
-        }
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build_global()
-            .expect("thread pool");
-        run_point(vms, cloudlets, &engine);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(child) = harness::child_args(&argv) {
+        let (vms, cloudlets, engine, threads) =
+            harness::parse_or_exit("simbench child", CHILD_FLAGS, child, |a| {
+                Ok((
+                    a.get("--vms", 0)?,
+                    a.get("--cloudlets", 0)?,
+                    a.get("--engine", EngineKind::Sequential)?,
+                    a.get("--threads", 1)?,
+                ))
+            });
+        harness::with_threads(threads, || run_point(vms, cloudlets, engine));
         return;
     }
+    let (out_path, full_scale, threads) = harness::parse_or_exit("simbench", FLAGS, &argv, |a| {
+        Ok((
+            a.get("--out", "BENCH_simulator.json".to_string())?,
+            a.switch("--full-scale"),
+            a.get("--threads", 8)?,
+        ))
+    });
 
-    let mut out_path = String::from("BENCH_simulator.json");
-    let mut full_scale = false;
-    let mut threads = 8usize;
-    let mut engines: Vec<String> = vec!["sequential".into(), "sharded".into()];
-    while let Some(a) = iter.next() {
-        let mut val = || iter.next().expect("flag value").clone();
-        match a.as_str() {
-            "--out" => out_path = val(),
-            "--full-scale" => full_scale = true,
-            "--threads" => threads = val().parse().unwrap(),
-            "--engines" => engines = val().split(',').map(str::to_string).collect(),
-            other => panic!("unknown flag {other}"),
-        }
-    }
-
-    let mut points = Vec::new();
-    for (label, divisor) in SCALES {
-        for engine in &engines {
-            let s = HomogeneousScenario::scaled(100_000, *divisor);
-            eprintln!(
-                "running {label} ({} vms / {} cloudlets) on {engine}...",
-                s.vm_count, s.cloudlet_count
-            );
-            points.push(spawn_point(
-                label,
-                s.vm_count,
-                s.cloudlet_count,
-                engine,
-                threads,
-            ));
-        }
-    }
+    let mut points: Vec<(&str, (usize, usize))> = SCALES
+        .iter()
+        .map(|&(label, divisor)| {
+            let s = HomogeneousScenario::scaled(100_000, divisor);
+            (label, (s.vm_count, s.cloudlet_count))
+        })
+        .collect();
     if full_scale {
-        for engine in &engines {
-            eprintln!("running full-scale (100000 vms / 1000000 cloudlets) on {engine}...");
-            points.push(spawn_point("full", 100_000, 1_000_000, engine, threads));
+        points.push(("full", (100_000, 1_000_000)));
+    }
+    let mut rows = Vec::new();
+    for (label, size @ (vms, cloudlets)) in points {
+        for engine in [EngineKind::Sequential, EngineKind::Sharded] {
+            let engine_name = engine.name();
+            eprintln!("running {label} ({vms} vms / {cloudlets} cloudlets) on {engine_name}...");
+            let row = spawn_point(label, size, engine, threads)
+                .unwrap_or_else(|e| panic!("point {label}/{engine_name}: {e}"));
+            rows.push(row);
         }
     }
 
-    let mut json = String::from("{\n  \"bench\": \"simulator\",\n");
-    json.push_str(&format!(
-        "  \"machine_cores\": {},\n  \"points\": [\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    ));
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"scale\": \"{}\", \"vms\": {}, \"cloudlets\": {}, \"engine\": \"{}\", \"threads\": {}, \"wall_ms\": {:.3}, \"events\": {}, \"events_per_sec\": {:.1}, \"peak_rss_kb\": {}}}{}\n",
-            p.label,
-            p.vms,
-            p.cloudlets,
-            p.engine,
-            p.threads,
-            p.wall_ms,
-            p.events,
-            p.events_per_sec,
-            p.peak_rss_kb,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let mut f = std::fs::File::create(&out_path).expect("output file");
-    f.write_all(json.as_bytes()).expect("write json");
-    eprintln!("wrote {out_path}");
-    print!("{json}");
+    Report::new("simulator")
+        .field("machine_cores", harness::machine_cores())
+        .section("points", rows)
+        .write(&out_path);
 }

@@ -13,7 +13,7 @@
 //! `WarmState`) and **cold** (fresh scheduler and fresh cache every wave
 //! — the control arm runs the identical per-wave algorithm). The binary
 //! enforces the headline perf gate: warm ACO must beat cold ACO by
-//! `--gate-ratio` (default 2×) in mean per-wave scheduling time at the
+//! [`GATE_RATIO`] (2×) in mean per-wave scheduling time at the
 //! 100k-VM tier, where cold's O(#VMs) cache build and candidate-ring
 //! sort dominate the per-wave budget.
 //!
@@ -23,13 +23,13 @@
 //! metaheuristics stay seed-deterministic), then cross-checks the
 //! sequential engine and full-record mode bit-for-bit against the
 //! sharded/aggregate run. The JSON's `points` rows hold only
-//! simulation-derived values, so CI runs the binary under different
+//! simulation-derived values, so CI runs `--smoke` under different
 //! `RAYON_NUM_THREADS` and diffs outputs with the machine-dependent
 //! lines stripped (`grep -v wall_ms`).
 
-use std::io::Write as _;
 use std::time::Instant;
 
+use biosched_bench::harness::{self, opt_json, with_threads, Flag, Report, OUT, SEED};
 use biosched_core::aco::{AcoParams, AntColony};
 use biosched_core::ga::{GaParams, Genetic};
 use biosched_core::pso::{ParticleSwarm, PsoParams};
@@ -40,16 +40,48 @@ use biosched_workload::scenario::Scenario;
 use biosched_workload::stream::{run_stream_with, ReplanMode, StreamConfig, StreamOutcome};
 use simcloud::cloudlet_sched::SchedulerKind as VmSchedKind;
 use simcloud::simulation::EngineKind;
-use simcloud::stats::RecordMode;
+use simcloud::stats::{RecordMode, SimulationOutcome};
 
 type Builder = Box<dyn Fn(u64) -> Box<dyn Scheduler>>;
 
-fn set_threads(n: usize) {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .expect("thread pool");
+/// Headline-tier size and whether the warm-vs-cold wall-clock gate runs.
+struct Tier {
+    vms: usize,
+    cloudlets: usize,
+    /// Target wave count; `WavePlan::poisson` takes the mean wave size.
+    waves: usize,
+    interval_ms: f64,
+    gate: bool,
 }
+
+/// Paper scale: cold's per-wave O(#VMs) rebuild dominates, so the gate
+/// is meaningful here.
+const FULL: Tier = Tier {
+    vms: 100_000,
+    cloudlets: 1_000_000,
+    waves: 4_000,
+    interval_ms: 2_000.0,
+    gate: true,
+};
+
+/// CI preset: big enough for real waves, small enough for minutes; the
+/// gate would measure noise.
+const SMOKE: Tier = Tier {
+    vms: 2_000,
+    cloudlets: 20_000,
+    waves: 25,
+    interval_ms: 2_000.0,
+    gate: false,
+};
+
+/// Warm ACO must beat cold ACO by this factor in mean per-wave
+/// scheduling time when the tier gates.
+const GATE_RATIO: f64 = 2.0;
+
+/// Grid tier: thread- and engine-determinism on a small instance.
+const GRID_VMS: usize = 600;
+const GRID_CLOUDLETS: usize = 6_000;
+const GRID_WAVES: usize = 12;
 
 /// Heterogeneous fleet under the space-shared cloudlet policy: cloudlets
 /// genuinely queue for PEs, so wait p50/p99 measure scheduling quality
@@ -75,122 +107,106 @@ fn roster(cloudlets: usize) -> Vec<(AlgorithmKind, String, Builder)> {
     let aco = AcoParams::for_scale(cloudlets);
     let ga = GaParams::for_scale(cloudlets);
     let pso = PsoParams::for_scale(cloudlets);
-    vec![
+    let mut list: Vec<(AlgorithmKind, String, Builder)> = vec![
         (
             AlgorithmKind::AntColony,
             "AntColony(scale)".into(),
-            Box::new(move |seed| Box::new(AntColony::new(aco.clone(), seed)) as Box<dyn Scheduler>),
+            Box::new(move |seed| Box::new(AntColony::new(aco.clone(), seed))),
         ),
         (
             AlgorithmKind::Ga,
             "GA(scale)".into(),
-            Box::new(move |seed| Box::new(Genetic::new(ga.clone(), seed)) as Box<dyn Scheduler>),
+            Box::new(move |seed| Box::new(Genetic::new(ga.clone(), seed))),
         ),
         (
             AlgorithmKind::Pso,
             "PSO(scale)".into(),
-            Box::new(move |seed| {
-                Box::new(ParticleSwarm::new(pso.clone(), seed)) as Box<dyn Scheduler>
-            }),
+            Box::new(move |seed| Box::new(ParticleSwarm::new(pso.clone(), seed))),
         ),
-        (
-            AlgorithmKind::BaseTest,
-            AlgorithmKind::BaseTest.label().into(),
-            Box::new(|seed| AlgorithmKind::BaseTest.build(seed)),
-        ),
-        (
-            AlgorithmKind::LeastConnection,
-            AlgorithmKind::LeastConnection.label().into(),
-            Box::new(|seed| AlgorithmKind::LeastConnection.build(seed)),
-        ),
-        (
-            AlgorithmKind::WeightedRoundRobin,
-            AlgorithmKind::WeightedRoundRobin.label().into(),
-            Box::new(|seed| AlgorithmKind::WeightedRoundRobin.build(seed)),
-        ),
-        (
-            AlgorithmKind::Sjf,
-            AlgorithmKind::Sjf.label().into(),
-            Box::new(|seed| AlgorithmKind::Sjf.build(seed)),
-        ),
-        (
-            AlgorithmKind::BestFit,
-            AlgorithmKind::BestFit.label().into(),
-            Box::new(|seed| AlgorithmKind::BestFit.build(seed)),
-        ),
-    ]
-}
-
-/// One finished configuration, split into simulation-derived values
-/// (byte-stable across threads/engines, emitted in `points`) and
-/// machine-dependent wall clock (emitted in `wall`).
-struct Row {
-    tier: &'static str,
-    algorithm: String,
-    mode: ReplanMode,
-    waves: usize,
-    rounds: usize,
-    peak_backlog: usize,
-    finished: usize,
-    makespan_ms: Option<f64>,
-    wait_p50_ms: Option<f64>,
-    wait_p99_ms: Option<f64>,
-    mean_wait_ms: Option<f64>,
-    throughput_per_s: Option<f64>,
-    sched_total_ms: f64,
-    sched_mean_ms: f64,
-    sched_p95_ms: f64,
-    sched_max_ms: f64,
-    run_wall_ms: f64,
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+    ];
+    for kind in [
+        AlgorithmKind::BaseTest,
+        AlgorithmKind::LeastConnection,
+        AlgorithmKind::WeightedRoundRobin,
+        AlgorithmKind::Sjf,
+        AlgorithmKind::BestFit,
+    ] {
+        list.push((
+            kind,
+            kind.label().into(),
+            Box::new(move |seed| kind.build(seed)),
+        ));
     }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    list
 }
 
-fn row_from(
-    tier: &'static str,
-    algorithm: &str,
-    mode: ReplanMode,
-    r: &StreamOutcome,
-    run_wall_ms: f64,
-) -> Row {
-    let mut sched: Vec<f64> = r
-        .waves
+/// Per-wave scheduling latencies of the waves that scheduled anything.
+fn sched_trace(r: &StreamOutcome) -> Vec<f64> {
+    r.waves
         .iter()
         .filter(|w| w.scheduled > 0)
         .map(|w| w.sched_ms)
-        .collect();
-    sched.sort_by(f64::total_cmp);
-    Row {
-        tier,
-        algorithm: algorithm.to_string(),
-        mode,
-        waves: r.waves.len(),
-        rounds: r.rounds(),
-        peak_backlog: r.peak_backlog(),
-        finished: r.outcome.finished_count(),
-        makespan_ms: r.outcome.simulation_time_ms(),
-        wait_p50_ms: r.outcome.wait_p50_ms(),
-        wait_p99_ms: r.outcome.wait_p99_ms(),
-        mean_wait_ms: r.outcome.mean_wait_ms(),
-        throughput_per_s: r.outcome.throughput_per_s(),
-        sched_total_ms: r.total_sched_ms(),
-        sched_mean_ms: r.mean_sched_ms().unwrap_or(0.0),
-        sched_p95_ms: percentile(&sched, 0.95),
-        sched_max_ms: r.max_sched_ms().unwrap_or(0.0),
-        run_wall_ms,
-    }
+        .collect()
 }
 
-/// `{:?}`-formatted float or `null` — full round-trip precision so equal
-/// results serialize to equal bytes.
-fn opt_json(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), |x| format!("{x:?}"))
+fn p95(r: &StreamOutcome) -> f64 {
+    let mut sorted = sched_trace(r);
+    sorted.sort_by(f64::total_cmp);
+    let rank = ((0.95 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len().max(1));
+    sorted.get(rank - 1).copied().unwrap_or(0.0)
+}
+
+/// The merged plan's queueing metrics as bit patterns.
+fn metric_bits(o: &SimulationOutcome) -> [Option<u64>; 5] {
+    [
+        o.simulation_time_ms(),
+        o.wait_p50_ms(),
+        o.wait_p99_ms(),
+        o.mean_wait_ms(),
+        o.throughput_per_s(),
+    ]
+    .map(|v| v.map(f64::to_bits))
+}
+
+/// One finished configuration as its `points` row (simulation-derived,
+/// byte-stable across threads and engines) and its `wall` row
+/// (machine-dependent wall clock).
+fn rows(
+    tier: &str,
+    name: &str,
+    mode: ReplanMode,
+    r: &StreamOutcome,
+    run_wall_ms: f64,
+) -> (String, String) {
+    let o = &r.outcome;
+    let point = format!(
+        "{{\"tier\": \"{tier}\", \"algorithm\": \"{name}\", \"mode\": \"{}\", \"waves\": {}, \
+         \"rounds\": {}, \"peak_backlog\": {}, \"finished\": {}, \"makespan_ms\": {}, \
+         \"wait_p50_ms\": {}, \"wait_p99_ms\": {}, \"mean_wait_ms\": {}, \
+         \"throughput_per_s\": {}}}",
+        mode.label(),
+        r.waves.len(),
+        r.rounds(),
+        r.peak_backlog(),
+        o.finished_count(),
+        opt_json(o.simulation_time_ms()),
+        opt_json(o.wait_p50_ms()),
+        opt_json(o.wait_p99_ms()),
+        opt_json(o.mean_wait_ms()),
+        opt_json(o.throughput_per_s()),
+    );
+    let wall = format!(
+        "{{\"tier\": \"{tier}\", \"algorithm\": \"{name}\", \"mode\": \"{}\", \
+         \"sched_total_wall_ms\": {:.3}, \"sched_mean_wall_ms\": {:.4}, \
+         \"sched_p95_wall_ms\": {:.4}, \"sched_max_wall_ms\": {:.4}, \
+         \"run_wall_ms\": {run_wall_ms:.1}}}",
+        mode.label(),
+        r.total_sched_ms(),
+        r.mean_sched_ms().unwrap_or(0.0),
+        p95(r),
+        r.max_sched_ms().unwrap_or(0.0),
+    );
+    (point, wall)
 }
 
 fn mode_cfg(kind: AlgorithmKind, seed: u64, mode: ReplanMode) -> StreamConfig {
@@ -201,107 +217,60 @@ fn mode_cfg(kind: AlgorithmKind, seed: u64, mode: ReplanMode) -> StreamConfig {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    let mut out_path = String::from("BENCH_stream.json");
-    let mut seed = 42u64;
-    let mut vms = 100_000usize;
-    let mut cloudlets = 1_000_000usize;
-    let mut waves = 4_000usize;
-    let mut interval_ms = 2_000.0f64;
-    let mut gate_ratio: Option<f64> = None;
-    let mut no_gate = false;
-    let mut threads: Option<usize> = None;
-    let mut smoke = false;
-    let mut only: Option<String> = None;
-    let mut skip_grid = false;
-    while let Some(a) = iter.next() {
-        let mut val = || iter.next().expect("flag value").clone();
-        match a.as_str() {
-            "--out" => out_path = val(),
-            "--seed" => seed = val().parse().unwrap(),
-            "--vms" => vms = val().parse().unwrap(),
-            "--cloudlets" => cloudlets = val().parse().unwrap(),
-            "--waves" => waves = val().parse().unwrap(),
-            "--interval-ms" => interval_ms = val().parse().unwrap(),
-            "--gate-ratio" => gate_ratio = Some(val().parse().unwrap()),
-            "--no-gate" => no_gate = true,
-            "--threads" => threads = Some(val().parse().unwrap()),
-            "--smoke" => smoke = true,
-            "--only" => only = Some(val().to_lowercase()),
-            "--skip-grid" => skip_grid = true,
-            other => panic!(
-                "unknown flag {other} (try: --out F --seed N --vms N --cloudlets N \
-                 --waves N --interval-ms X --gate-ratio R --no-gate --threads N --smoke \
-                 --only SUBSTR --skip-grid)"
-            ),
-        }
-    }
-    if smoke {
-        // CI preset: big enough for real waves, small enough for minutes.
-        vms = 2_000;
-        cloudlets = 20_000;
-        waves = 25;
-        no_gate = true;
-    }
-    let gate_ratio = gate_ratio.unwrap_or(2.0);
-    // The warm-vs-cold gate is a statement about the 100k-VM tier, where
-    // cold's per-wave O(#VMs) rebuild dominates; small fleets would gate
-    // on noise.
-    let gate = !no_gate && vms >= 50_000;
-    // Roster filter: substring match on the lower-cased display label.
-    let keep = |name: &str| {
-        only.as_ref()
-            .is_none_or(|pat| name.to_lowercase().contains(pat))
-    };
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let flags = [OUT, SEED, Flag::switch("--smoke")];
+    let (out_path, seed, tier) = harness::parse_or_exit("streambench", &flags, &argv, |a| {
+        Ok((
+            a.get("--out", "BENCH_stream.json".to_string())?,
+            a.get("--seed", 42u64)?,
+            if a.switch("--smoke") { SMOKE } else { FULL },
+        ))
+    });
+    let Tier {
+        vms,
+        cloudlets,
+        waves,
+        interval_ms,
+        gate,
+    } = tier;
+    let (mut points, mut walls) = (Vec::new(), Vec::new());
 
     // ------------------------------------------------------------------
     // Grid tier: thread- and engine-determinism on a small instance.
     // ------------------------------------------------------------------
-    const GRID_VMS: usize = 600;
-    const GRID_CLOUDLETS: usize = 6_000;
-    const GRID_WAVES: usize = 12;
     let grid_scenario = scenario(GRID_VMS, GRID_CLOUDLETS, seed);
     // `poisson` takes the *mean wave size*; divide to target a wave count.
     let grid_plan = WavePlan::poisson(GRID_CLOUDLETS, GRID_CLOUDLETS / GRID_WAVES, 800.0, seed);
-    let mut rows: Vec<Row> = Vec::new();
-    if skip_grid {
-        eprintln!("grid tier: skipped (--skip-grid)");
-    } else {
-        eprintln!(
-            "grid tier: {GRID_VMS} VMs / {GRID_CLOUDLETS} cloudlets / {GRID_WAVES} waves, \
-             threads {{1, 4}}, engine x record cross-check"
-        );
-    }
+    eprintln!(
+        "grid tier: {GRID_VMS} VMs / {GRID_CLOUDLETS} cloudlets / {GRID_WAVES} waves, \
+         threads {{1, 4}}, engine x record cross-check"
+    );
     for (kind, name, build) in roster(GRID_CLOUDLETS) {
-        if skip_grid || !keep(&name) {
-            continue;
-        }
         for mode in [ReplanMode::Warm, ReplanMode::Cold] {
             let cfg = mode_cfg(kind, seed, mode)
                 .on_engine(EngineKind::Sharded)
                 .with_record(RecordMode::Aggregate);
-            set_threads(1);
-            let wall = Instant::now();
-            let base = run_stream_with(&grid_scenario, &grid_plan, &cfg, &mut |s| build(s))
-                .expect("grid run");
-            let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-            set_threads(4);
-            let again = run_stream_with(&grid_scenario, &grid_plan, &cfg, &mut |s| build(s))
-                .expect("grid rerun");
+            let run = |threads| {
+                with_threads(threads, || {
+                    let wall = Instant::now();
+                    let r = run_stream_with(&grid_scenario, &grid_plan, &cfg, &mut |s| build(s))
+                        .expect("grid run");
+                    (r, wall.elapsed().as_secs_f64() * 1e3)
+                })
+            };
+            let (base, wall_ms) = run(1);
+            let (again, _) = run(4);
+            let label = format!("{name} {}", mode.label());
             assert_eq!(
-                base.assignment,
-                again.assignment,
-                "{name} {} plan changed with thread count",
-                mode.label()
+                base.assignment, again.assignment,
+                "{label}: plan changed with thread count"
             );
             let backlog =
                 |r: &StreamOutcome| -> Vec<usize> { r.waves.iter().map(|w| w.backlog).collect() };
             assert_eq!(
                 backlog(&base),
                 backlog(&again),
-                "{name} {} backlog trace changed with thread count",
-                mode.label()
+                "{label}: backlog trace changed with thread count"
             );
             // Sequential engine + full records must match the sharded +
             // aggregate run bit for bit on every simulated metric.
@@ -313,53 +282,22 @@ fn main() {
             )
             .expect("grid cross-check");
             assert_eq!(base.assignment, cross.assignment);
-            for (metric, a, b) in [
-                (
-                    "makespan",
-                    base.outcome.simulation_time_ms(),
-                    cross.outcome.simulation_time_ms(),
-                ),
-                (
-                    "wait_p50",
-                    base.outcome.wait_p50_ms(),
-                    cross.outcome.wait_p50_ms(),
-                ),
-                (
-                    "wait_p99",
-                    base.outcome.wait_p99_ms(),
-                    cross.outcome.wait_p99_ms(),
-                ),
-                (
-                    "mean_wait",
-                    base.outcome.mean_wait_ms(),
-                    cross.outcome.mean_wait_ms(),
-                ),
-                (
-                    "throughput",
-                    base.outcome.throughput_per_s(),
-                    cross.outcome.throughput_per_s(),
-                ),
-            ] {
-                assert_eq!(
-                    a.map(f64::to_bits),
-                    b.map(f64::to_bits),
-                    "{name} {}: {metric} diverged across engine/record grid",
-                    mode.label()
-                );
-            }
+            assert_eq!(
+                metric_bits(&base.outcome),
+                metric_bits(&cross.outcome),
+                "{label}: makespan/wait/throughput diverged across engine/record grid"
+            );
             eprintln!(
-                "  {name} {}: {} waves, peak backlog {}, wait p99 {}",
-                mode.label(),
+                "  {label}: {} waves, peak backlog {}, wait p99 {}",
                 base.rounds(),
                 base.peak_backlog(),
                 opt_json(base.outcome.wait_p99_ms()),
             );
-            rows.push(row_from("grid", &name, mode, &base, wall_ms));
+            let (point, wall) = rows("grid", &name, mode, &base, wall_ms);
+            points.push(point);
+            walls.push(wall);
         }
     }
-    // Back to the requested (or RAYON_NUM_THREADS / automatic) pool for
-    // the headline tier.
-    set_threads(threads.unwrap_or(0));
 
     // ------------------------------------------------------------------
     // Headline tier: rolling arrival load through the sharded engine.
@@ -371,16 +309,13 @@ fn main() {
          ({} actual, mean interval {interval_ms} ms), sharded engine, space-shared policy",
         head_plan.waves.len()
     );
-    // Mean per-wave scheduling latency per (algorithm label, mode) for
-    // the gate report.
-    let mut head_sched: Vec<(String, ReplanMode, f64)> = Vec::new();
-    // Per-wave latency traces for the ACO pair: the scheduling-latency-
-    // per-wave story the figure family plots.
-    let mut aco_traces: Vec<(ReplanMode, Vec<f64>)> = Vec::new();
+    // Warm-vs-cold mean per-wave scheduling latency per algorithm, and
+    // the per-wave latency traces of the ACO pair (the scheduling-
+    // latency-per-wave story the figure family plots).
+    let mut speedups = Vec::new();
+    let mut aco_traces = Vec::new();
     for (kind, name, build) in roster(cloudlets) {
-        if !keep(&name) {
-            continue;
-        }
+        let mut means = Vec::new();
         for mode in [ReplanMode::Warm, ReplanMode::Cold] {
             let cfg = mode_cfg(kind, seed, mode)
                 .on_engine(EngineKind::Sharded)
@@ -395,48 +330,25 @@ fn main() {
                 "{name} {}: streamed cloudlets must all finish",
                 mode.label()
             );
-            let row = row_from("headline", &name, mode, &r, wall_ms);
+            let mean = r.mean_sched_ms().unwrap_or(0.0);
             eprintln!(
-                "  {name} {}: sched mean {:.2} ms/wave (p95 {:.2}, max {:.2}), \
-                 peak backlog {}, wait p99 {}, {:.0} ms total wall",
+                "  {name} {}: sched mean {mean:.2} ms/wave (p95 {:.2}, max {:.2}), \
+                 peak backlog {}, wait p99 {}, {wall_ms:.0} ms total wall",
                 mode.label(),
-                row.sched_mean_ms,
-                row.sched_p95_ms,
-                row.sched_max_ms,
-                row.peak_backlog,
-                opt_json(row.wait_p99_ms),
-                wall_ms,
+                p95(&r),
+                r.max_sched_ms().unwrap_or(0.0),
+                r.peak_backlog(),
+                opt_json(r.outcome.wait_p99_ms()),
             );
-            head_sched.push((name.clone(), mode, row.sched_mean_ms));
+            means.push(mean);
             if kind == AlgorithmKind::AntColony {
-                aco_traces.push((
-                    mode,
-                    r.waves
-                        .iter()
-                        .filter(|w| w.scheduled > 0)
-                        .map(|w| w.sched_ms)
-                        .collect(),
-                ));
+                aco_traces.push((mode, sched_trace(&r)));
             }
-            rows.push(row);
+            let (point, wall) = rows("headline", &name, mode, &r, wall_ms);
+            points.push(point);
+            walls.push(wall);
         }
-    }
-
-    // Warm-vs-cold speedups, gated on the ACO arm at the 100k-VM tier.
-    let mean_of = |label: &str, mode: ReplanMode| -> f64 {
-        head_sched
-            .iter()
-            .find(|(l, m, _)| l == label && *m == mode)
-            .map(|(_, _, ms)| *ms)
-            .expect("headline roster ran both modes")
-    };
-    let mut speedups: Vec<(String, f64, f64, f64)> = Vec::new();
-    for (_, name, _) in roster(cloudlets) {
-        if !keep(&name) {
-            continue;
-        }
-        let warm = mean_of(&name, ReplanMode::Warm);
-        let cold = mean_of(&name, ReplanMode::Cold);
+        let (warm, cold) = (means[0], means[1]);
         let speedup = if warm > 0.0 {
             cold / warm
         } else {
@@ -447,110 +359,63 @@ fn main() {
         );
         speedups.push((name, warm, cold, speedup));
     }
+
+    // The warm-vs-cold gate rides on the ACO arm.
     if gate {
         let (_, warm, cold, speedup) = speedups
             .iter()
             .find(|(n, ..)| n.starts_with("AntColony"))
             .expect("ACO in roster");
         assert!(
-            *speedup >= gate_ratio,
-            "warm ACO replanning must beat cold by {gate_ratio}x at the {vms}-VM tier: \
+            *speedup >= GATE_RATIO,
+            "warm ACO replanning must beat cold by {GATE_RATIO}x at the {vms}-VM tier: \
              got {speedup:.2}x (warm {warm:.3} ms/wave, cold {cold:.3} ms/wave)"
         );
-        eprintln!("gate: warm ACO {speedup:.2}x over cold >= {gate_ratio}x");
+        eprintln!("gate: warm ACO {speedup:.2}x over cold >= {GATE_RATIO}x");
     } else {
-        eprintln!("gate: skipped (enabled at >= 50k VMs and without --no-gate/--smoke)");
+        eprintln!("gate: skipped on the smoke tier");
     }
 
-    // ------------------------------------------------------------------
-    // JSON emission.
-    // ------------------------------------------------------------------
-    let mut json = String::from("{\n  \"bench\": \"stream\",\n");
-    json.push_str(&format!(
-        "  \"seed\": {seed},\n  \"grid\": {{\"vms\": {GRID_VMS}, \"cloudlets\": {GRID_CLOUDLETS}, \
-         \"waves\": {GRID_WAVES}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"headline\": {{\"vms\": {vms}, \"cloudlets\": {cloudlets}, \"waves\": {waves}, \
-         \"mean_interval_ms\": {interval_ms:?}, \"engine\": \"sharded\", \
-         \"policy\": \"space_shared\"}},\n"
-    ));
-    json.push_str(
-        "  \"note\": \"points rows are simulation-derived and byte-identical across rayon \
-         thread counts, engines and record modes (the binary asserts all three on the grid \
-         tier); wall rows carry machine-dependent scheduling/run wall clock and are stripped \
-         before CI diffs\",\n",
-    );
-    json.push_str("  \"points\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"tier\": \"{}\", \"algorithm\": \"{}\", \"mode\": \"{}\", \"waves\": {}, \
-             \"rounds\": {}, \"peak_backlog\": {}, \"finished\": {}, \"makespan_ms\": {}, \
-             \"wait_p50_ms\": {}, \"wait_p99_ms\": {}, \"mean_wait_ms\": {}, \
-             \"throughput_per_s\": {}}}{}\n",
-            r.tier,
-            r.algorithm,
-            r.mode.label(),
-            r.waves,
-            r.rounds,
-            r.peak_backlog,
-            r.finished,
-            opt_json(r.makespan_ms),
-            opt_json(r.wait_p50_ms),
-            opt_json(r.wait_p99_ms),
-            opt_json(r.mean_wait_ms),
-            opt_json(r.throughput_per_s),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"wall\": [\n");
-    let wall_total = rows.len() + speedups.len() + aco_traces.len();
-    let mut emitted = 0usize;
-    for r in &rows {
-        emitted += 1;
-        json.push_str(&format!(
-            "    {{\"tier\": \"{}\", \"algorithm\": \"{}\", \"mode\": \"{}\", \
-             \"sched_total_wall_ms\": {:.3}, \"sched_mean_wall_ms\": {:.4}, \
-             \"sched_p95_wall_ms\": {:.4}, \"sched_max_wall_ms\": {:.4}, \
-             \"run_wall_ms\": {:.1}}}{}\n",
-            r.tier,
-            r.algorithm,
-            r.mode.label(),
-            r.sched_total_ms,
-            r.sched_mean_ms,
-            r.sched_p95_ms,
-            r.sched_max_ms,
-            r.run_wall_ms,
-            if emitted < wall_total { "," } else { "" }
-        ));
-    }
     for (name, warm, cold, speedup) in &speedups {
-        emitted += 1;
-        json.push_str(&format!(
-            "    {{\"tier\": \"headline\", \"algorithm\": \"{name}\", \
+        walls.push(format!(
+            "{{\"tier\": \"headline\", \"algorithm\": \"{name}\", \
              \"warm_mean_wall_ms\": {warm:.4}, \"cold_mean_wall_ms\": {cold:.4}, \
-             \"warm_speedup\": {speedup:.3}, \"gated\": {}}}{}\n",
+             \"warm_speedup\": {speedup:.3}, \"gated\": {}}}",
             gate && name.starts_with("AntColony"),
-            if emitted < wall_total { "," } else { "" }
         ));
     }
     for (mode, trace) in &aco_traces {
-        emitted += 1;
         let vals: Vec<String> = trace.iter().map(|ms| format!("{ms:.3}")).collect();
-        json.push_str(&format!(
-            "    {{\"tier\": \"headline\", \"algorithm\": \"AntColony(scale)\", \"mode\": \"{}\", \
-             \"per_wave_sched_wall_ms\": [{}]}}{}\n",
+        walls.push(format!(
+            "{{\"tier\": \"headline\", \"algorithm\": \"AntColony(scale)\", \"mode\": \"{}\", \
+             \"per_wave_sched_wall_ms\": [{}]}}",
             mode.label(),
             vals.join(", "),
-            if emitted < wall_total { "," } else { "" }
         ));
     }
-    json.push_str("  ]\n}\n");
-
-    let mut f = std::fs::File::create(&out_path).expect("output file");
-    f.write_all(json.as_bytes()).expect("write json");
-    let peak_rss = biosched_bench::rss::peak_rss_kb()
-        .map_or_else(|| "unknown".to_string(), |kb| kb.to_string());
-    eprintln!("wrote {out_path} (peak RSS {peak_rss} kB)");
-    print!("{json}");
+    Report::new("stream")
+        .field("seed", seed)
+        .field(
+            "grid",
+            format!(
+                "{{\"vms\": {GRID_VMS}, \"cloudlets\": {GRID_CLOUDLETS}, \"waves\": {GRID_WAVES}}}"
+            ),
+        )
+        .field(
+            "headline",
+            format!(
+                "{{\"vms\": {vms}, \"cloudlets\": {cloudlets}, \"waves\": {waves}, \
+                 \"mean_interval_ms\": {interval_ms:?}, \"engine\": \"sharded\", \
+                 \"policy\": \"space_shared\"}}"
+            ),
+        )
+        .text(
+            "note",
+            "points rows are simulation-derived and byte-identical across rayon thread counts, \
+             engines and record modes (the binary asserts all three on the grid tier); wall rows \
+             carry machine-dependent scheduling/run wall clock and are stripped before CI diffs",
+        )
+        .section("points", points)
+        .section("wall", walls)
+        .write(&out_path);
 }

@@ -4,12 +4,17 @@
 //!
 //! * [`figures`] — sweep runners + figure extraction for Figs. 4, 5, 6a–d.
 //! * [`tables`] — Tables I–VII printed from the implementation's defaults.
-//! * [`rss`] — peak-RSS probe (`VmHWM`) shared by `schedbench` and
-//!   `reprobench`.
+//! * [`extended`] / [`convergence`] — the all-scheduler comparison and
+//!   the ACO/PSO/GA convergence curves.
+//! * [`harness`] — declared flags, scoped thread pools, the child-process
+//!   protocol and the JSON report layout shared by the seven bench
+//!   binaries (`simbench`, `schedbench`, `reprobench`, `faultbench`,
+//!   `streambench`, `dagbench`, `racebench`).
+//! * [`rss`] — peak-RSS probe (`VmHWM`) behind every report's RSS figure.
 //!
-//! The `repro` binary drives these; the `benches/` directory holds the
-//! criterion micro-benchmarks (scheduling time, simulator throughput, and
-//! parameter ablations).
+//! The `repro` binary drives the figure modules; the `benches/` directory
+//! holds the criterion micro-benchmarks (scheduling time, simulator
+//! throughput, and parameter ablations).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -17,5 +22,6 @@
 pub mod convergence;
 pub mod extended;
 pub mod figures;
+pub mod harness;
 pub mod rss;
 pub mod tables;

@@ -203,15 +203,9 @@ pub fn parse_common(args: &[String]) -> Result<(CommonOpts, Vec<String>), String
                 )
             }
             "--engine" => {
-                opts.engine = match take("--engine")?.to_ascii_lowercase().as_str() {
-                    "sequential" | "seq" => EngineKind::Sequential,
-                    "sharded" => EngineKind::Sharded,
-                    other => {
-                        return Err(format!(
-                            "bad --engine: '{other}' (try: sequential, sharded)"
-                        ))
-                    }
-                }
+                opts.engine = take("--engine")?
+                    .parse()
+                    .map_err(|e| format!("bad --engine: {e}"))?
             }
             "--faults" => {
                 opts.faults = Some(simcloud::faults::FaultSpec::parse(&take("--faults")?)?)

@@ -67,6 +67,20 @@ impl EngineKind {
     }
 }
 
+impl std::str::FromStr for EngineKind {
+    type Err = String;
+
+    /// Parses an engine name as the CLI and bench flags spell it:
+    /// `sequential` (or `seq`) and `sharded`, in any case.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "sequential" | "seq" => Ok(EngineKind::Sequential),
+            "sharded" => Ok(EngineKind::Sharded),
+            _ => Err(format!("unknown engine '{s}' (try: sequential, sharded)")),
+        }
+    }
+}
+
 /// Builder for a full simulation run.
 pub struct SimulationBuilder {
     datacenters: Vec<DatacenterBlueprint>,
@@ -548,6 +562,15 @@ mod tests {
             .assignment(base_assignment(cloudlets, vms))
             .run()
             .expect("valid scenario")
+    }
+
+    #[test]
+    fn engine_kind_parses_its_names() {
+        assert_eq!("sequential".parse(), Ok(EngineKind::Sequential));
+        assert_eq!("SEQ".parse(), Ok(EngineKind::Sequential));
+        assert_eq!("Sharded".parse(), Ok(EngineKind::Sharded));
+        let err = "warp".parse::<EngineKind>().unwrap_err();
+        assert!(err.contains("warp") && err.contains("(try: sequential, sharded)"));
     }
 
     #[test]
