@@ -55,7 +55,7 @@ fn metrics(s: &ResilienceSummary) -> [(&'static str, &RepeatedMetric); 6] {
 }
 
 /// The largest point's metrics as exactly comparable values.
-fn point_bits(p: &ResiliencePointResult) -> ([u64; 5], usize, usize, usize) {
+fn point_bits(p: &ResiliencePointResult) -> ([u64; 5], u64, u64, usize) {
     let floats = [
         p.completion_ratio,
         p.goodput,
