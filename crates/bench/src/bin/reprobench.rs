@@ -1,54 +1,31 @@
-//! End-to-end repro pipeline benchmark: emits `BENCH_repro.json`.
+//! Record-retention benchmark: emits `BENCH_repro.json`.
 //!
-//! Measures what the pipeline overhaul bought on the `repro all` figure
-//! workload along two axes:
+//! The `mem-full` / `mem-aggregate` children run the record-heavy
+//! Fig. 4b slice while *holding* every
+//! [`SimulationOutcome`](simcloud::stats::SimulationOutcome), the
+//! retention contract `RecordMode` exists for, and report their peak RSS.
 //!
-//! * **Wall clock** — the `legacy` child replays the pre-overhaul
-//!   pipeline (one sweep per figure, so Figs. 4/5 run their homogeneous
-//!   sweeps twice; algorithms serial within a point; a private
-//!   `EvalCache` per scheduler via `Scheduler::schedule`; `RecordMode::Full`)
-//!   against the `overhauled` child running the current pipeline (one
-//!   sweep per axis feeding both figures, flat `(point × algorithm)`
-//!   executor, shared per-point artifacts, `RecordMode::Aggregate`).
-//! * **Peak RSS** — the `mem-full` / `mem-aggregate` children run the
-//!   record-heavy Fig. 4b slice while *holding* every
-//!   [`SimulationOutcome`](simcloud::stats::SimulationOutcome), the
-//!   retention contract `RecordMode` exists for.
-//!
-//! `VmHWM` is monotonic per process, so every configuration runs in its
-//! own child process ([`harness::spawn_self`] re-runs this binary as
-//! `reprobench child --mode <mode> …`); each child emits its wall time,
-//! peak RSS and finished count, and the parent assembles the comparison
-//! file.
+//! `VmHWM` is monotonic per process, so each mode runs in its own child
+//! process ([`harness::spawn_self`] re-runs this binary as
+//! `reprobench child <mode> …`); each child emits its wall time, peak RSS
+//! and finished count, and the parent assembles the comparison file.
 
 use std::time::Instant;
 
-use biosched_bench::figures::{heterogeneous_sweep_on, homogeneous_sweep_on};
 use biosched_bench::harness::{self, opt_json, Flag, Report, OUT, SEED};
 use biosched_bench::rss::peak_rss_kb;
 use biosched_core::eval::EvalCache;
 use biosched_core::scheduler::AlgorithmKind;
-use biosched_workload::heterogeneous::{
-    fig6_vm_points, HeterogeneousScenario, DEFAULT_DATACENTERS,
-};
-use biosched_workload::homogeneous::{fig4a_vm_points, fig4b_vm_points, HomogeneousScenario};
-use biosched_workload::scenario::Scenario;
-use rayon::prelude::*;
+use biosched_workload::homogeneous::{fig4b_vm_points, HomogeneousScenario};
 use simcloud::simulation::EngineKind;
 use simcloud::stats::RecordMode;
 
-const FLAGS: &[Flag] = &[
-    OUT,
-    Flag::value("--scale", "N"),
-    SEED,
-    Flag::value("--hetero-cloudlets", "N"),
-];
+const FLAGS: &[Flag] = &[OUT, Flag::value("--scale", "N"), SEED];
 
 #[derive(Debug, Clone)]
 struct Options {
     scale: usize,
     seed: u64,
-    hetero_cloudlets: usize,
 }
 
 impl Options {
@@ -56,76 +33,12 @@ impl Options {
         let opts = Options {
             scale: a.get("--scale", 10)?,
             seed: a.get("--seed", 42)?,
-            hetero_cloudlets: a.get("--hetero-cloudlets", 1_000)?,
         };
         if opts.scale == 0 {
             return Err("--scale must be >= 1".into());
         }
         Ok(opts)
     }
-}
-
-/// Pre-overhaul pipeline replica for one axis: parallel over points,
-/// serial over algorithms, a fresh problem and private scheduler cache
-/// per (point, algorithm), full per-cloudlet records.
-fn legacy_sweep(points: &[usize], seed: u64, build: impl Fn(usize) -> Scenario + Sync) -> usize {
-    points
-        .par_iter()
-        .map(|&vms| {
-            let scenario = build(vms);
-            AlgorithmKind::PAPER_SET
-                .iter()
-                .map(|alg| {
-                    let assignment = alg.build(seed).schedule(&scenario.problem());
-                    scenario
-                        .simulate_on(assignment, EngineKind::Sequential)
-                        .expect("legacy simulation")
-                        .finished_count()
-                })
-                .sum::<usize>()
-        })
-        .sum()
-}
-
-/// The `repro all` figure workload, pre-overhaul: Figs. 4a/5a and 4b/5b
-/// each re-ran their sweep, so both homogeneous axes execute twice.
-fn child_legacy(opts: &Options) -> usize {
-    let homogeneous = |points: Vec<usize>| {
-        legacy_sweep(&points, opts.seed, |vms| {
-            HomogeneousScenario::scaled(vms, opts.scale).build()
-        })
-    };
-    (0..2)
-        .map(|_| homogeneous(fig4a_vm_points()) + homogeneous(fig4b_vm_points()))
-        .sum::<usize>()
-        + legacy_sweep(&fig6_vm_points(), opts.seed, |vms| {
-            HeterogeneousScenario {
-                vm_count: vms,
-                cloudlet_count: opts.hetero_cloudlets,
-                datacenter_count: DEFAULT_DATACENTERS,
-                seed: opts.seed,
-            }
-            .build()
-        })
-}
-
-/// The same figure workload on the current pipeline: one flat
-/// shared-artifact sweep per axis feeds both the Fig. 4 and Fig. 5
-/// extraction.
-fn child_overhauled(opts: &Options) -> usize {
-    let mut finished = 0usize;
-    for points in [fig4a_vm_points(), fig4b_vm_points()] {
-        let results = homogeneous_sweep_on(&points, opts.scale, opts.seed, EngineKind::Sequential);
-        finished += results.iter().flatten().map(|r| r.finished).sum::<usize>();
-    }
-    let results = heterogeneous_sweep_on(
-        &fig6_vm_points(),
-        opts.hetero_cloudlets,
-        opts.seed,
-        EngineKind::Sequential,
-    );
-    finished += results.iter().flatten().map(|r| r.finished).sum::<usize>();
-    finished
 }
 
 /// Record-retention slice: the Fig. 4b axis run serially while keeping
@@ -152,8 +65,6 @@ fn child_mem(opts: &Options, mode: RecordMode) -> usize {
 fn run_child(opts: &Options, mode: &str) -> Result<(), String> {
     let start = Instant::now();
     let finished = match mode {
-        "legacy" => child_legacy(opts),
-        "overhauled" => child_overhauled(opts),
         "mem-full" => child_mem(opts, RecordMode::Full),
         "mem-aggregate" => child_mem(opts, RecordMode::Aggregate),
         other => return Err(format!("unknown child mode {other}")),
@@ -205,34 +116,17 @@ fn main() {
         ))
     });
 
-    let legacy = spawn_child(&argv, "legacy");
-    let overhauled = spawn_child(&argv, "overhauled");
     let mem_full = spawn_child(&argv, "mem-full");
     let mem_aggregate = spawn_child(&argv, "mem-aggregate");
-
-    // The two pipelines must complete identical per-sweep workloads; the
-    // legacy one simply runs the homogeneous half twice.
-    let legacy_unique = overhauled.finished;
-    assert!(
-        legacy.finished > legacy_unique,
-        "legacy child should duplicate homogeneous work ({} vs {})",
-        legacy.finished,
-        legacy_unique
-    );
     assert_eq!(
         mem_full.finished, mem_aggregate.finished,
         "record-mode children must finish identical workloads"
     );
 
-    let speedup = legacy.wall_ms / overhauled.wall_ms;
     let rss_ratio = match (mem_full.peak_rss_kb, mem_aggregate.peak_rss_kb) {
         (Some(f), Some(a)) if a > 0 => Some(f as f64 / a as f64),
         _ => None,
     };
-    eprintln!(
-        "end-to-end: legacy {:.0} ms vs overhauled {:.0} ms ({speedup:.2}x)",
-        legacy.wall_ms, overhauled.wall_ms
-    );
     if let Some(r) = rss_ratio {
         eprintln!(
             "record retention: full {} kB vs aggregate {} kB ({r:.2}x)",
@@ -243,34 +137,21 @@ fn main() {
 
     let run = |r: &ChildRun| {
         format!(
-            "{{\"wall_ms\": {:.1}, \"peak_rss_kb\": {}",
+            "{{\"wall_ms\": {:.1}, \"peak_rss_kb\": {}, \"finished\": {}}}",
             r.wall_ms,
-            opt_json(r.peak_rss_kb)
+            opt_json(r.peak_rss_kb),
+            r.finished
         )
     };
     Report::new("repro")
         .field("machine_cores", harness::machine_cores())
         .field("seed", opts.seed)
         .field("scale", opts.scale)
-        .field("hetero_cloudlets", opts.hetero_cloudlets)
-        .field(
-            "end_to_end",
-            format!(
-                "{{\n    \"workload\": \"repro all figure sweeps (figs 4, 5, 6)\",\n    \
-                 \"legacy\": {}, \"finished\": {}}},\n    \
-                 \"overhauled\": {}, \"finished\": {}}},\n    \
-                 \"speedup\": {speedup:.2}\n  }}",
-                run(&legacy),
-                legacy.finished,
-                run(&overhauled),
-                overhauled.finished,
-            ),
-        )
         .field(
             "record_memory",
             format!(
                 "{{\n    \"workload\": \"fig4b axis, all outcomes held\",\n    \
-                 \"full\": {}}},\n    \"aggregate\": {}}},\n    \
+                 \"full\": {},\n    \"aggregate\": {},\n    \
                  \"rss_ratio\": {}\n  }}",
                 run(&mem_full),
                 run(&mem_aggregate),

@@ -12,9 +12,8 @@
 //!   `streambench`, `dagbench`, `racebench`).
 //! * [`rss`] — peak-RSS probe (`VmHWM`) behind every report's RSS figure.
 //!
-//! The `repro` binary drives the figure modules; the `benches/` directory
-//! holds the criterion micro-benchmarks (scheduling time, simulator
-//! throughput, and parameter ablations).
+//! The `repro` binary drives the figure modules. Every binary's flags,
+//! output file and CI job are listed in the crate's `README.md`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

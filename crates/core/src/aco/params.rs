@@ -31,7 +31,7 @@ pub struct AcoParams {
     /// Ant Colony System exploitation probability: with probability `q0`
     /// an ant deterministically takes the best-weighted VM instead of
     /// spinning the Eq. 5 roulette. `0` (the paper's plain Ant System)
-    /// disables it; Dorigo's ACS uses 0.9. Exposed for the ablation bench.
+    /// disables it; Dorigo's ACS uses 0.9. Exposed as `--sched-params q0=…`.
     pub q0: f64,
     /// Cap on the batch as a fraction of the VM fleet. A batch equal to
     /// the fleet size degenerates into a permutation (the tabu rule forces

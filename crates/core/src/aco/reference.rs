@@ -10,9 +10,9 @@
 //!    seed; the `scheduler_equivalence` integration test compares the two
 //!    paths across thread counts. Do not "optimize" this module: its value
 //!    is that it stays exactly as the pre-overhaul commit left it.
-//! 2. **Benchmark baseline** — `schedbench` and the `scheduling_time`
-//!    criterion bench time it next to the optimized path so the speedup
-//!    is measured against the real former implementation, not a guess.
+//! 2. **Benchmark baseline** — `schedbench` times it next to the
+//!    optimized path so the speedup is measured against the real former
+//!    implementation, not a guess.
 //!    Its random-k branch (k < #VMs) has no `AntColony` counterpart.
 
 use std::collections::{HashMap, HashSet};

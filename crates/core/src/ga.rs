@@ -4,7 +4,7 @@
 //! [10] Jang et al., [31] Zhao et al.). The paper repeats the survey
 //! verdict that "GA scheduling algorithms are slow for Cloud due [to] the
 //! time to converge" [17] — this implementation exists to make that
-//! comparison measurable (see the `ablation` bench).
+//! comparison measurable (see `repro convergence`).
 //!
 //! Standard generational GA over assignment chromosomes:
 //! tournament selection, uniform crossover, per-gene mutation, elitism.

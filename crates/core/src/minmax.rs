@@ -9,7 +9,7 @@
 //! Complexity is O(C·V) per step with the standard incremental trick
 //! (only cloudlets whose cached best VM was just loaded need rescoring),
 //! so they are practical for the heterogeneous scenario's sizes and used
-//! in the ablation benches; they are not part of the paper's figure set.
+//! in `repro extended`; they are not part of the paper's figure set.
 
 use simcloud::ids::VmId;
 
