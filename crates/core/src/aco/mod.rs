@@ -22,25 +22,29 @@
 //! Colonies are mutually independent, so `run` pre-draws every ant seed in
 //! the exact order the old sequential loop consumed them (colony-major,
 //! then iteration, then ant) and fans whole colonies out through
-//! [`eval::par_map_if`] — assignments stay byte-identical per seed at any
-//! thread count. Inside a colony the Eq. 5 weight is read from two caches
-//! instead of calling `powf` per candidate: an η^β block precomputed per
-//! batch ([`EvalCache::eta_pow_block`]) and the τ^α snapshot the slot-major
-//! [`PheromoneMatrix`] refreshes once per iteration. Tabu checks are
-//! generation-stamped array probes in per-colony scratch
-//! ([`TourScratch`]), so tour construction allocates nothing but the
-//! returned tour. The pre-overhaul loop survives verbatim in [`reference`]
-//! as the equivalence baseline.
+//! [`eval::par_map_if`]; [`AcoRun::step`] fans the same colonies out once
+//! per step. One rule, on the estimated weight-row reads per fork, picks
+//! the fan-out for both (colonies, else one colony's ants, else serial),
+//! and assignments stay byte-identical per seed at any thread count.
+//! Inside a colony the Eq. 5 weight is read from two caches instead of
+//! calling `powf` per candidate: an η^β block precomputed per batch
+//! ([`EvalCache::eta_pow_block`]) and the τ^α snapshot the slot-major
+//! [`PheromoneMatrix`] refreshes once per iteration, fused into one dense
+//! weight row per slot. Each full-row draw is one allocation-free pass
+//! over that row ([`full_row::pick`]) with tabu entries masked in place by
+//! generation stamps ([`TourScratch`]), so tour construction allocates
+//! nothing but the returned tour. The pre-overhaul loop survives verbatim
+//! in [`reference`] as the equivalence baseline.
 //!
 //! # Sampling regimes
 //!
 //! The candidate-list width k fixes how each Eq. 5 draw is made. With
 //! k ≥ #VMs (the paper profile) every non-tabu VM enters a linear
-//! roulette that [`reference`] reproduces bit for bit. With k < #VMs each
-//! slot draws from its per-batch top-η [`CandidateBlock`] by binary
-//! search over per-iteration prefix sums ([`prefix_pick`]), rejecting tabu
-//! picks a few times before falling back to the exact roulette over the
-//! non-tabu candidates.
+//! roulette that draws what [`reference`] draws, bit for bit. With
+//! k < #VMs each slot draws from its per-batch top-η [`CandidateBlock`] by
+//! binary search over per-iteration prefix sums ([`prefix_pick`]),
+//! rejecting tabu picks a few times before falling back to the exact
+//! roulette over the non-tabu candidates.
 //!
 //! ```
 //! use biosched_core::aco::{AcoParams, AntColony};
@@ -58,6 +62,7 @@
 //! let plan = aco.schedule(&problem);
 //! assert!(plan.validate(&problem).is_ok());
 //! ```
+pub mod full_row;
 mod params;
 mod pheromone;
 pub mod reference;
@@ -77,12 +82,18 @@ use crate::eval::{self, CandidateBlock, EvalCache};
 use crate::problem::SchedulingProblem;
 use crate::scheduler::Scheduler;
 
-/// Minimum estimated per-run work (`colonies × iterations × ants × batch
-/// × k` weight-row reads) before colony construction fans out over
-/// threads. Below it the fork/join overhead outweighs the work — the 1k
-/// scale regressed ~2× at 4 threads before this cutover — so small
-/// problems stay serial regardless of the worker-pool size.
-const PAR_MIN_WORK: u64 = 1 << 26;
+/// Minimum work one fork must carry before colonies (or, failing that,
+/// one colony's ants) fan out over threads, in Eq. 5 weight-row reads
+/// (`iterations × ants × cloudlets × k` over what the fork covers).
+///
+/// Measured against the persistent `vendor/rayon` pool on a 2-vCPU
+/// Xeon guest (2.0 GHz): a stage of 8–50 items breaks even at ~20 µs of
+/// total work, gains 1.5–1.7× at ~100–160 µs and 1.9–2.0× from ~1 ms.
+/// Tour construction costs 5–12 ns per nominal read on the full row
+/// (paper profile, 100 down to 10 VMs) and ~4 ns on k = 24 candidate
+/// rows, so 2¹⁵ reads is ≥ ~130 µs of work: every fork this admits gains
+/// ≥ 1.5×, and the racer's ACO member (~0.6 ms per fig6 step) qualifies.
+const PAR_MIN_WORK: u64 = 1 << 15;
 
 /// Tabu rejection-sampling budget of the candidate-list regime: draw
 /// from the unconditioned row distribution up to this many times before
@@ -153,30 +164,23 @@ impl AntColony {
             prior,
         );
 
-        // Fan whole colonies out when there are enough to fill the pool
-        // AND the total work amortizes the fork — otherwise run serially
-        // (ant-level parallelism inside a colony is gated the same way).
-        let per_colony_work = (params.iterations as u64)
-            .saturating_mul(params.ants as u64)
-            .saturating_mul(plan.batch as u64)
-            .saturating_mul(plan.k as u64);
-        let total_work = per_colony_work.saturating_mul(plan.colonies.len() as u64);
-        let colonies_parallel =
-            plan.colonies.len() >= eval::MIN_PAR_ITEMS && total_work >= PAR_MIN_WORK;
-        let ants_parallel = !colonies_parallel && per_colony_work >= PAR_MIN_WORK;
+        // One fork covers every iteration of every colony.
+        let fan_out = plan.fan_out(params, params.iterations);
         let capture = warm.is_some();
         let last = plan.colonies.len().saturating_sub(1);
         let colonies: Vec<(usize, Range<usize>)> = plan.colonies.into_iter().enumerate().collect();
-        let results = eval::par_map_if(colonies_parallel, &colonies, |&(i, ref slots)| {
-            ColonyState::new(cache, params, slots.clone(), plan.k, plan.prior.as_ref()).run_to_end(
-                cache,
-                params,
-                colony_seeds(&plan.seeds, params, i),
-                traced && i == 0,
-                ants_parallel,
-                capture && i == last,
-            )
-        });
+        let results =
+            eval::par_map_if(fan_out == FanOut::Colonies, &colonies, |&(i, ref slots)| {
+                ColonyState::new(cache, params, slots.clone(), plan.k, plan.prior.as_ref())
+                    .run_to_end(
+                        cache,
+                        params,
+                        colony_seeds(&plan.seeds, params, i),
+                        traced && i == 0,
+                        fan_out == FanOut::Ants,
+                        capture && i == last,
+                    )
+            });
 
         // Only the first colony traces and only the last one captures.
         let mut map = Vec::with_capacity(problem.cloudlet_count());
@@ -257,6 +261,44 @@ impl Prologue {
             prior,
         }
     }
+
+    /// The fan-out rule: colonies when there are at least
+    /// [`eval::MIN_PAR_ITEMS`] of them and the fork's
+    /// `iterations × ants × cloudlets × k` reads reach [`PAR_MIN_WORK`];
+    /// otherwise ants, when one colony iteration (its own fork) reaches
+    /// it; otherwise serial. Results never depend on the choice.
+    fn fan_out(&self, params: &AcoParams, iterations: usize) -> FanOut {
+        let cloudlets = self.colonies.last().map_or(0, |c| c.end);
+        let reads = |iterations: usize, cloudlets: usize| {
+            (iterations as u64)
+                .saturating_mul(params.ants as u64)
+                .saturating_mul(cloudlets as u64)
+                .saturating_mul(self.k as u64)
+        };
+        if self.colonies.len() >= eval::MIN_PAR_ITEMS
+            && reads(iterations, cloudlets) >= PAR_MIN_WORK
+        {
+            FanOut::Colonies
+        } else if reads(1, self.batch) >= PAR_MIN_WORK {
+            FanOut::Ants
+        } else {
+            FanOut::Serial
+        }
+    }
+}
+
+/// Where one fork's worth of colony work runs. [`AntColony::run`] forks
+/// once for the whole run and [`AcoRun::step`] once per step; both pick
+/// with [`Prologue::fan_out`], so the rule is one rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FanOut {
+    /// Everything on the calling thread.
+    Serial,
+    /// Whole colonies in parallel.
+    Colonies,
+    /// Too few colonies to fill the pool: each colony iteration fans its
+    /// ants out instead (full-row regime only).
+    Ants,
 }
 
 /// Colony `i`'s ant seeds out of a [`Prologue`]'s colony-major pre-draw,
@@ -430,9 +472,6 @@ impl ColonyState {
         ants_parallel: bool,
         capture: bool,
     ) -> (Vec<VmId>, Vec<f64>, Option<PheromoneMatrix>) {
-        // Mirrors the pre-overhaul per-iteration gate (cheap batches do not
-        // amortize a fork), further gated off when colonies already fan out.
-        let ants_parallel = ants_parallel && self.slots.len() >= 32;
         let mut trace = Vec::new();
         for iter_seeds in seeds.chunks(params.ants) {
             let best_len = self.iterate(cache, params, iter_seeds, ants_parallel);
@@ -493,13 +532,15 @@ fn apply_pheromone_updates(
 /// and colonies are mutually independent, so a fresh `AcoRun` stepped to
 /// completion picks the same per-colony best tours as the one-shot
 /// scheduler — bit-identical plans (asserted in tests for both regimes).
-/// Stepping is always sequential; the one-shot path's colony/ant
-/// parallelism never changes results, only wall clock.
+/// A step fans out by the one-shot path's work-size rule, applied to one
+/// iteration's work; parallelism never changes results, only wall clock.
 pub struct AcoRun {
     params: AcoParams,
-    colonies: Vec<ColonyState>,
+    /// Each colony with its index into the colony-major seed pre-draw.
+    colonies: Vec<(usize, ColonyState)>,
     seeds: Vec<u64>,
     iter: usize,
+    fan_out: FanOut,
 }
 
 impl AcoRun {
@@ -519,16 +560,22 @@ impl AcoRun {
             cache.vm_count(),
             prior.cloned(),
         );
+        // One fork per step, covering one iteration of every colony.
+        let fan_out = plan.fan_out(&params, 1);
         let colonies = plan
             .colonies
-            .into_iter()
-            .map(|slots| ColonyState::new(cache, &params, slots, plan.k, plan.prior.as_ref()))
+            .iter()
+            .map(|slots| {
+                ColonyState::new(cache, &params, slots.clone(), plan.k, plan.prior.as_ref())
+            })
+            .enumerate()
             .collect();
         AcoRun {
             params,
             colonies,
             seeds: plan.seeds,
             iter: 0,
+            fan_out,
         }
     }
 
@@ -551,16 +598,23 @@ impl AcoRun {
         if self.done() {
             return 0.0;
         }
-        let ants = self.params.ants;
-        let mut best = f64::INFINITY;
-        for (i, colony) in self.colonies.iter_mut().enumerate() {
-            let iter_seeds =
-                &colony_seeds(&self.seeds, &self.params, i)[self.iter * ants..][..ants];
-            let len = colony.iterate(cache, &self.params, iter_seeds, false);
-            best = best.min(len);
-        }
+        let (params, seeds, iter) = (&self.params, &self.seeds, self.iter);
+        let fan_out = self.fan_out;
+        let lens = eval::par_map_mut_if(
+            fan_out == FanOut::Colonies,
+            &mut self.colonies,
+            |(i, colony)| {
+                let iter_seeds = &colony_seeds(seeds, params, *i)[iter * params.ants..];
+                colony.iterate(
+                    cache,
+                    params,
+                    &iter_seeds[..params.ants],
+                    fan_out == FanOut::Ants,
+                )
+            },
+        );
         self.iter += 1;
-        best
+        lens.into_iter().fold(f64::INFINITY, f64::min)
     }
 
     /// The full-workload incumbent: every colony's best tour,
@@ -570,8 +624,8 @@ impl AcoRun {
         if self.iter == 0 && !self.colonies.is_empty() {
             return None;
         }
-        let mut genes = Vec::with_capacity(self.colonies.iter().map(|c| c.slots.len()).sum());
-        for colony in &self.colonies {
+        let mut genes = Vec::with_capacity(self.colonies.iter().map(|(_, c)| c.slots.len()).sum());
+        for (_, colony) in &self.colonies {
             genes.extend_from_slice(colony.best_tour());
         }
         Some(genes)
@@ -727,6 +781,10 @@ fn construct_tour_topk(
 struct TourScratch {
     tabu_stamp: Vec<u32>,
     tabu_gen: u32,
+    /// The full-row regime's inline weight row, filled per slot when the
+    /// fused weight table was declined.
+    row: Vec<f64>,
+    /// The candidate-list fallback's non-tabu candidates and weights.
     candidates: Vec<u32>,
     weights: Vec<f64>,
 }
@@ -736,6 +794,7 @@ impl TourScratch {
         TourScratch {
             tabu_stamp: vec![0; v],
             tabu_gen: 0,
+            row: Vec::new(),
             candidates: Vec::new(),
             weights: Vec::new(),
         }
@@ -768,9 +827,9 @@ impl TourScratch {
 }
 
 /// One ant's tour in the full-row regime: for each slot, pick a VM by the
-/// Eq. 5 roulette over every non-tabu VM. RNG draws, weight values and
-/// accumulation order replicate [`reference`] exactly, so picks are
-/// byte-identical to the pre-overhaul loop.
+/// Eq. 5 draw over every non-tabu VM ([`full_row::pick`]). RNG draws,
+/// weight values and accumulation order replicate [`reference`] exactly,
+/// so picks are byte-identical to the pre-overhaul loop.
 fn construct_tour(
     cache: &EvalCache,
     slots: Range<usize>,
@@ -790,47 +849,30 @@ fn construct_tour(
     let mut length = 0.0;
 
     for (slot_idx, c) in slots.enumerate() {
-        scratch.begin_slot();
-        // Eq. 5: p(j) ∝ τ(i,j)^α · η(i,j)^β over the non-tabu VMs — one
-        // read from the fused weight table, or the cached-τ^α × inline-η^β
-        // product at scales where the table was declined (identical bits
-        // either way; see the module docs).
-        let mut total = 0.0;
-        let weight_row = weight_block.map(|block| &block[slot_idx * v..(slot_idx + 1) * v]);
-        for j in 0..v as u32 {
-            if scratch.is_tabu(j) {
-                continue;
-            }
-            let w = match weight_row {
-                Some(row) => row[j as usize],
-                None => {
-                    pheromone.get_pow(slot_idx as u32, j)
-                        * cache.heuristic(c, j as usize).powf(params.beta)
+        // Eq. 5: p(j) ∝ τ(i,j)^α · η(i,j)^β — the slot's row of the fused
+        // weight table, or, where the table was declined, the cached-τ^α ×
+        // inline-η^β products of the non-tabu VMs (identical bits either
+        // way; tabu entries are masked by the pick).
+        let row = match weight_block {
+            Some(block) => &block[slot_idx * v..(slot_idx + 1) * v],
+            None => {
+                scratch.row.resize(v, 0.0);
+                for j in 0..v {
+                    scratch.row[j] = if scratch.is_tabu(j as u32) {
+                        0.0
+                    } else {
+                        pheromone.get_pow(slot_idx as u32, j as u32)
+                            * cache.heuristic(c, j).powf(params.beta)
+                    };
                 }
-            };
-            let w = if w.is_finite() { w } else { 0.0 };
-            total += w;
-            scratch.candidates.push(j);
-            scratch.weights.push(w);
-        }
-        debug_assert!(
-            !scratch.candidates.is_empty(),
-            "tabu cannot exhaust all VMs"
-        );
-        // ACS pseudo-random-proportional rule: exploit the best edge with
-        // probability q0, otherwise spin the roulette.
-        let pick = if params.q0 > 0.0 && rng.gen_range(0.0..1.0) < params.q0 {
-            scratch
-                .weights
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i)
-                .expect("candidates are non-empty")
-        } else {
-            roulette(&mut rng, &scratch.weights, total)
+                &scratch.row[..]
+            }
         };
-        let j = scratch.candidates[pick];
+        let tabu = full_row::Tabu {
+            stamps: &scratch.tabu_stamp,
+            gen: scratch.tabu_gen,
+        };
+        let j = full_row::pick(&mut rng, row, tabu, params.q0) as u32;
         scratch.make_tabu(j);
         tour.push(j);
         length += cache.exec_ms(c, j as usize);

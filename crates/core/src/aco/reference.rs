@@ -77,7 +77,8 @@ impl RefPheromone {
 
 /// Schedules `problem` with the pre-overhaul ACO loop. Byte-identical to
 /// [`super::AntColony::schedule`] for any seed when k ≥ #VMs (full rows);
-/// its random-k branch is only the `reference_aco_ms` timing baseline.
+/// its random-k branch is only schedbench's `reference_aco_k32_ms` timing
+/// baseline.
 pub fn schedule_reference(
     params: &AcoParams,
     seed: u64,

@@ -32,5 +32,7 @@ mod population;
 mod tracker;
 
 pub use cache::{CandidateBlock, EvalCache, DENSE_ETC_MAX_ENTRIES, ETA_POW_MAX_ENTRIES};
-pub use population::{evaluate_population, par_map, par_map_if, Genome, MIN_PAR_ITEMS};
+pub use population::{
+    evaluate_population, par_map, par_map_if, par_map_mut_if, Genome, MIN_PAR_ITEMS,
+};
 pub use tracker::{LoadTracker, MinLoadHeap};

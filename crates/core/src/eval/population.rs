@@ -46,6 +46,27 @@ where
     }
 }
 
+/// [`par_map_if`] over exclusive references, for stateful items that each
+/// advance independently: `f` may mutate its item. Same order and
+/// thread-count independence guarantees.
+pub fn par_map_mut_if<T, U, F>(parallel_worthwhile: bool, items: &mut [T], f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(&mut T) -> U + Send + Sync,
+{
+    #[cfg(feature = "parallel")]
+    {
+        use rayon::prelude::*;
+        if parallel_worthwhile && items.len() >= MIN_PAR_ITEMS {
+            let refs: Vec<&mut T> = items.iter_mut().collect();
+            return refs.into_par_iter().map(f).collect();
+        }
+    }
+    let _ = parallel_worthwhile;
+    items.iter_mut().map(f).collect()
+}
+
 /// Anything an [`EvalCache`] can score as a complete cloudlet→VM plan:
 /// typed plans ([`Assignment`], `[VmId]`) and the raw `u32` chromosomes
 /// GA/ACO breed.

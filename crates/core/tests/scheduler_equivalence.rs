@@ -14,7 +14,8 @@
 //! thread-count *independence* is precisely the property under test.
 #![cfg(feature = "parallel")]
 
-use biosched_core::aco::{reference, AcoParams, AntColony};
+use biosched_core::aco::{reference, AcoParams, AcoRun, AntColony};
+use biosched_core::eval::EvalCache;
 use biosched_core::problem::SchedulingProblem;
 use biosched_core::scheduler::{AlgorithmKind, Scheduler};
 use rand::Rng;
@@ -35,8 +36,16 @@ enum Shape {
 }
 
 fn build_problem(shape: Shape, seed: u64) -> SchedulingProblem {
+    build_sized(shape, seed, 24, 160)
+}
+
+fn build_sized(
+    shape: Shape,
+    seed: u64,
+    vm_count: usize,
+    cloudlet_count: usize,
+) -> SchedulingProblem {
     let mut rng = simcloud::rng::stream(seed, "scheduler-equivalence");
-    let (vm_count, cloudlet_count) = (24, 160);
     let vms: Vec<VmSpec> = (0..vm_count)
         .map(|_| match shape {
             Shape::Homogeneous => VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 1),
@@ -208,6 +217,47 @@ fn aco_alpha_one_fast_path_matches_reference() {
         set_threads(threads);
         let got = AntColony::new(params.clone(), 13).schedule(&problem);
         assert_eq!(expected, got, "α=1 fast path diverged at {threads} threads");
+    }
+    set_threads(0);
+}
+
+#[test]
+fn fig6_sized_colony_fan_out_matches_reference_and_stepping() {
+    // The largest fig6 point: 100 VMs × 500 cloudlets. The paper profile
+    // clamps the batch to 50, so ten colonies, and both the one-shot run
+    // and each AcoRun step carry enough work to fan colonies out over the
+    // pool. The one-shot plan must equal the frozen reference, and a cold
+    // AcoRun stepped to done must equal the one-shot plan, in both
+    // sampling regimes.
+    let problem = build_sized(Shape::Heterogeneous, 42, 100, 500);
+    let cache = EvalCache::new(&problem);
+    let paper = AcoParams::paper();
+    let expected = reference::schedule_reference(&paper, 42, &problem);
+    let regimes = [
+        paper.clone(),
+        AcoParams {
+            candidates: Some(24),
+            ..paper
+        },
+    ];
+    for threads in [1, 4] {
+        set_threads(threads);
+        let got = AntColony::new(AcoParams::paper(), 42).schedule_with_cache(&problem, &cache);
+        assert_eq!(expected, got, "paper profile diverged at {threads} threads");
+        for params in &regimes {
+            let mut run = AcoRun::cold(params.clone(), 42, &cache, None);
+            while !run.done() {
+                run.step(&cache);
+            }
+            let one_shot = AntColony::new(params.clone(), 42).schedule_with_cache(&problem, &cache);
+            let one_shot: Vec<u32> = one_shot.as_slice().iter().map(|vm| vm.0).collect();
+            assert_eq!(
+                run.incumbent(),
+                Some(one_shot),
+                "stepped != one-shot at {threads} threads (k = {:?})",
+                params.candidates
+            );
+        }
     }
     set_threads(0);
 }
