@@ -24,10 +24,9 @@
 //! already updated by organisms `0..i` of the same iteration), so plans
 //! are bit-identical per seed at any thread count.
 //!
-//! [`CsosRun`] is the native anytime stepper ([`CsosRun::step`] = one full
-//! ecosystem iteration); [`CuckooSos`] runs it to completion behind the
-//! ordinary [`Scheduler`] interface, so the one-shot plan and the stepped
-//! plan are the same bits by construction.
+//! [`CsosRun`] implements the population stepper contract
+//! ([`PopulationRun`], one step = one full ecosystem iteration);
+//! [`CuckooSos`] is the shared one-shot scheduler over it.
 //!
 //! ```
 //! use biosched_core::cuckoo_sos::{CsosParams, CuckooSos};
@@ -45,14 +44,10 @@
 //! ```
 use rand::rngs::StdRng;
 use rand::Rng;
-use simcloud::ids::VmId;
-use simcloud::rng::stream;
 
-use crate::assignment::Assignment;
 use crate::eval::{evaluate_population, EvalCache};
 use crate::objective::Objective;
-use crate::problem::SchedulingProblem;
-use crate::scheduler::Scheduler;
+use crate::population::{bernoulli_skip, seed_genomes, PopulationRun, Stepped};
 
 /// Cuckoo-SOS tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,25 +128,6 @@ impl Default for CsosParams {
     }
 }
 
-/// Geometric-skip gap to the next selected gene for a per-gene Bernoulli
-/// with probability `p` (same distribution as one coin per gene, O(dims·p)
-/// draws instead of O(dims); see `ga::mutation_skip`).
-fn bernoulli_skip(rng: &mut StdRng, p: f64) -> usize {
-    if p >= 1.0 {
-        return 0;
-    }
-    if p <= 0.0 {
-        return usize::MAX;
-    }
-    let u: f64 = rng.gen();
-    let skip = ((1.0 - u).ln() / (1.0 - p).ln()).floor();
-    if skip.is_finite() && skip >= 0.0 {
-        skip as usize
-    } else {
-        usize::MAX
-    }
-}
-
 /// Mutualism move rule: every child gene comes from the organism itself
 /// (probability 1/2), the partner (1/4) or the ecosystem's best (1/4) —
 /// the discrete rendering of "step toward best minus the mutual vector".
@@ -196,12 +172,14 @@ fn parasite_egg(rng: &mut StdRng, host: &[u32], v: u32, pa: f64) -> Vec<u32> {
     egg
 }
 
+/// The cuckoo-SOS scheduler: steps a fresh [`CsosRun`] to done per call.
+pub type CuckooSos = Stepped<CsosRun>;
+
 /// The anytime cuckoo-SOS run: ecosystem state plus an iteration cursor.
 ///
-/// One [`CsosRun::step`] call runs all three phases over every organism —
-/// `3 × population` full-assignment evaluations, the run's deterministic
-/// budget unit. Running a fresh `CsosRun` to completion is bit-identical
-/// to [`CuckooSos::schedule`] with the same params and seed.
+/// One [`PopulationRun::step`] call runs all three phases over every
+/// organism — `3 × population` full-assignment evaluations, the run's
+/// deterministic budget unit.
 pub struct CsosRun {
     params: CsosParams,
     rng: StdRng,
@@ -211,55 +189,6 @@ pub struct CsosRun {
 }
 
 impl CsosRun {
-    /// Starts a run from a cold seed: ecosystem of one cyclic organism,
-    /// an optional warm `incumbent` clone, and random fill, batch-scored
-    /// through the evaluation kernel (`population` evaluation units).
-    pub fn cold(
-        params: CsosParams,
-        seed: u64,
-        cache: &EvalCache,
-        incumbent: Option<&[u32]>,
-    ) -> Self {
-        params.validate().expect("invalid CsosParams");
-        let mut rng = stream(seed, "cuckoo-sos");
-        let dims = cache.cloudlet_count();
-        let v = (cache.vm_count() as u32).max(1);
-        let mut genomes: Vec<Vec<u32>> = Vec::with_capacity(params.population);
-        if dims > 0 {
-            genomes.push((0..dims).map(|i| (i as u32) % v).collect());
-            if let Some(inc) = incumbent.filter(|inc| !inc.is_empty()) {
-                genomes.push((0..dims).map(|i| inc[i % inc.len()].min(v - 1)).collect());
-            }
-            while genomes.len() < params.population {
-                genomes.push((0..dims).map(|_| rng.gen_range(0..v)).collect());
-            }
-        }
-        let scores = evaluate_population(cache, &genomes, params.objective);
-        CsosRun {
-            params,
-            rng,
-            organisms: genomes.into_iter().zip(scores).collect(),
-            v,
-            iter: 0,
-        }
-    }
-
-    /// Evaluation units charged by ecosystem initialization.
-    pub fn init_units(&self) -> u64 {
-        self.organisms.len() as u64
-    }
-
-    /// Evaluation units one [`CsosRun::step`] charges.
-    pub fn step_units(&self) -> u64 {
-        3 * self.organisms.len() as u64
-    }
-
-    /// True once every planned iteration has run (or the workload is
-    /// empty).
-    pub fn done(&self) -> bool {
-        self.iter >= self.params.iterations || self.organisms.is_empty()
-    }
-
     /// Index of the fittest organism.
     fn best_index(&self) -> usize {
         self.organisms
@@ -270,22 +199,9 @@ impl CsosRun {
             .unwrap_or(0)
     }
 
-    /// The fittest organism's genes (empty for an empty workload).
-    pub fn best_genes(&self) -> &[u32] {
-        if self.organisms.is_empty() {
-            &[]
-        } else {
-            &self.organisms[self.best_index()].0
-        }
-    }
-
     /// The fittest organism's objective score.
-    pub fn best_score(&self) -> f64 {
-        if self.organisms.is_empty() {
-            0.0
-        } else {
-            self.organisms[self.best_index()].1
-        }
+    fn best_score(&self) -> f64 {
+        self.organisms.get(self.best_index()).map_or(0.0, |o| o.1)
     }
 
     /// Draws a partner index distinct from `i`.
@@ -298,11 +214,68 @@ impl CsosRun {
             j
         }
     }
+}
+
+impl PopulationRun for CsosRun {
+    type Params = CsosParams;
+    const NAME: &'static str = "cuckoo-sos";
+
+    fn validate(params: &CsosParams) -> Result<(), String> {
+        params.validate()
+    }
+
+    /// Ecosystem of one cyclic organism, an optional warm `incumbent`
+    /// clone, and random fill, batch-scored through the evaluation kernel.
+    fn start(
+        params: CsosParams,
+        mut rng: StdRng,
+        cache: &EvalCache,
+        incumbent: Option<&[u32]>,
+    ) -> Self {
+        let dims = cache.cloudlet_count();
+        let v = (cache.vm_count() as u32).max(1);
+        let genomes = seed_genomes(&mut rng, dims, v, params.population, incumbent);
+        let scores = evaluate_population(cache, &genomes, params.objective);
+        CsosRun {
+            params,
+            rng,
+            organisms: genomes.into_iter().zip(scores).collect(),
+            v,
+            iter: 0,
+        }
+    }
+
+    fn init_units(&self) -> u64 {
+        self.organisms.len() as u64
+    }
+
+    fn step_units(&self) -> u64 {
+        3 * self.organisms.len() as u64
+    }
+
+    fn iterations(&self) -> usize {
+        self.params.iterations
+    }
+
+    fn done(&self) -> bool {
+        self.iter >= self.params.iterations || self.organisms.is_empty()
+    }
+
+    fn best_genes(&self) -> &[u32] {
+        if self.organisms.is_empty() {
+            &[]
+        } else {
+            &self.organisms[self.best_index()].0
+        }
+    }
+
+    fn into_rng(self) -> StdRng {
+        self.rng
+    }
 
     /// One ecosystem iteration: mutualism, commensalism and cuckoo
-    /// parasitism for every organism, in index order. Returns the best
-    /// score after the iteration (monotone non-increasing across steps).
-    pub fn step(&mut self, cache: &EvalCache) -> f64 {
+    /// parasitism for every organism, in index order.
+    fn step(&mut self, cache: &EvalCache) -> f64 {
         if self.done() {
             return self.best_score();
         }
@@ -343,90 +316,18 @@ impl CsosRun {
         self.iter += 1;
         self.best_score()
     }
-
-    /// Runs the remaining iterations and returns the best plan.
-    fn finish(mut self, cache: &EvalCache) -> Assignment {
-        while !self.done() {
-            self.step(cache);
-        }
-        Assignment::new(self.best_genes().iter().map(|g| VmId(*g)).collect())
-    }
-}
-
-/// The cuckoo-SOS scheduler (one-shot façade over [`CsosRun`]).
-pub struct CuckooSos {
-    params: CsosParams,
-    seed: u64,
-    rounds: u64,
-}
-
-impl CuckooSos {
-    /// Creates a scheduler with the given parameters and seed.
-    pub fn new(params: CsosParams, seed: u64) -> Self {
-        params.validate().expect("invalid CsosParams");
-        CuckooSos {
-            params,
-            seed,
-            rounds: 0,
-        }
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &CsosParams {
-        &self.params
-    }
-
-    /// Per-round run seed: successive `schedule` calls on one instance
-    /// draw fresh streams, like the other stochastic kinds.
-    fn round_seed(&mut self) -> u64 {
-        let round = self.rounds;
-        self.rounds += 1;
-        self.seed
-            .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-}
-
-impl Scheduler for CuckooSos {
-    fn name(&self) -> &'static str {
-        "cuckoo-sos"
-    }
-
-    fn schedule(&mut self, problem: &SchedulingProblem) -> Assignment {
-        self.schedule_with_cache(problem, &EvalCache::new(problem))
-    }
-
-    fn schedule_with_cache(
-        &mut self,
-        problem: &SchedulingProblem,
-        cache: &EvalCache,
-    ) -> Assignment {
-        let _ = problem;
-        let seed = self.round_seed();
-        CsosRun::cold(self.params.clone(), seed, cache, None).finish(cache)
-    }
-
-    fn schedule_warm(
-        &mut self,
-        problem: &SchedulingProblem,
-        cache: &EvalCache,
-        warm: &mut crate::warm::WarmState,
-    ) -> Assignment {
-        let _ = problem;
-        let seed = self.round_seed();
-        let run = CsosRun::cold(self.params.clone(), seed, cache, warm.incumbent.as_deref());
-        let plan = run.finish(cache);
-        warm.note_plan(&plan);
-        plan
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::objective::score_assignment;
+    use crate::problem::SchedulingProblem;
     use crate::round_robin::RoundRobin;
+    use crate::scheduler::Scheduler;
     use simcloud::characteristics::CostModel;
     use simcloud::cloudlet::CloudletSpec;
+    use simcloud::rng::stream;
     use simcloud::vm::VmSpec;
 
     fn hetero_problem(vms: usize, cloudlets: usize) -> SchedulingProblem {
@@ -500,22 +401,6 @@ mod tests {
         assert!(changed > 0);
         assert!(changed < 150, "pa=0.2 should not re-roll half the genome");
         assert!(egg.iter().all(|g| *g < 10));
-    }
-
-    #[test]
-    fn stepped_best_is_monotone_and_matches_one_shot() {
-        let p = hetero_problem(6, 24);
-        let cache = EvalCache::new(&p);
-        let mut run = CsosRun::cold(CsosParams::fast(), 3, &cache, None);
-        let mut last = f64::INFINITY;
-        while !run.done() {
-            let best = run.step(&cache);
-            assert!(best <= last + 1e-12, "greedy phases cannot regress");
-            last = best;
-        }
-        let stepped = Assignment::new(run.best_genes().iter().map(|g| VmId(*g)).collect());
-        let one_shot = CuckooSos::new(CsosParams::fast(), 3).schedule(&p);
-        assert_eq!(stepped, one_shot);
     }
 
     #[test]

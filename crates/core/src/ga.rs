@@ -8,6 +8,9 @@
 //!
 //! Standard generational GA over assignment chromosomes:
 //! tournament selection, uniform crossover, per-gene mutation, elitism.
+//! [`GaRun`] implements the population stepper contract
+//! ([`PopulationRun`], one step = one generation); [`Genetic`] is the
+//! shared one-shot scheduler over it.
 
 //!
 //! ```
@@ -26,14 +29,10 @@
 //! ```
 use rand::rngs::StdRng;
 use rand::Rng;
-use simcloud::ids::VmId;
-use simcloud::rng::stream;
 
-use crate::assignment::Assignment;
 use crate::eval::{evaluate_population, EvalCache};
 use crate::objective::Objective;
-use crate::problem::SchedulingProblem;
-use crate::scheduler::Scheduler;
+use crate::population::{bernoulli_skip, seed_genomes, PopulationRun, Stepped};
 
 /// GA tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,39 +125,14 @@ impl Default for GaParams {
     }
 }
 
-/// The GA scheduler.
-pub struct Genetic {
-    params: GaParams,
-    rng: StdRng,
-}
-
-impl Genetic {
-    /// Creates a GA with the given parameters and seed.
-    pub fn new(params: GaParams, seed: u64) -> Self {
-        params.validate().expect("invalid GaParams");
-        Genetic {
-            params,
-            rng: stream(seed, "ga"),
-        }
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &GaParams {
-        &self.params
-    }
-}
-
-fn to_assignment(genes: &[u32]) -> Assignment {
-    Assignment::new(genes.iter().map(|g| VmId(*g)).collect())
-}
+/// The GA scheduler: steps a fresh [`GaRun`] to done per call.
+pub type Genetic = Stepped<GaRun>;
 
 /// The anytime GA run: scored population plus a generation cursor.
 ///
-/// One [`GaRun::step`] call breeds and scores one generation
+/// One [`PopulationRun::step`] call breeds and scores one generation
 /// (`population − elites` full-assignment evaluations, the run's
-/// deterministic budget unit). [`Genetic`] drives a `GaRun` to
-/// completion, so a fresh run stepped to done is bit-identical to
-/// [`Genetic::schedule`] with the same params and seed.
+/// deterministic budget unit).
 pub struct GaRun {
     params: GaParams,
     rng: StdRng,
@@ -169,74 +143,6 @@ pub struct GaRun {
 }
 
 impl GaRun {
-    /// Starts a run from a cold seed.
-    pub fn cold(params: GaParams, seed: u64, cache: &EvalCache, incumbent: Option<&[u32]>) -> Self {
-        params.validate().expect("invalid GaParams");
-        let rng = stream(seed, "ga");
-        Self::with_rng(params, rng, cache, incumbent)
-    }
-
-    /// Starts a run from an already-positioned RNG stream (how
-    /// [`Genetic`] keeps successive `schedule` rounds on one instance
-    /// drawing fresh randomness).
-    fn with_rng(
-        params: GaParams,
-        mut rng: StdRng,
-        cache: &EvalCache,
-        incumbent: Option<&[u32]>,
-    ) -> Self {
-        let dims = cache.cloudlet_count();
-        let v = (cache.vm_count() as u32).max(1);
-        // Seed the population with random chromosomes plus one cyclic
-        // chromosome — a common warm start that also guarantees the GA
-        // never ends worse than the Base Test on homogeneous setups.
-        // Chromosomes are bred sequentially (the RNG stream defines the
-        // schedule) and scored as one batch through the evaluation kernel;
-        // scoring draws no randomness, so results are seed-stable at any
-        // thread count.
-        let mut genomes: Vec<Vec<u32>> = Vec::with_capacity(params.population);
-        if dims > 0 {
-            genomes.push((0..dims).map(|i| (i as u32) % v).collect());
-            // Warm start (streaming broker): one chromosome inherits the
-            // previous wave's plan positionally (wraparound when sizes
-            // differ), so the search resumes near the surviving optimum.
-            if let Some(inc) = incumbent.filter(|inc| !inc.is_empty()) {
-                if genomes.len() < params.population {
-                    genomes.push((0..dims).map(|i| inc[i % inc.len()].min(v - 1)).collect());
-                }
-            }
-            while genomes.len() < params.population {
-                genomes.push((0..dims).map(|_| rng.gen_range(0..v)).collect());
-            }
-        }
-        let scores = evaluate_population(cache, &genomes, params.objective);
-        GaRun {
-            params,
-            rng,
-            population: genomes.into_iter().zip(scores).collect(),
-            dims,
-            v,
-            generation: 0,
-        }
-    }
-
-    /// Evaluation units charged by population initialization.
-    pub fn init_units(&self) -> u64 {
-        self.population.len() as u64
-    }
-
-    /// Evaluation units one [`GaRun::step`] charges (children scored;
-    /// elites carry their scores over).
-    pub fn step_units(&self) -> u64 {
-        (self.params.population - self.params.elites) as u64
-    }
-
-    /// True once every planned generation has run (or the workload is
-    /// empty).
-    pub fn done(&self) -> bool {
-        self.generation >= self.params.generations || self.population.is_empty()
-    }
-
     /// First fittest chromosome in current population order — the same
     /// pick a stable ascending sort followed by `population[0]` makes.
     fn best_index(&self) -> usize {
@@ -247,24 +153,6 @@ impl GaRun {
             }
         }
         best
-    }
-
-    /// The fittest chromosome (empty for an empty workload).
-    pub fn best_genes(&self) -> &[u32] {
-        if self.population.is_empty() {
-            &[]
-        } else {
-            &self.population[self.best_index()].0
-        }
-    }
-
-    /// The fittest chromosome's objective score.
-    pub fn best_score(&self) -> f64 {
-        if self.population.is_empty() {
-            0.0
-        } else {
-            self.population[self.best_index()].1
-        }
     }
 
     /// Tournament selection by index: draws the same RNG stream as
@@ -282,32 +170,76 @@ impl GaRun {
         }
         best.expect("tournament >= 1").0
     }
+}
 
-    /// Geometric-skip gap to the next mutated gene: `floor(ln(1-u)/ln(1-p))`
-    /// for `u ~ U[0,1)` is the number of unmutated genes before the next
-    /// hit, so a chromosome costs `O(dims·p)` draws instead of one
-    /// Bernoulli per gene. `P(skip = 0) = p`, identical in distribution to
-    /// the per-gene coin (the RNG stream differs, which only reshuffles
-    /// which random plan a seed maps to).
-    fn mutation_skip(&mut self, p: f64) -> usize {
-        if p >= 1.0 {
-            return 0;
-        }
-        let u: f64 = self.rng.gen();
-        let skip = ((1.0 - u).ln() / (1.0 - p).ln()).floor();
-        if skip.is_finite() && skip >= 0.0 {
-            skip as usize
-        } else {
-            usize::MAX
+impl PopulationRun for GaRun {
+    type Params = GaParams;
+    const NAME: &'static str = "ga";
+
+    fn validate(params: &GaParams) -> Result<(), String> {
+        params.validate()
+    }
+
+    /// Seeds the population (cyclic chromosome, warm incumbent, random
+    /// fill). Chromosomes are bred sequentially (the RNG stream defines
+    /// the schedule) and scored as one batch through the evaluation
+    /// kernel; scoring draws no randomness, so results are seed-stable at
+    /// any thread count.
+    fn start(
+        params: GaParams,
+        mut rng: StdRng,
+        cache: &EvalCache,
+        incumbent: Option<&[u32]>,
+    ) -> Self {
+        let dims = cache.cloudlet_count();
+        let v = (cache.vm_count() as u32).max(1);
+        let genomes = seed_genomes(&mut rng, dims, v, params.population, incumbent);
+        let scores = evaluate_population(cache, &genomes, params.objective);
+        GaRun {
+            params,
+            rng,
+            population: genomes.into_iter().zip(scores).collect(),
+            dims,
+            v,
+            generation: 0,
         }
     }
 
+    fn init_units(&self) -> u64 {
+        self.population.len() as u64
+    }
+
+    /// Children scored; elites carry their scores over.
+    fn step_units(&self) -> u64 {
+        (self.params.population - self.params.elites) as u64
+    }
+
+    fn iterations(&self) -> usize {
+        self.params.generations
+    }
+
+    fn done(&self) -> bool {
+        self.generation >= self.params.generations || self.population.is_empty()
+    }
+
+    fn best_genes(&self) -> &[u32] {
+        if self.population.is_empty() {
+            &[]
+        } else {
+            &self.population[self.best_index()].0
+        }
+    }
+
+    fn into_rng(self) -> StdRng {
+        self.rng
+    }
+
     /// One generation: sort, keep elites, breed children by tournament +
-    /// uniform crossover + geometric-skip mutation, batch-score. Returns
-    /// the best score after the generation (monotone via elitism).
-    pub fn step(&mut self, cache: &EvalCache) -> f64 {
+    /// uniform crossover + geometric-skip mutation, batch-score. The best
+    /// score is monotone via elitism.
+    fn step(&mut self, cache: &EvalCache) -> f64 {
         if self.done() {
-            return self.best_score();
+            return self.population.get(self.best_index()).map_or(0.0, |b| b.1);
         }
         let dims = self.dims;
         let v = self.v;
@@ -324,14 +256,12 @@ impl GaRun {
                 let (parent_a, parent_b) = (&self.population[pa].0, &self.population[pb].0);
                 child.push(if from_b { parent_b[d] } else { parent_a[d] });
             }
-            if mutation > 0.0 {
-                let mut d = self.mutation_skip(mutation);
-                while d < dims {
-                    child[d] = self.rng.gen_range(0..v);
-                    d = d
-                        .saturating_add(1)
-                        .saturating_add(self.mutation_skip(mutation));
-                }
+            let mut d = bernoulli_skip(&mut self.rng, mutation);
+            while d < dims {
+                child[d] = self.rng.gen_range(0..v);
+                d = d
+                    .saturating_add(1)
+                    .saturating_add(bernoulli_skip(&mut self.rng, mutation));
             }
             children.push(child);
         }
@@ -346,73 +276,13 @@ impl GaRun {
     }
 }
 
-impl Genetic {
-    /// Like [`Scheduler::schedule`], but also returns the best objective
-    /// score after every generation — the GA's convergence curve (the
-    /// survey [17] calls GA "slow … due to the time to converge"; this
-    /// makes that measurable).
-    pub fn schedule_traced(&mut self, problem: &SchedulingProblem) -> (Assignment, Vec<f64>) {
-        self.run(problem, &EvalCache::new(problem), true, None)
-    }
-
-    fn run(
-        &mut self,
-        problem: &SchedulingProblem,
-        cache: &EvalCache,
-        traced: bool,
-        incumbent: Option<&[u32]>,
-    ) -> (Assignment, Vec<f64>) {
-        let _ = problem;
-        let mut run = GaRun::with_rng(self.params.clone(), self.rng.clone(), cache, incumbent);
-        let mut trace = Vec::new();
-        while !run.done() {
-            let best = run.step(cache);
-            if traced {
-                trace.push(best);
-            }
-        }
-        let plan = to_assignment(run.best_genes());
-        // Carry the advanced stream back so repeated rounds on one
-        // instance keep drawing fresh randomness.
-        self.rng = run.rng;
-        (plan, trace)
-    }
-}
-
-impl Scheduler for Genetic {
-    fn name(&self) -> &'static str {
-        "ga"
-    }
-
-    fn schedule(&mut self, problem: &SchedulingProblem) -> Assignment {
-        self.run(problem, &EvalCache::new(problem), false, None).0
-    }
-
-    fn schedule_with_cache(
-        &mut self,
-        problem: &SchedulingProblem,
-        cache: &EvalCache,
-    ) -> Assignment {
-        self.run(problem, cache, false, None).0
-    }
-
-    fn schedule_warm(
-        &mut self,
-        problem: &SchedulingProblem,
-        cache: &EvalCache,
-        warm: &mut crate::warm::WarmState,
-    ) -> Assignment {
-        let plan = self.run(problem, cache, false, warm.incumbent.as_deref()).0;
-        warm.note_plan(&plan);
-        plan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::objective::score_assignment;
+    use crate::problem::SchedulingProblem;
     use crate::round_robin::RoundRobin;
+    use crate::scheduler::Scheduler;
     use simcloud::characteristics::CostModel;
     use simcloud::cloudlet::CloudletSpec;
     use simcloud::vm::VmSpec;
@@ -491,28 +361,6 @@ mod tests {
         assert!((trace.last().unwrap() - final_score).abs() < 1e-9);
         // Tracing does not change the result.
         assert_eq!(plan, Genetic::new(GaParams::fast(), 10).schedule(&p));
-    }
-
-    #[test]
-    fn stepped_run_matches_one_shot_bitwise() {
-        // The anytime contract the racing driver relies on: a cold GaRun
-        // stepped to completion is the one-shot schedule, same bits.
-        let p = hetero_problem(6, 28);
-        let cache = EvalCache::new(&p);
-        let mut run = GaRun::cold(GaParams::fast(), 21, &cache, None);
-        let mut steps = 0;
-        while !run.done() {
-            run.step(&cache);
-            steps += 1;
-        }
-        assert_eq!(steps, GaParams::fast().generations);
-        let stepped = to_assignment(run.best_genes());
-        let one_shot = Genetic::new(GaParams::fast(), 21).schedule(&p);
-        assert_eq!(stepped, one_shot);
-        assert_eq!(
-            run.step_units(),
-            (GaParams::fast().population - GaParams::fast().elites) as u64
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Related-work family (arXiv 2311.07004): candidate assignments are
 //! *agents* in a continuous search space (one dimension per cloudlet,
-//! positions decoded to VM indices exactly like the PSO decoder). Each
+//! positions decoded to VM indices by the same decoder as PSO). Each
 //! iteration, agents are weighted by fitness-derived **masses** — the
 //! ecosystem best gets mass 1, the worst mass 0 — and every agent is
 //! pulled toward the `Kbest` heaviest agents with force
@@ -16,10 +16,9 @@
 //! the force loop is plain sequential arithmetic, so plans are
 //! bit-identical per seed at any thread count.
 //!
-//! [`GsaRun`] is the native anytime stepper ([`GsaRun::step`] = one full
-//! swarm iteration, `population` evaluation units); [`Gsa`] runs it to
-//! completion behind the [`Scheduler`] interface, so one-shot and stepped
-//! plans are the same bits by construction.
+//! [`GsaRun`] implements the population stepper contract
+//! ([`PopulationRun`], one step = one full swarm iteration, `population`
+//! evaluation units); [`Gsa`] is the shared one-shot scheduler over it.
 //!
 //! ```
 //! use biosched_core::gsa::{Gsa, GsaParams};
@@ -37,14 +36,10 @@
 //! ```
 use rand::rngs::StdRng;
 use rand::Rng;
-use simcloud::ids::VmId;
-use simcloud::rng::stream;
 
-use crate::assignment::Assignment;
 use crate::eval::{evaluate_population, EvalCache};
 use crate::objective::Objective;
-use crate::problem::SchedulingProblem;
-use crate::scheduler::Scheduler;
+use crate::population::{decode, encode_midpoints, PopulationRun, Stepped};
 
 /// Softening constant keeping the force finite at zero distance.
 const EPS: f64 = 1e-9;
@@ -160,23 +155,13 @@ fn kbest(population: usize, iter: usize, iterations: usize) -> usize {
     (population - shrink).max(1)
 }
 
-/// Decodes a continuous position vector to VM indices (same wrap rule as
-/// the PSO decoder: `rem_euclid` then floor, clamped to the fleet).
-fn decode(position: &[f64], v: u32) -> Vec<u32> {
-    position
-        .iter()
-        .map(|x| {
-            let wrapped = x.rem_euclid(f64::from(v));
-            (wrapped.floor() as u32).min(v - 1)
-        })
-        .collect()
-}
+/// The gravitational search scheduler: steps a fresh [`GsaRun`] to done
+/// per call.
+pub type Gsa = Stepped<GsaRun>;
 
 /// The anytime GSA run: agent positions, velocities and scores plus an
-/// iteration cursor. One [`GsaRun::step`] is one synchronous swarm
-/// update (`population` full-assignment evaluations). Running a fresh
-/// `GsaRun` to completion is bit-identical to [`Gsa::schedule`] with the
-/// same params and seed.
+/// iteration cursor. One [`PopulationRun::step`] is one synchronous swarm
+/// update (`population` full-assignment evaluations).
 pub struct GsaRun {
     params: GsaParams,
     rng: StdRng,
@@ -189,18 +174,22 @@ pub struct GsaRun {
     iter: usize,
 }
 
-impl GsaRun {
-    /// Starts a run from a cold seed: agents uniform over the fleet
-    /// (agent 0 optionally warm-started on the `incumbent` plan's cell
-    /// midpoints), batch-scored (`population` evaluation units).
-    pub fn cold(
+impl PopulationRun for GsaRun {
+    type Params = GsaParams;
+    const NAME: &'static str = "gsa";
+
+    fn validate(params: &GsaParams) -> Result<(), String> {
+        params.validate()
+    }
+
+    /// Agents uniform over the fleet (agent 0 optionally warm-started on
+    /// the `incumbent` plan's cell midpoints), batch-scored.
+    fn start(
         params: GsaParams,
-        seed: u64,
+        mut rng: StdRng,
         cache: &EvalCache,
         incumbent: Option<&[u32]>,
     ) -> Self {
-        params.validate().expect("invalid GsaParams");
-        let mut rng = stream(seed, "gsa");
         let dims = cache.cloudlet_count();
         let v = (cache.vm_count() as u32).max(1);
         let n = if dims == 0 { 0 } else { params.population };
@@ -215,9 +204,7 @@ impl GsaRun {
             incumbent.filter(|inc| !inc.is_empty()),
             positions.first_mut(),
         ) {
-            for (i, x) in first.iter_mut().enumerate() {
-                *x = f64::from(inc[i % inc.len()].min(v - 1)) + 0.5;
-            }
+            encode_midpoints(first, inc, v);
         }
         let genomes: Vec<Vec<u32>> = positions.iter().map(|p| decode(p, v)).collect();
         let scores = evaluate_population(cache, &genomes, params.objective);
@@ -239,37 +226,36 @@ impl GsaRun {
         }
     }
 
-    /// Evaluation units charged by swarm initialization.
-    pub fn init_units(&self) -> u64 {
+    fn init_units(&self) -> u64 {
         self.positions.len() as u64
     }
 
-    /// Evaluation units one [`GsaRun::step`] charges.
-    pub fn step_units(&self) -> u64 {
+    fn step_units(&self) -> u64 {
         self.positions.len() as u64
     }
 
-    /// True once every planned iteration has run (or the workload is
-    /// empty).
-    pub fn done(&self) -> bool {
+    fn iterations(&self) -> usize {
+        self.params.iterations
+    }
+
+    fn done(&self) -> bool {
         self.iter >= self.params.iterations || self.positions.is_empty()
     }
 
     /// Best-ever decoded plan.
-    pub fn best_genes(&self) -> &[u32] {
+    fn best_genes(&self) -> &[u32] {
         &self.best_genes
     }
 
-    /// Best-ever objective score.
-    pub fn best_score(&self) -> f64 {
-        self.best_score
+    fn into_rng(self) -> StdRng {
+        self.rng
     }
 
     /// One synchronous swarm iteration: masses from current fitness,
     /// forces from the `Kbest` heaviest agents at decayed `G(t)`,
     /// velocity/position update, batch re-score. Returns the best-ever
-    /// score (monotone non-increasing across steps).
-    pub fn step(&mut self, cache: &EvalCache) -> f64 {
+    /// score.
+    fn step(&mut self, cache: &EvalCache) -> f64 {
         if self.done() {
             return self.best_score;
         }
@@ -337,86 +323,13 @@ impl GsaRun {
         self.iter += 1;
         self.best_score
     }
-
-    /// Runs the remaining iterations and returns the best plan.
-    fn finish(mut self, cache: &EvalCache) -> Assignment {
-        while !self.done() {
-            self.step(cache);
-        }
-        Assignment::new(self.best_genes.iter().map(|g| VmId(*g)).collect())
-    }
-}
-
-/// The gravitational search scheduler (one-shot façade over [`GsaRun`]).
-pub struct Gsa {
-    params: GsaParams,
-    seed: u64,
-    rounds: u64,
-}
-
-impl Gsa {
-    /// Creates a scheduler with the given parameters and seed.
-    pub fn new(params: GsaParams, seed: u64) -> Self {
-        params.validate().expect("invalid GsaParams");
-        Gsa {
-            params,
-            seed,
-            rounds: 0,
-        }
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &GsaParams {
-        &self.params
-    }
-
-    /// Per-round run seed: successive `schedule` calls on one instance
-    /// draw fresh streams, like the other stochastic kinds.
-    fn round_seed(&mut self) -> u64 {
-        let round = self.rounds;
-        self.rounds += 1;
-        self.seed
-            .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-}
-
-impl Scheduler for Gsa {
-    fn name(&self) -> &'static str {
-        "gsa"
-    }
-
-    fn schedule(&mut self, problem: &SchedulingProblem) -> Assignment {
-        self.schedule_with_cache(problem, &EvalCache::new(problem))
-    }
-
-    fn schedule_with_cache(
-        &mut self,
-        problem: &SchedulingProblem,
-        cache: &EvalCache,
-    ) -> Assignment {
-        let _ = problem;
-        let seed = self.round_seed();
-        GsaRun::cold(self.params.clone(), seed, cache, None).finish(cache)
-    }
-
-    fn schedule_warm(
-        &mut self,
-        problem: &SchedulingProblem,
-        cache: &EvalCache,
-        warm: &mut crate::warm::WarmState,
-    ) -> Assignment {
-        let _ = problem;
-        let seed = self.round_seed();
-        let run = GsaRun::cold(self.params.clone(), seed, cache, warm.incumbent.as_deref());
-        let plan = run.finish(cache);
-        warm.note_plan(&plan);
-        plan
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::SchedulingProblem;
+    use crate::scheduler::Scheduler;
     use simcloud::characteristics::CostModel;
     use simcloud::cloudlet::CloudletSpec;
     use simcloud::vm::VmSpec;
@@ -517,22 +430,6 @@ mod tests {
             .all(|(now, was)| now < was));
         // Agent 0 felt no force from the massless peer.
         assert_eq!(run.positions[0], before[0]);
-    }
-
-    #[test]
-    fn stepped_best_is_monotone_and_matches_one_shot() {
-        let p = hetero_problem(6, 24);
-        let cache = EvalCache::new(&p);
-        let mut run = GsaRun::cold(GsaParams::fast(), 3, &cache, None);
-        let mut last = f64::INFINITY;
-        while !run.done() {
-            let best = run.step(&cache);
-            assert!(best <= last + 1e-12, "best-ever cannot regress");
-            last = best;
-        }
-        let stepped = Assignment::new(run.best_genes().iter().map(|g| VmId(*g)).collect());
-        let one_shot = Gsa::new(GsaParams::fast(), 3).schedule(&p);
-        assert_eq!(stepped, one_shot);
     }
 
     #[test]

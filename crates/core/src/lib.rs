@@ -14,6 +14,13 @@
 //! [`minmax::MaxMin`]) and the paper's future-work proposal, an
 //! objective-driven adaptive [`hybrid::Hybrid`].
 //!
+//! Four population metaheuristics from the related work — [`ga::Genetic`],
+//! [`pso::ParticleSwarm`], [`cuckoo_sos::CuckooSos`] and [`gsa::Gsa`] —
+//! share one stepper contract, [`population::PopulationRun`]: each is an
+//! anytime run advanced one native iteration at a time. The same runs
+//! back both the one-shot scheduler ([`population::Stepped`]) and the
+//! members of the anytime [`racing::RacingScheduler`].
+//!
 //! All schedulers are pure: they map a [`problem::SchedulingProblem`]
 //! snapshot to an [`assignment::Assignment`] (a cloudlet→VM vector) that
 //! the `simcloud` broker plays back. Every stochastic scheduler takes a
@@ -48,6 +55,7 @@ pub mod hbo;
 pub mod hybrid;
 pub mod minmax;
 pub mod objective;
+pub mod population;
 pub mod portfolio;
 pub mod problem;
 pub mod pso;

@@ -13,6 +13,9 @@
 //!   linearly over the run and velocity clamped to ±`v_max`.
 //! * **Fitness** — selectable [`Objective`]; [18] optimizes cost, most
 //!   others makespan.
+//! * **Stepping** — [`PsoRun`] implements the population stepper contract
+//!   ([`PopulationRun`], one step = one swarm iteration);
+//!   [`ParticleSwarm`] is the shared one-shot scheduler over it.
 
 //!
 //! ```
@@ -31,14 +34,10 @@
 //! ```
 use rand::rngs::StdRng;
 use rand::Rng;
-use simcloud::ids::VmId;
-use simcloud::rng::stream;
 
-use crate::assignment::Assignment;
 use crate::eval::{evaluate_population, EvalCache};
 use crate::objective::Objective;
-use crate::problem::SchedulingProblem;
-use crate::scheduler::Scheduler;
+use crate::population::{decode, encode_midpoints, PopulationRun, Stepped};
 
 /// PSO tuning parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,92 +137,49 @@ struct Particle {
     best_score: f64,
 }
 
-/// The PSO scheduler.
-pub struct ParticleSwarm {
-    params: PsoParams,
-    rng: StdRng,
-}
-
-impl ParticleSwarm {
-    /// Creates a swarm with the given parameters and seed.
-    pub fn new(params: PsoParams, seed: u64) -> Self {
-        params.validate().expect("invalid PsoParams");
-        ParticleSwarm {
-            params,
-            rng: stream(seed, "pso"),
-        }
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &PsoParams {
-        &self.params
-    }
-
-    /// Discretizes a continuous position into an assignment.
-    fn decode(position: &[f64], vm_count: usize) -> Assignment {
-        let v = vm_count as f64;
-        Assignment::new(
-            position
-                .iter()
-                .map(|x| {
-                    // Wrap into [0, v) then floor to a valid index.
-                    let wrapped = x.rem_euclid(v);
-                    VmId::from_index((wrapped as usize).min(vm_count - 1))
-                })
-                .collect(),
-        )
-    }
-}
+/// The PSO scheduler: steps a fresh [`PsoRun`] to done per call.
+pub type ParticleSwarm = Stepped<PsoRun>;
 
 /// The anytime PSO run: swarm state plus an iteration cursor.
 ///
-/// One [`PsoRun::step`] call is one asynchronous swarm iteration
+/// One [`PopulationRun::step`] call is one asynchronous swarm iteration
 /// (`particles` full-assignment evaluations, the run's deterministic
-/// budget unit). [`ParticleSwarm`] drives a `PsoRun` to completion, so a
-/// fresh run stepped to done is bit-identical to
-/// [`ParticleSwarm::schedule`] with the same params and seed.
+/// budget unit).
 pub struct PsoRun {
     params: PsoParams,
     rng: StdRng,
     swarm: Vec<Particle>,
-    global_best: (Vec<f64>, f64),
-    vm_count: usize,
+    /// Swarm-best position, its decoded plan and its score.
+    global_best: (Vec<f64>, Vec<u32>, f64),
+    v: u32,
     dims: usize,
     v_max: f64,
     iter: usize,
 }
 
-impl PsoRun {
-    /// Starts a run from a cold seed.
-    pub fn cold(
-        params: PsoParams,
-        seed: u64,
-        cache: &EvalCache,
-        incumbent: Option<&[u32]>,
-    ) -> Self {
-        params.validate().expect("invalid PsoParams");
-        let rng = stream(seed, "pso");
-        Self::with_rng(params, rng, cache, incumbent)
+impl PopulationRun for PsoRun {
+    type Params = PsoParams;
+    const NAME: &'static str = "pso";
+
+    fn validate(params: &PsoParams) -> Result<(), String> {
+        params.validate()
     }
 
-    /// Starts a run from an already-positioned RNG stream (how
-    /// [`ParticleSwarm`] keeps successive `schedule` rounds on one
-    /// instance drawing fresh randomness).
-    fn with_rng(
+    fn start(
         params: PsoParams,
         mut rng: StdRng,
         cache: &EvalCache,
         incumbent: Option<&[u32]>,
     ) -> Self {
         let dims = cache.cloudlet_count();
-        let vm_count = cache.vm_count();
-        let v = vm_count as f64;
-        let v_max = (v * params.v_max_fraction).max(1.0);
+        let v = (cache.vm_count() as u32).max(1);
+        let vf = f64::from(v);
+        let v_max = (vf * params.v_max_fraction).max(1.0);
         // Initialize the swarm uniformly over the VM range.
         let n = if dims == 0 { 0 } else { params.particles };
         let mut swarm: Vec<Particle> = (0..n)
             .map(|_| {
-                let position: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.0..v)).collect();
+                let position: Vec<f64> = (0..dims).map(|_| rng.gen_range(0.0..vf)).collect();
                 let velocity: Vec<f64> = (0..dims).map(|_| rng.gen_range(-v_max..v_max)).collect();
                 Particle {
                     best_position: position.clone(),
@@ -234,88 +190,72 @@ impl PsoRun {
             })
             .collect();
         // Warm start (streaming broker): particle 0 sits at the center of
-        // the previous wave's plan (decode cell midpoints, wraparound when
-        // sizes differ), so the swarm's social pull starts from the
-        // surviving optimum instead of uniform noise.
+        // the previous wave's plan, so the swarm's social pull starts from
+        // the surviving optimum instead of uniform noise.
         if let Some((inc, p0)) = incumbent
             .filter(|inc| !inc.is_empty())
             .zip(swarm.first_mut())
         {
-            let vm_cap = (vm_count as u32).max(1) - 1;
-            for d in 0..dims {
-                p0.position[d] = f64::from(inc[d % inc.len()].min(vm_cap)) + 0.5;
-            }
+            encode_midpoints(&mut p0.position, inc, v);
             p0.best_position.clone_from(&p0.position);
         }
         // The initial sweep is order-independent (no RNG in scoring, no
         // gbest yet), so it batches through the evaluation kernel. The
-        // step loop below must stay sequential: gbest updates inside the
+        // step loop must stay sequential: gbest updates inside the
         // particle loop (asynchronous PSO), so particle k sees the best
         // found by particles 0..k of the same iteration.
-        let decoded: Vec<Assignment> = swarm
-            .iter()
-            .map(|p| ParticleSwarm::decode(&p.position, vm_count))
-            .collect();
+        let decoded: Vec<Vec<u32>> = swarm.iter().map(|p| decode(&p.position, v)).collect();
         let scores = evaluate_population(cache, &decoded, params.objective);
         for (p, score) in swarm.iter_mut().zip(scores) {
             p.best_score = score;
         }
         let global_best = swarm
             .iter()
-            .min_by(|a, b| a.best_score.total_cmp(&b.best_score))
-            .map(|p| (p.best_position.clone(), p.best_score))
-            .unwrap_or((Vec::new(), 0.0));
+            .zip(decoded)
+            .min_by(|a, b| a.0.best_score.total_cmp(&b.0.best_score))
+            .map(|(p, genes)| (p.best_position.clone(), genes, p.best_score))
+            .unwrap_or_default();
         PsoRun {
             params,
             rng,
             swarm,
             global_best,
-            vm_count,
+            v,
             dims,
             v_max,
             iter: 0,
         }
     }
 
-    /// Evaluation units charged by swarm initialization.
-    pub fn init_units(&self) -> u64 {
+    fn init_units(&self) -> u64 {
         self.swarm.len() as u64
     }
 
-    /// Evaluation units one [`PsoRun::step`] charges.
-    pub fn step_units(&self) -> u64 {
+    fn step_units(&self) -> u64 {
         self.swarm.len() as u64
     }
 
-    /// True once every planned iteration has run (or the workload is
-    /// empty).
-    pub fn done(&self) -> bool {
+    fn iterations(&self) -> usize {
+        self.params.iterations
+    }
+
+    fn done(&self) -> bool {
         self.iter >= self.params.iterations || self.swarm.is_empty()
     }
 
-    /// The swarm-best decoded plan.
-    pub fn best_genes(&self) -> Vec<u32> {
-        if self.swarm.is_empty() {
-            return Vec::new();
-        }
-        ParticleSwarm::decode(&self.global_best.0, self.vm_count)
-            .as_slice()
-            .iter()
-            .map(|vm| vm.0)
-            .collect()
+    fn best_genes(&self) -> &[u32] {
+        &self.global_best.1
     }
 
-    /// The swarm-best objective score.
-    pub fn best_score(&self) -> f64 {
-        self.global_best.1
+    fn into_rng(self) -> StdRng {
+        self.rng
     }
 
     /// One asynchronous swarm iteration (inertia interpolated by the
-    /// iteration cursor). Returns the swarm-best score after the
-    /// iteration (monotone non-increasing across steps).
-    pub fn step(&mut self, cache: &EvalCache) -> f64 {
+    /// iteration cursor).
+    fn step(&mut self, cache: &EvalCache) -> f64 {
         if self.done() {
-            return self.global_best.1;
+            return self.global_best.2;
         }
         let dims = self.dims;
         let progress = self.iter as f64 / self.params.iterations.max(1) as f64;
@@ -331,85 +271,18 @@ impl PsoRun {
                 p.velocity[d] = vel.clamp(-self.v_max, self.v_max);
                 p.position[d] += p.velocity[d];
             }
-            let score = {
-                let assignment = ParticleSwarm::decode(&p.position, self.vm_count);
-                cache.score(assignment.as_slice(), self.params.objective)
-            };
+            let genes = decode(&p.position, self.v);
+            let score = cache.score_genes(&genes, self.params.objective);
             if score < p.best_score {
                 p.best_score = score;
                 p.best_position.clone_from(&p.position);
             }
-            if score < self.global_best.1 {
-                self.global_best = (p.position.clone(), score);
+            if score < self.global_best.2 {
+                self.global_best = (p.position.clone(), genes, score);
             }
         }
         self.iter += 1;
-        self.global_best.1
-    }
-}
-
-impl ParticleSwarm {
-    /// Like [`Scheduler::schedule`], but also returns the best objective
-    /// score after every iteration — the swarm's convergence curve (the
-    /// property the survey [30] credits PSO with: fastest convergence).
-    pub fn schedule_traced(&mut self, problem: &SchedulingProblem) -> (Assignment, Vec<f64>) {
-        self.run(problem, &EvalCache::new(problem), true, None)
-    }
-
-    fn run(
-        &mut self,
-        problem: &SchedulingProblem,
-        cache: &EvalCache,
-        traced: bool,
-        incumbent: Option<&[u32]>,
-    ) -> (Assignment, Vec<f64>) {
-        let _ = problem;
-        let mut run = PsoRun::with_rng(self.params.clone(), self.rng.clone(), cache, incumbent);
-        let mut trace = Vec::new();
-        while !run.done() {
-            let best = run.step(cache);
-            if traced {
-                trace.push(best);
-            }
-        }
-        let plan = if run.swarm.is_empty() {
-            Assignment::new(Vec::new())
-        } else {
-            Self::decode(&run.global_best.0, run.vm_count)
-        };
-        // Carry the advanced stream back so repeated rounds on one
-        // instance keep drawing fresh randomness.
-        self.rng = run.rng;
-        (plan, trace)
-    }
-}
-
-impl Scheduler for ParticleSwarm {
-    fn name(&self) -> &'static str {
-        "pso"
-    }
-
-    fn schedule(&mut self, problem: &SchedulingProblem) -> Assignment {
-        self.run(problem, &EvalCache::new(problem), false, None).0
-    }
-
-    fn schedule_with_cache(
-        &mut self,
-        problem: &SchedulingProblem,
-        cache: &EvalCache,
-    ) -> Assignment {
-        self.run(problem, cache, false, None).0
-    }
-
-    fn schedule_warm(
-        &mut self,
-        problem: &SchedulingProblem,
-        cache: &EvalCache,
-        warm: &mut crate::warm::WarmState,
-    ) -> Assignment {
-        let plan = self.run(problem, cache, false, warm.incumbent.as_deref()).0;
-        warm.note_plan(&plan);
-        plan
+        self.global_best.2
     }
 }
 
@@ -417,7 +290,9 @@ impl Scheduler for ParticleSwarm {
 mod tests {
     use super::*;
     use crate::objective::score_assignment;
+    use crate::problem::SchedulingProblem;
     use crate::round_robin::RoundRobin;
+    use crate::scheduler::Scheduler;
     use simcloud::characteristics::CostModel;
     use simcloud::cloudlet::CloudletSpec;
     use simcloud::vm::VmSpec;
@@ -438,15 +313,6 @@ mod tests {
         let a = ParticleSwarm::new(PsoParams::fast(), 1).schedule(&p);
         assert!(a.validate(&p).is_ok());
         assert_eq!(a.len(), 30);
-    }
-
-    #[test]
-    fn decode_wraps_out_of_range_positions() {
-        let a = ParticleSwarm::decode(&[-0.5, 3.99, 12.3, 4.0], 4);
-        assert!(a.as_slice().iter().all(|v| v.index() < 4));
-        // -0.5 wraps to 3.5 -> vm3; 4.0 wraps to 0.0 -> vm0.
-        assert_eq!(a.vm_for(0), VmId(3));
-        assert_eq!(a.vm_for(3), VmId(0));
     }
 
     #[test]
@@ -546,28 +412,6 @@ mod tests {
         // Tracing does not change the result.
         let untraced = ParticleSwarm::new(PsoParams::fast(), 8).schedule(&p);
         assert_eq!(plan, untraced);
-    }
-
-    #[test]
-    fn stepped_run_matches_one_shot_bitwise() {
-        // The anytime contract the racing driver relies on: a cold PsoRun
-        // stepped to completion is the one-shot schedule, same bits.
-        let p = hetero_problem(6, 24);
-        let cache = EvalCache::new(&p);
-        let mut run = PsoRun::cold(PsoParams::fast(), 21, &cache, None);
-        let mut steps = 0;
-        let mut last = f64::INFINITY;
-        while !run.done() {
-            let best = run.step(&cache);
-            assert!(best <= last + 1e-12, "swarm best cannot regress");
-            last = best;
-            steps += 1;
-        }
-        assert_eq!(steps, PsoParams::fast().iterations);
-        let stepped = Assignment::new(run.best_genes().iter().map(|g| VmId(*g)).collect());
-        let one_shot = ParticleSwarm::new(PsoParams::fast(), 21).schedule(&p);
-        assert_eq!(stepped, one_shot);
-        assert_eq!(run.step_units(), PsoParams::fast().particles as u64);
     }
 
     #[test]

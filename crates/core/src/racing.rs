@@ -58,6 +58,7 @@ use crate::ga::{GaParams, GaRun};
 use crate::gsa::{GsaParams, GsaRun};
 use crate::hbo::{HboParams, HoneyBee};
 use crate::objective::Objective;
+use crate::population::PopulationRun;
 use crate::problem::SchedulingProblem;
 use crate::pso::{PsoParams, PsoRun};
 use crate::scheduler::{MetaProvenance, Scheduler};
@@ -204,62 +205,25 @@ impl AnytimeScheduler for AcoMember {
     }
 }
 
-/// Macro-free generic wrapper for the population steppers that share the
-/// `init_units/step_units/step/done/best_*` shape (GA, cuckoo-SOS, GSA).
-macro_rules! evolving_member {
-    ($member:ident, $run:ty, $name:literal, owned) => {
-        struct $member {
-            run: $run,
-            charged_init: bool,
-            full: u64,
-        }
-
-        impl AnytimeScheduler for $member {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
-            fn step(&mut self, cache: &EvalCache) -> StepReport {
-                let mut units = 0;
-                if !self.charged_init {
-                    self.charged_init = true;
-                    units += self.run.init_units();
-                }
-                units += self.run.step_units();
-                let score = self.run.step(cache);
-                StepReport {
-                    units,
-                    incumbent_score: score,
-                    done: self.run.done(),
-                }
-            }
-
-            fn incumbent(&self) -> Vec<u32> {
-                self.run.best_genes().to_vec()
-            }
-
-            fn full_cost(&self) -> u64 {
-                self.full
-            }
-        }
-    };
-}
-
-evolving_member!(GaMember, GaRun, "ga", owned);
-evolving_member!(CsosMember, CsosRun, "cuckoo-sos", owned);
-evolving_member!(GsaMember, GsaRun, "gsa", owned);
-
-/// PSO member (separate from the macro: `best_genes` returns an owned
-/// decode of the continuous swarm best).
-struct PsoMember {
-    run: PsoRun,
+/// Population member: steps any [`PopulationRun`] one native iteration
+/// at a time. The first step also carries the run's init charge.
+struct PopulationMember<R> {
+    run: R,
     charged_init: bool,
-    full: u64,
 }
 
-impl AnytimeScheduler for PsoMember {
+impl<R: PopulationRun + 'static> PopulationMember<R> {
+    fn boxed(run: R) -> Box<dyn AnytimeScheduler> {
+        Box::new(PopulationMember {
+            run,
+            charged_init: false,
+        })
+    }
+}
+
+impl<R: PopulationRun> AnytimeScheduler for PopulationMember<R> {
     fn name(&self) -> &'static str {
-        "pso"
+        R::NAME
     }
 
     fn step(&mut self, cache: &EvalCache) -> StepReport {
@@ -278,11 +242,11 @@ impl AnytimeScheduler for PsoMember {
     }
 
     fn incumbent(&self) -> Vec<u32> {
-        self.run.best_genes()
+        self.run.best_genes().to_vec()
     }
 
     fn full_cost(&self) -> u64 {
-        self.full
+        self.run.full_units()
     }
 }
 
@@ -362,44 +326,50 @@ fn build_roster(
     let aco_full = (aco_params.ants * aco_params.iterations) as u64;
     let aco = AcoRun::cold(aco_params, seed, cache, pheromone);
 
-    let ga_params = GaParams {
-        population: 16,
-        generations: ((target.saturating_sub(16)) / 14).max(1) as usize,
-        objective,
-        ..GaParams::standard()
-    };
-    let ga_full = (ga_params.population
-        + ga_params.generations * (ga_params.population - ga_params.elites))
-        as u64;
-    let ga = GaRun::cold(ga_params, seed, cache, incumbent);
-
-    let pso_params = PsoParams {
-        particles: 24,
-        iterations: ((target.saturating_sub(24)) / 24).max(1) as usize,
-        objective,
-        ..PsoParams::standard()
-    };
-    let pso_full = (pso_params.particles * (pso_params.iterations + 1)) as u64;
-    let pso = PsoRun::cold(pso_params, seed, cache, incumbent);
-
-    let csos_params = CsosParams {
-        population: 16,
-        iterations: ((target.saturating_sub(16)) / 48).max(1) as usize,
-        objective,
-        ..CsosParams::standard()
-    };
-    let csos_full =
-        (csos_params.population + 3 * csos_params.population * csos_params.iterations) as u64;
-    let csos = CsosRun::cold(csos_params, seed, cache, incumbent);
-
-    let gsa_params = GsaParams {
-        population: 24,
-        iterations: ((target.saturating_sub(24)) / 24).max(1) as usize,
-        objective,
-        ..GsaParams::standard()
-    };
-    let gsa_full = (gsa_params.population * (gsa_params.iterations + 1)) as u64;
-    let gsa = GsaRun::cold(gsa_params, seed, cache, incumbent);
+    let ga = GaRun::cold(
+        GaParams {
+            population: 16,
+            generations: ((target.saturating_sub(16)) / 14).max(1) as usize,
+            objective,
+            ..GaParams::standard()
+        },
+        seed,
+        cache,
+        incumbent,
+    );
+    let pso = PsoRun::cold(
+        PsoParams {
+            particles: 24,
+            iterations: ((target.saturating_sub(24)) / 24).max(1) as usize,
+            objective,
+            ..PsoParams::standard()
+        },
+        seed,
+        cache,
+        incumbent,
+    );
+    let csos = CsosRun::cold(
+        CsosParams {
+            population: 16,
+            iterations: ((target.saturating_sub(16)) / 48).max(1) as usize,
+            objective,
+            ..CsosParams::standard()
+        },
+        seed,
+        cache,
+        incumbent,
+    );
+    let gsa = GsaRun::cold(
+        GsaParams {
+            population: 24,
+            iterations: ((target.saturating_sub(24)) / 24).max(1) as usize,
+            objective,
+            ..GsaParams::standard()
+        },
+        seed,
+        cache,
+        incumbent,
+    );
 
     vec![
         Box::new(AcoMember {
@@ -407,26 +377,10 @@ fn build_roster(
             objective,
             full: aco_full,
         }),
-        Box::new(GaMember {
-            run: ga,
-            charged_init: false,
-            full: ga_full,
-        }),
-        Box::new(PsoMember {
-            run: pso,
-            charged_init: false,
-            full: pso_full,
-        }),
-        Box::new(CsosMember {
-            run: csos,
-            charged_init: false,
-            full: csos_full,
-        }),
-        Box::new(GsaMember {
-            run: gsa,
-            charged_init: false,
-            full: gsa_full,
-        }),
+        PopulationMember::boxed(ga),
+        PopulationMember::boxed(pso),
+        PopulationMember::boxed(csos),
+        PopulationMember::boxed(gsa),
         Box::new(OneShotMember {
             name: "honey-bee",
             genes: hbo_genes,

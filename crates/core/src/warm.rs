@@ -9,7 +9,8 @@
 //! * **ACO** keeps the pheromone matrix of the previous wave's last
 //!   colony — aged by one evaporation, its slot-position preferences
 //!   ("which VMs are good") seed every colony of the next wave.
-//! * **GA / PSO** seed one chromosome / particle from the surviving
+//! * **Population families** (GA, PSO, cuckoo-SOS, GSA) seed one
+//!   chromosome, particle, organism or agent from the surviving
 //!   incumbent plan, so the population starts at the previous optimum
 //!   instead of uniform noise.
 //! * **Greedy / baseline kinds** persist their own cursor or load vector
@@ -32,9 +33,10 @@ use crate::assignment::Assignment;
 pub struct WarmState {
     /// ACO pheromone trails captured from the previous wave.
     pub pheromone: Option<PheromoneMatrix>,
-    /// The previous wave's plan as raw VM indices; GA/PSO map position
-    /// `i` of the next wave onto `incumbent[i % len]` (wraparound), so a
-    /// differently-sized wave still inherits the incumbent's VM mix.
+    /// The previous wave's plan as raw VM indices; the population families
+    /// map position `i` of the next wave onto `incumbent[i % len]`
+    /// (wraparound), so a differently-sized wave still inherits the
+    /// incumbent's VM mix.
     pub incumbent: Option<Vec<u32>>,
 }
 
