@@ -119,8 +119,8 @@ fn incremental_pow_gate() {
         }
         exact.evaporate(rho);
         inc.evaporate(rho);
-        exact.prepare_pow(alpha);
-        inc.prepare_pow_incremental(alpha);
+        exact.prepare_pow(alpha, SLOTS as usize);
+        inc.prepare_pow_incremental(alpha, SLOTS as usize);
         // A slot past every lane reads the shared base power.
         let base = SLOTS as u32;
         assert_eq!(
@@ -141,7 +141,7 @@ fn incremental_pow_gate() {
         let t = Instant::now();
         for _ in 0..reps {
             exact.evaporate(rho);
-            exact.prepare_pow(alpha);
+            exact.prepare_pow(alpha, SLOTS as usize);
         }
         t.elapsed().as_secs_f64() * 1_000.0
     });
@@ -149,7 +149,7 @@ fn incremental_pow_gate() {
         let t = Instant::now();
         for _ in 0..reps {
             inc.evaporate(rho);
-            inc.prepare_pow_incremental(alpha);
+            inc.prepare_pow_incremental(alpha, SLOTS as usize);
         }
         t.elapsed().as_secs_f64() * 1_000.0
     });

@@ -30,11 +30,15 @@
 //! calling `powf` per candidate: an η^β block precomputed per batch
 //! ([`EvalCache::eta_pow_block`]) and the τ^α snapshot the slot-major
 //! [`PheromoneMatrix`] refreshes once per iteration, fused into one dense
-//! weight row per slot. Each full-row draw is one allocation-free pass
-//! over that row ([`full_row::pick`]) with tabu entries masked in place by
-//! generation stamps ([`TourScratch`]), so tour construction allocates
-//! nothing but the returned tour. The pre-overhaul loop survives verbatim
-//! in [`reference`] as the equivalence baseline.
+//! weight row per slot. The snapshot powers only the colony's own lanes
+//! (`0..slots`); the lanes a warm prior carries beyond them stay stale
+//! until something touches them, so a small wave replanned on a matrix
+//! grown by a large one pays for its own slots only. Each full-row draw
+//! is one allocation-free pass over that row ([`full_row::pick`]) with
+//! tabu entries masked in place by generation stamps ([`TourScratch`]),
+//! so tour construction allocates nothing but the returned tour. The
+//! pre-overhaul loop survives verbatim in [`reference`] as the
+//! equivalence baseline.
 //!
 //! # Sampling regimes
 //!
@@ -210,6 +214,8 @@ struct Prologue {
     seeds: Vec<u64>,
     /// Candidate-list width; `k == #VMs` selects the full-row regime.
     k: usize,
+    /// Fleet size.
+    vms: usize,
     /// The warm prior, aged for this wave.
     prior: Option<PheromoneMatrix>,
 }
@@ -258,6 +264,7 @@ impl Prologue {
             colonies,
             seeds,
             k,
+            vms,
             prior,
         }
     }
@@ -265,8 +272,9 @@ impl Prologue {
     /// The fan-out rule: colonies when there are at least
     /// [`eval::MIN_PAR_ITEMS`] of them and the fork's
     /// `iterations × ants × cloudlets × k` reads reach [`PAR_MIN_WORK`];
-    /// otherwise ants, when one colony iteration (its own fork) reaches
-    /// it; otherwise serial. Results never depend on the choice.
+    /// otherwise, in the full-row regime, ants, when one colony iteration
+    /// (its own fork) reaches it; otherwise serial. Results never depend
+    /// on the choice.
     fn fan_out(&self, params: &AcoParams, iterations: usize) -> FanOut {
         let cloudlets = self.colonies.last().map_or(0, |c| c.end);
         let reads = |iterations: usize, cloudlets: usize| {
@@ -279,7 +287,7 @@ impl Prologue {
             && reads(iterations, cloudlets) >= PAR_MIN_WORK
         {
             FanOut::Colonies
-        } else if reads(1, self.batch) >= PAR_MIN_WORK {
+        } else if self.k == self.vms && reads(1, self.batch) >= PAR_MIN_WORK {
             FanOut::Ants
         } else {
             FanOut::Serial
@@ -398,7 +406,7 @@ impl ColonyState {
         let slots = self.slots.clone();
         let tours: Vec<(Vec<u32>, f64)> = match &mut self.engine {
             ColonyEngine::FullRow { tables } => {
-                self.pheromone.prepare_pow(params.alpha);
+                self.pheromone.prepare_pow(params.alpha, slots.len());
                 if let Some((eta, weights)) = tables.as_mut() {
                     for s in 0..slots.len() {
                         self.pheromone.fill_weight_row(
@@ -432,7 +440,8 @@ impl ColonyState {
                 // Incremental τ^α refresh: evaporation's uniform rescale
                 // becomes one scalar multiply per clean entry, and only
                 // deposited-this-iteration edges pay a powf.
-                self.pheromone.prepare_pow_incremental(params.alpha);
+                self.pheromone
+                    .prepare_pow_incremental(params.alpha, slots.len());
                 rows.refresh(&self.pheromone, block);
                 let scratch = &mut self.scratch;
                 iter_seeds
@@ -1249,6 +1258,24 @@ mod tests {
             let one_shot: Vec<u32> = one_shot.as_slice().iter().map(|vm| vm.0).collect();
             assert_eq!(stepped, one_shot);
         }
+    }
+
+    #[test]
+    fn ants_fan_out_only_in_the_full_row_regime() {
+        // One 128-slot colony: too few colonies to fan out, and one
+        // iteration's 50 × 128 × k reads clear PAR_MIN_WORK at both widths.
+        let rule = |candidates| {
+            let params = AcoParams {
+                candidates,
+                ..AcoParams::paper()
+            };
+            let plan = Prologue::new(&params, &mut stream(1, "aco"), 128, 400, None);
+            assert_eq!(plan.colonies.len(), 1);
+            plan.fan_out(&params, params.iterations)
+        };
+        assert_eq!(rule(None), FanOut::Ants);
+        // Candidate-list colonies build their tours serially.
+        assert_eq!(rule(Some(32)), FanOut::Serial);
     }
 
     #[test]

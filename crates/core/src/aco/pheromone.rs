@@ -14,6 +14,15 @@
 //! on the hot path: non-deposited edges share one `base^α` scalar and
 //! deposit-touched edges read their cached power.
 //!
+//! The snapshot is lazy per lane. A colony reads only the lanes of its
+//! own slots, while a matrix carried from wave to wave keeps the lanes of
+//! the largest wave so far, so an exact sweep powers only the lanes below
+//! the colony's live count and marks the rest *stale*, recording the
+//! sweep's `(base, scale, α)`. A stale lane's raw values do not change
+//! until it is replayed from that record — before a deposit into it, an
+//! incremental sweep or a renormalisation — so the replay writes exactly
+//! the bits the eager sweep would have written.
+//!
 //! Evaporation (Eq. 9's `(1-ρ)τ` term) applies uniformly to both the base
 //! and every deposit, which we implement with a global scale factor instead
 //! of touching every entry.
@@ -27,11 +36,57 @@ struct Lane {
     vms: Vec<u32>,
     /// Raw deposited amounts; the effective deposit is `raw * scale`.
     raw: Vec<f64>,
-    /// τ^α snapshot of each entry (valid after [`PheromoneMatrix::prepare_pow`]).
+    /// τ^α snapshot of each entry (valid after [`PheromoneMatrix::prepare_pow`]
+    /// unless the lane is stale).
     pow: Vec<f64>,
+    /// Set when the last exact sweep skipped this lane: `pow` is owed a
+    /// replay of [`PheromoneMatrix::stale_sweep`].
+    stale: bool,
+}
+
+/// The `(base, scale, α)` one exact τ^α sweep powered its lanes with.
+#[derive(Debug, Clone, Copy)]
+struct Sweep {
+    base: f64,
+    scale: f64,
+    alpha: f64,
+}
+
+impl Sweep {
+    /// Effective τ of a lane entry under this sweep: the expression
+    /// [`PheromoneMatrix::get`] evaluates.
+    #[inline]
+    fn tau(&self, raw: f64) -> f64 {
+        (self.base + raw * self.scale).max(MIN_PHEROMONE)
+    }
+
+    #[inline]
+    fn pow_of(&self, tau: f64) -> f64 {
+        if self.alpha == 1.0 {
+            tau
+        } else {
+            tau.powf(self.alpha)
+        }
+    }
+
+    /// Powers every entry of `lane` as this sweep did (or would have):
+    /// the exact sweep and a stale lane's replay both run this, so they
+    /// write the same bits.
+    fn power(&self, lane: &mut Lane) {
+        for (p, &raw) in lane.pow.iter_mut().zip(&lane.raw) {
+            *p = self.pow_of(self.tau(raw));
+        }
+        lane.stale = false;
+    }
 }
 
 /// τ(i, j) over (slot, VM) edges, stored as base + slot-major sparse lanes.
+///
+/// The τ^α snapshot covers the lanes named live at the last exact sweep
+/// ([`Self::prepare_pow`]); the others are stale and are replayed from
+/// that sweep, bit for bit, before anything deposits into them, advances
+/// them or renormalises them. [`Self::get_pow`] and
+/// [`Self::fill_weight_row`] must only read live lanes.
 #[derive(Debug, Clone)]
 pub struct PheromoneMatrix {
     /// Evaporated initial level shared by all never-deposited edges.
@@ -54,6 +109,8 @@ pub struct PheromoneMatrix {
     /// rescale is no longer uniform, so the next incremental snapshot
     /// falls back to the exact sweep.
     force_exact: bool,
+    /// The last exact sweep, kept while any lane it skipped is stale.
+    stale_sweep: Option<Sweep>,
 }
 
 impl PheromoneMatrix {
@@ -69,6 +126,7 @@ impl PheromoneMatrix {
             keep_accum: 1.0,
             snap_alpha: f64::NAN,
             force_exact: false,
+            stale_sweep: None,
         }
     }
 
@@ -97,10 +155,13 @@ impl PheromoneMatrix {
     pub fn get_pow(&self, slot: u32, vm: u32) -> f64 {
         debug_assert!(!self.base_pow.is_nan(), "prepare_pow must run first");
         match self.lanes.get(slot as usize) {
-            Some(lane) => match lane.vms.binary_search(&vm) {
-                Ok(i) => lane.pow[i],
-                Err(_) => self.base_pow,
-            },
+            Some(lane) => {
+                debug_assert!(!lane.stale, "lane {slot} is outside the live snapshot");
+                match lane.vms.binary_search(&vm) {
+                    Ok(i) => lane.pow[i],
+                    Err(_) => self.base_pow,
+                }
+            }
             None => self.base_pow,
         }
     }
@@ -120,29 +181,55 @@ impl PheromoneMatrix {
             *o = self.base_pow * e;
         }
         if let Some(lane) = self.lanes.get(slot) {
+            debug_assert!(!lane.stale, "lane {slot} is outside the live snapshot");
             for (i, &vm) in lane.vms.iter().enumerate() {
                 out[vm as usize] = lane.pow[i] * eta_row[vm as usize];
             }
         }
     }
 
-    /// Snapshots τ^α for the base level and every deposit-touched edge.
-    /// Called once per colony iteration, before tour construction, so the
+    /// Snapshots τ^α for the base level and every deposit-touched edge of
+    /// the `live` lowest lanes — the slots the colony reads. Called once
+    /// per colony iteration, before tour construction, so the
     /// per-candidate hot path reads cached powers instead of calling
     /// `powf`. With α = 1 (a common setting) the snapshot is a plain copy.
-    pub fn prepare_pow(&mut self, alpha: f64) {
-        let base_eff = self.base.max(MIN_PHEROMONE);
-        let pow_of = |tau: f64| if alpha == 1.0 { tau } else { tau.powf(alpha) };
-        self.base_pow = pow_of(base_eff);
-        for slot in 0..self.lanes.len() {
-            for i in 0..self.lanes[slot].raw.len() {
-                let tau = self.effective(self.lanes[slot].raw[i]);
-                self.lanes[slot].pow[i] = pow_of(tau);
-            }
+    ///
+    /// Lanes from `live` up are marked stale instead of powered; reading
+    /// one is a logic error until something replays it (see the module
+    /// docs).
+    pub fn prepare_pow(&mut self, alpha: f64, live: usize) {
+        let sweep = self.sweep(alpha);
+        self.base_pow = sweep.pow_of(self.base.max(MIN_PHEROMONE));
+        let live = live.min(self.lanes.len());
+        let (powered, skipped) = self.lanes.split_at_mut(live);
+        for lane in powered {
+            sweep.power(lane);
         }
+        for lane in skipped.iter_mut() {
+            lane.stale = true;
+        }
+        self.stale_sweep = (!skipped.is_empty()).then_some(sweep);
         self.keep_accum = 1.0;
         self.snap_alpha = alpha;
         self.force_exact = false;
+    }
+
+    /// A τ^α sweep of the matrix as it stands.
+    fn sweep(&self, alpha: f64) -> Sweep {
+        Sweep {
+            base: self.base,
+            scale: self.scale,
+            alpha,
+        }
+    }
+
+    /// Replays the last exact sweep into every stale lane.
+    fn sync_stale(&mut self) {
+        if let Some(sweep) = self.stale_sweep.take() {
+            for lane in self.lanes.iter_mut().filter(|lane| lane.stale) {
+                sweep.power(lane);
+            }
+        }
     }
 
     /// Incrementally advances the τ^α snapshot to the matrix's current
@@ -155,32 +242,33 @@ impl PheromoneMatrix {
     ///
     /// The first call, an α change, and a base clamped at the
     /// [`MIN_PHEROMONE`] floor (where the rescale stops being uniform) all
-    /// fall back to the exact [`Self::prepare_pow`] sweep. Clean entries
-    /// drift from the exact power only by rounding (`(keep·τ)^α` vs
-    /// `keep^α·τ^α`), so this feeds the candidate-list fast path — which
-    /// makes no bitwise claims — while the reference-equivalent full-row
-    /// path stays on the exact sweep.
-    pub fn prepare_pow_incremental(&mut self, alpha: f64) {
+    /// fall back to the exact [`Self::prepare_pow`] sweep over the `live`
+    /// lowest lanes. Otherwise every stale lane is replayed first and then
+    /// every lane advances. Clean entries drift from the exact power only
+    /// by rounding (`(keep·τ)^α` vs `keep^α·τ^α`), so this feeds the
+    /// candidate-list fast path — which makes no bitwise claims — while
+    /// the reference-equivalent full-row path stays on the exact sweep.
+    pub fn prepare_pow_incremental(&mut self, alpha: f64, live: usize) {
         if self.base_pow.is_nan()
             || self.force_exact
             || !(self.snap_alpha == alpha)
             || !(self.keep_accum > 0.0 && self.keep_accum.is_finite())
         {
-            self.prepare_pow(alpha);
+            self.prepare_pow(alpha, live);
             return;
         }
-        let pow_of = |tau: f64| if alpha == 1.0 { tau } else { tau.powf(alpha) };
+        self.sync_stale();
+        let now = self.sweep(alpha);
         // The shared base power is one powf — keep it exact so the
         // never-deposited majority of edges never drifts at all.
-        self.base_pow = pow_of(self.base.max(MIN_PHEROMONE));
-        let factor = pow_of(self.keep_accum);
-        for slot in 0..self.lanes.len() {
-            for i in 0..self.lanes[slot].raw.len() {
-                let p = self.lanes[slot].pow[i];
-                self.lanes[slot].pow[i] = if p.is_nan() {
-                    pow_of(self.effective(self.lanes[slot].raw[i]))
+        self.base_pow = now.pow_of(self.base.max(MIN_PHEROMONE));
+        let factor = now.pow_of(self.keep_accum);
+        for lane in &mut self.lanes {
+            for (p, &raw) in lane.pow.iter_mut().zip(&lane.raw) {
+                *p = if p.is_nan() {
+                    now.pow_of(now.tau(raw))
                 } else {
-                    p * factor
+                    *p * factor
                 };
             }
         }
@@ -200,8 +288,10 @@ impl PheromoneMatrix {
         self.base = scaled.max(MIN_PHEROMONE);
         self.scale *= keep;
         self.keep_accum *= keep;
-        // Renormalize before the scale underflows.
+        // Renormalize before the scale underflows. Stale lanes replay
+        // from their unchanged raw values, so they go first.
         if self.scale < 1e-100 {
+            self.sync_stale();
             for lane in &mut self.lanes {
                 for raw in &mut lane.raw {
                     *raw *= self.scale;
@@ -219,6 +309,11 @@ impl PheromoneMatrix {
             self.lanes.resize_with(slot + 1, Lane::default);
         }
         let lane = &mut self.lanes[slot];
+        if lane.stale {
+            self.stale_sweep
+                .expect("a stale lane has a recorded sweep")
+                .power(lane);
+        }
         let delta = amount / self.scale;
         match lane.vms.binary_search(&vm) {
             Ok(i) => {
@@ -243,7 +338,7 @@ impl PheromoneMatrix {
     /// grow every lane without bound and pay for the dead entries in
     /// every clone, snapshot and lookup. Entries that survive keep their
     /// raw value and τ^α snapshot, so compaction composes with
-    /// [`Self::prepare_pow_incremental`].
+    /// [`Self::prepare_pow_incremental`] and with a stale lane's replay.
     pub fn compact_top(&mut self, per_lane: usize) {
         for lane in &mut self.lanes {
             if lane.vms.len() <= per_lane {
@@ -272,6 +367,9 @@ impl PheromoneMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A live count past every lane: the eager snapshot.
+    const ALL: usize = usize::MAX;
 
     #[test]
     fn starts_uniform() {
@@ -336,7 +434,7 @@ mod tests {
         m.evaporate(0.4);
         m.deposit(0, 3, 0.1);
         for alpha in [0.01, 0.5, 2.0] {
-            m.prepare_pow(alpha);
+            m.prepare_pow(alpha, ALL);
             for (slot, vm) in [(0u32, 3u32), (0, 4), (2, 5), (7, 7)] {
                 assert_eq!(
                     m.get_pow(slot, vm).to_bits(),
@@ -351,7 +449,7 @@ mod tests {
     fn pow_snapshot_alpha_one_is_identity() {
         let mut m = PheromoneMatrix::new(1.3);
         m.deposit(1, 1, 0.9);
-        m.prepare_pow(1.0);
+        m.prepare_pow(1.0, ALL);
         assert_eq!(m.get_pow(1, 1).to_bits(), m.get(1, 1).to_bits());
         assert_eq!(m.get_pow(1, 2).to_bits(), m.get(1, 2).to_bits());
     }
@@ -363,7 +461,7 @@ mod tests {
         m.deposit(2, 5, 0.2);
         m.evaporate(0.4);
         m.deposit(3, 7, 0.1);
-        m.prepare_pow(0.01);
+        m.prepare_pow(0.01, ALL);
         let eta_row: Vec<f64> = (0..8).map(|j| 1.0 / (1.0 + j as f64)).collect();
         let mut out = vec![0.0; 8];
         for slot in 0..4u32 {
@@ -387,8 +485,8 @@ mod tests {
             m.deposit(0, 3, 0.7);
             m.evaporate(0.4);
         }
-        exact.prepare_pow(0.01);
-        inc.prepare_pow_incremental(0.01);
+        exact.prepare_pow(0.01, ALL);
+        inc.prepare_pow_incremental(0.01, ALL);
         for (slot, vm) in [(0u32, 3u32), (0, 4), (5, 5)] {
             assert_eq!(
                 inc.get_pow(slot, vm).to_bits(),
@@ -402,15 +500,15 @@ mod tests {
         let alpha = 0.01;
         let mut exact = PheromoneMatrix::new(1.0);
         let mut inc = PheromoneMatrix::new(1.0);
-        exact.prepare_pow(alpha);
-        inc.prepare_pow_incremental(alpha);
+        exact.prepare_pow(alpha, ALL);
+        inc.prepare_pow_incremental(alpha, ALL);
         for round in 0..64u32 {
             for m in [&mut exact, &mut inc] {
                 m.evaporate(0.4);
                 m.deposit(round % 4, round % 7, 0.3);
             }
-            exact.prepare_pow(alpha);
-            inc.prepare_pow_incremental(alpha);
+            exact.prepare_pow(alpha, ALL);
+            inc.prepare_pow_incremental(alpha, ALL);
             for slot in 0..5u32 {
                 for vm in 0..8u32 {
                     let e = exact.get_pow(slot, vm);
@@ -428,10 +526,10 @@ mod tests {
     fn incremental_recomputes_dirty_entries_exactly() {
         let alpha = 0.5;
         let mut m = PheromoneMatrix::new(1.0);
-        m.prepare_pow(alpha);
+        m.prepare_pow(alpha, ALL);
         m.evaporate(0.4);
         m.deposit(1, 2, 0.25); // dirty: deposited since the snapshot
-        m.prepare_pow_incremental(alpha);
+        m.prepare_pow_incremental(alpha, ALL);
         // A dirty entry and the base come out of the exact powf, bitwise.
         assert_eq!(m.get_pow(1, 2).to_bits(), m.get(1, 2).powf(alpha).to_bits());
         assert_eq!(m.get_pow(9, 9).to_bits(), m.get(9, 9).powf(alpha).to_bits());
@@ -442,13 +540,13 @@ mod tests {
         let alpha = 0.7;
         let mut m = PheromoneMatrix::new(1.0);
         m.deposit(0, 1, 5.0);
-        m.prepare_pow_incremental(alpha);
+        m.prepare_pow_incremental(alpha, ALL);
         // Evaporate until the base hits MIN_PHEROMONE: uniform rescale no
         // longer holds, so the next incremental call must be exact.
         for _ in 0..200 {
             m.evaporate(0.9);
         }
-        m.prepare_pow_incremental(alpha);
+        m.prepare_pow_incremental(alpha, ALL);
         for (slot, vm) in [(0u32, 1u32), (0, 2), (3, 3)] {
             assert_eq!(
                 m.get_pow(slot, vm).to_bits(),
@@ -462,10 +560,46 @@ mod tests {
     fn incremental_handles_alpha_changes() {
         let mut m = PheromoneMatrix::new(1.0);
         m.deposit(0, 1, 0.5);
-        m.prepare_pow_incremental(0.01);
+        m.prepare_pow_incremental(0.01, ALL);
         m.evaporate(0.4);
-        m.prepare_pow_incremental(2.0); // α changed → exact sweep
+        m.prepare_pow_incremental(2.0, ALL); // α changed → exact sweep
         assert_eq!(m.get_pow(0, 1).to_bits(), m.get(0, 1).powf(2.0).to_bits());
+    }
+
+    #[test]
+    fn lazy_sweep_skips_lanes_past_live_and_replays_them_on_deposit() {
+        let alpha = 0.5;
+        let mut eager = PheromoneMatrix::new(1.0);
+        let mut lazy = PheromoneMatrix::new(1.0);
+        for m in [&mut eager, &mut lazy] {
+            m.deposit(0, 1, 0.7);
+            m.deposit(3, 2, 0.4);
+            m.evaporate(0.4);
+        }
+        eager.prepare_pow(alpha, ALL);
+        lazy.prepare_pow(alpha, 2);
+        assert!(lazy.lanes[3].stale && !lazy.lanes[0].stale);
+        assert_eq!(lazy.get_pow(0, 1).to_bits(), eager.get_pow(0, 1).to_bits());
+        // Evaporation moves base and scale; the replay uses the sweep's.
+        for m in [&mut eager, &mut lazy] {
+            m.evaporate(0.4);
+            m.deposit(3, 5, 0.1);
+        }
+        assert!(!lazy.lanes[3].stale);
+        assert_eq!(
+            lazy.lanes[3].pow[0].to_bits(),
+            eager.lanes[3].pow[0].to_bits()
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the live snapshot")]
+    fn reading_a_stale_lane_is_caught() {
+        let mut m = PheromoneMatrix::new(1.0);
+        m.deposit(4, 0, 0.5);
+        m.prepare_pow(0.5, 4);
+        m.get_pow(4, 0);
     }
 
     #[test]
