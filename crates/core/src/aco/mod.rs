@@ -160,6 +160,7 @@ impl AntColony {
         // parallel fan-out; the last colony's final matrix is carried
         // forward.
         let prior = warm.as_deref_mut().and_then(Option::take);
+        cache.expect_evaluations((params.ants as u64).saturating_mul(params.iterations as u64));
         let plan = Prologue::new(
             params,
             &mut self.rng,
@@ -562,6 +563,7 @@ impl AcoRun {
         prior: Option<&PheromoneMatrix>,
     ) -> Self {
         params.validate().expect("invalid AcoParams");
+        cache.expect_evaluations((params.ants as u64).saturating_mul(params.iterations as u64));
         let plan = Prologue::new(
             &params,
             &mut stream(seed, "aco"),
@@ -1197,6 +1199,16 @@ mod tests {
         for (spin, want) in spins.into_iter().zip([0, 0, 2, 2, 2, 4, 4, 4]) {
             assert_eq!(prefix_pick(&prefix, spin), want, "spin={spin}");
         }
+    }
+
+    #[test]
+    fn scale_profile_on_a_small_wave_leaves_the_etc_matrix_unbuilt() {
+        // The stream broker's wave shape: 400 ant tours of 20 cloudlets
+        // read fewer times than a 2 000-VM matrix holds.
+        let p = hetero_problem(2_000, 20);
+        let cache = EvalCache::new(&p);
+        AntColony::new(AcoParams::for_scale(20), 3).schedule_with_cache(&p, &cache);
+        assert!(!cache.has_dense_etc());
     }
 
     #[test]

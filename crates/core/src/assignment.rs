@@ -81,7 +81,7 @@ impl Assignment {
     /// over [`EvalCache::load_vector`]; repeated callers should build the
     /// cache themselves.
     pub fn estimated_load_ms(&self, problem: &SchedulingProblem) -> Vec<f64> {
-        EvalCache::lite(problem).load_vector(&self.map)
+        EvalCache::new(problem).load_vector(&self.map)
     }
 
     /// Estimated makespan: the max of [`Assignment::estimated_load_ms`].

@@ -43,7 +43,7 @@ impl Scheduler for LeastConnection {
     }
 
     fn schedule(&mut self, problem: &SchedulingProblem) -> Assignment {
-        self.schedule_with_cache(problem, &EvalCache::lite(problem))
+        self.schedule_with_cache(problem, &EvalCache::new(problem))
     }
 
     fn schedule_with_cache(
@@ -172,7 +172,7 @@ impl Scheduler for ShortestJobFirst {
     }
 
     fn schedule(&mut self, problem: &SchedulingProblem) -> Assignment {
-        self.schedule_with_cache(problem, &EvalCache::lite(problem))
+        self.schedule_with_cache(problem, &EvalCache::new(problem))
     }
 
     fn schedule_with_cache(
@@ -235,7 +235,7 @@ impl Scheduler for BestFit {
     }
 
     fn schedule(&mut self, problem: &SchedulingProblem) -> Assignment {
-        self.schedule_with_cache(problem, &EvalCache::lite(problem))
+        self.schedule_with_cache(problem, &EvalCache::new(problem))
     }
 
     fn schedule_with_cache(

@@ -8,13 +8,17 @@ use simcloud::ids::VmId;
 use crate::objective::Objective;
 use crate::problem::SchedulingProblem;
 
-/// Largest `cloudlets × vms` product for which [`EvalCache::new`] also
-/// materializes the dense ETC (expected-time-to-compute) matrix — 2²³
-/// entries, 64 MB of `f64`. Above the threshold the cache falls back to
-/// recomputing `d(c, v)` on demand from the precomputed per-VM and
-/// per-cloudlet factors; the fallback evaluates the exact expression used
-/// to fill the matrix, so scores are bit-identical either way.
-pub const DENSE_ETC_MAX_ENTRIES: usize = 1 << 23;
+/// Largest dense ETC (expected-time-to-compute) matrix
+/// [`EvalCache::expect_evaluations`] materializes: 2¹⁷ entries, 1 MiB of `f64`,
+/// a quarter of one core's L2. Past that, GA and PSO run slower with the
+/// matrix than without: median of 7 alternating runs each, standard
+/// params, fill included, heterogeneous fleets on a 2-vCPU Xeon guest
+/// (4 MiB L2 per core), dense/recompute time was 0.90 at 10⁵ entries
+/// (100 VMs × 1 000 cloudlets), 0.94–1.07 at 1.3 × 10⁵, 1.03–1.14 at
+/// 2–2.6 × 10⁵ and 1.23–1.32 at 1.1 × 10⁶ (2 000 VMs × 555 cloudlets).
+/// Recomputing `d(c, v)` from the per-VM and per-cloudlet factors gives
+/// the same bits, so the cap only moves time.
+pub const DENSE_ETC_MAX_ENTRIES: usize = 1 << 17;
 
 /// Largest `batch × vms` product for which [`EvalCache::eta_pow_block`]
 /// materializes the η^β block — 2²² entries, 32 MB of `f64` per colony.
@@ -22,15 +26,25 @@ pub const DENSE_ETC_MAX_ENTRIES: usize = 1 << 23;
 /// ACO falls back to computing η^β per candidate (identical values).
 pub const ETA_POW_MAX_ENTRIES: usize = 1 << 22;
 
+/// The one table rule (DESIGN.md "Evaluation kernel"): a `rows × cols`
+/// table pays for its fill only when the reads expected of it exceed its
+/// entries and it fits under its `cap`. Returns the entry count then.
+fn worth_tabulating(rows: usize, cols: usize, reads: usize, cap: usize) -> Option<usize> {
+    rows.checked_mul(cols)
+        .filter(|&entries| 0 < entries && entries < reads && entries <= cap)
+}
+
 /// Immutable evaluation cache, built once per [`SchedulingProblem`].
 ///
 /// Holds the raw factors of Eq. 6 (`length`, `pes`, `file_size` per
-/// cloudlet; `mips`, `pes`, `bw` per VM) in flat arrays, the per-VM Eq. 1
-/// rate factors, and — when the problem is small enough — the dense ETC
-/// matrix. All evaluation replicates the floating-point expression order of
+/// cloudlet; `mips`, `pes`, `bw` per VM) in flat arrays and the per-VM
+/// Eq. 1 rate factors: O(C + V) work to build. The dense ETC matrix is
+/// built later, and only when a caller's declared reads pay for it
+/// ([`EvalCache::expect_evaluations`]). All evaluation replicates the
+/// floating-point expression order of
 /// [`SchedulingProblem::expected_exec_ms`] and
 /// [`crate::objective::score_assignment`] exactly, so a cached score equals
-/// the uncached one bit for bit.
+/// the uncached one bit for bit, with or without the matrix.
 pub struct EvalCache {
     cl_len: Vec<f64>,
     cl_pes: Vec<u32>,
@@ -42,8 +56,9 @@ pub struct EvalCache {
     vm_resource_rate: Vec<f64>,
     /// `per_processing` price of the datacenter hosting each VM.
     vm_per_processing: Vec<f64>,
-    /// Row-major `[c * vm_count + v]` Eq. 6 matrix, when materialized.
-    etc: Option<Vec<f64>>,
+    /// Lazily built row-major `[c * vm_count + v]` Eq. 6 matrix (see
+    /// [`EvalCache::expect_evaluations`]).
+    etc: OnceLock<Vec<f64>>,
     /// Lazily built η-proportional candidate ring (see [`CandidateRing`]);
     /// shared by every colony scheduling against this cache.
     ring: OnceLock<CandidateRing>,
@@ -180,26 +195,9 @@ impl CandidateBlock {
 }
 
 impl EvalCache {
-    /// Builds the cache, materializing the dense ETC matrix when the
-    /// problem is at most [`DENSE_ETC_MAX_ENTRIES`] pairs.
+    /// Builds the cache: the per-VM and per-cloudlet factors only.
     pub fn new(problem: &SchedulingProblem) -> Self {
-        let dense = problem
-            .cloudlet_count()
-            .checked_mul(problem.vm_count())
-            .is_some_and(|entries| entries <= DENSE_ETC_MAX_ENTRIES);
-        Self::with_dense(problem, dense)
-    }
-
-    /// Builds the cache without the dense matrix — per-VM and per-cloudlet
-    /// factors only. Right for one-shot scoring where filling an O(C·V)
-    /// matrix would cost more than it saves.
-    pub fn lite(problem: &SchedulingProblem) -> Self {
-        Self::with_dense(problem, false)
-    }
-
-    /// Builds the cache with explicit control over ETC materialization.
-    pub fn with_dense(problem: &SchedulingProblem, dense: bool) -> Self {
-        let mut cache = EvalCache {
+        EvalCache {
             cl_len: problem.cloudlets.iter().map(|cl| cl.length_mi).collect(),
             cl_pes: problem.cloudlets.iter().map(|cl| cl.pes).collect(),
             cl_file: problem.cloudlets.iter().map(|cl| cl.file_size_mb).collect(),
@@ -212,20 +210,31 @@ impl EvalCache {
             vm_per_processing: (0..problem.vm_count())
                 .map(|v| problem.cost_of_vm(v).per_processing)
                 .collect(),
-            etc: None,
+            etc: OnceLock::new(),
             ring: OnceLock::new(),
-        };
-        if dense {
-            let v = cache.vm_count();
-            let mut etc = Vec::with_capacity(cache.cloudlet_count() * v);
-            for c in 0..cache.cloudlet_count() {
-                for vm in 0..v {
-                    etc.push(cache.compute_exec_ms(c, vm));
-                }
-            }
-            cache.etc = Some(etc);
         }
-        cache
+    }
+
+    /// Declares that about `units` whole-plan evaluations are coming, in
+    /// the evaluation-unit ledger every anytime family keeps (one unit
+    /// scores one plan: `cloudlet_count` Eq. 6 reads), and materializes
+    /// the dense ETC matrix if the table rule says those reads pay for it
+    /// ([`DENSE_ETC_MAX_ENTRIES`] is its cap). Changes no value
+    /// [`Self::exec_ms`] returns.
+    pub fn expect_evaluations(&self, units: u64) {
+        let (rows, cols) = (self.cloudlet_count(), self.vm_count());
+        let reads = (units as usize).saturating_mul(rows);
+        if worth_tabulating(rows, cols, reads, DENSE_ETC_MAX_ENTRIES).is_some() {
+            self.etc.get_or_init(|| {
+                let mut etc = Vec::with_capacity(rows * cols);
+                for c in 0..rows {
+                    for v in 0..cols {
+                        etc.push(self.compute_exec_ms(c, v));
+                    }
+                }
+                etc
+            });
+        }
     }
 
     /// Warm-wave retarget: swaps the *cloudlet* side of the cache for
@@ -240,9 +249,8 @@ impl EvalCache {
     /// *candidate-list quality*, never scores — accepted staleness under
     /// the warm-state contract (see DESIGN.md "Streaming broker").
     ///
-    /// The dense ETC matrix is rebuilt iff it was materialized before and
-    /// the new `cloudlets × vms` product still fits
-    /// [`DENSE_ETC_MAX_ENTRIES`]; a lite cache stays lite.
+    /// The ETC matrix holds the previous wave's times, so it is dropped;
+    /// the next [`Self::expect_evaluations`] decides afresh.
     ///
     /// # Panics
     /// If `problem`'s fleet size differs from the cached one — the fleet
@@ -256,22 +264,7 @@ impl EvalCache {
         self.cl_len = problem.cloudlets.iter().map(|cl| cl.length_mi).collect();
         self.cl_pes = problem.cloudlets.iter().map(|cl| cl.pes).collect();
         self.cl_file = problem.cloudlets.iter().map(|cl| cl.file_size_mb).collect();
-        let v = self.vm_count();
-        let dense = self.etc.is_some()
-            && self
-                .cloudlet_count()
-                .checked_mul(v)
-                .is_some_and(|entries| entries <= DENSE_ETC_MAX_ENTRIES);
-        self.etc = None;
-        if dense {
-            let mut etc = Vec::with_capacity(self.cloudlet_count() * v);
-            for c in 0..self.cloudlet_count() {
-                for vm in 0..v {
-                    etc.push(self.compute_exec_ms(c, vm));
-                }
-            }
-            self.etc = Some(etc);
-        }
+        self.etc.take();
     }
 
     /// Number of VMs covered.
@@ -286,9 +279,9 @@ impl EvalCache {
         self.cl_len.len()
     }
 
-    /// True when the dense ETC matrix is materialized.
+    /// True when the dense ETC matrix has been materialized so far.
     pub fn has_dense_etc(&self) -> bool {
-        self.etc.is_some()
+        self.etc.get().is_some()
     }
 
     /// Length of cloudlet `c` in MI (Eq. 1's `TCL_j` factor).
@@ -315,7 +308,7 @@ impl EvalCache {
     /// the cached factors — bit-identical either way.
     #[inline]
     pub fn exec_ms(&self, c: usize, v: usize) -> f64 {
-        match &self.etc {
+        match self.etc.get() {
             Some(etc) => etc[c * self.vm_count() + v],
             None => self.compute_exec_ms(c, v),
         }
@@ -333,10 +326,9 @@ impl EvalCache {
     /// Each entry is exactly `self.heuristic(c, j).powf(beta)`, so a
     /// precomputed block is bit-identical to the inline expression.
     ///
-    /// Returns `None` when the block would exceed
-    /// [`ETA_POW_MAX_ENTRIES`] or cost more `powf` calls than the expected
-    /// number of candidate lookups it replaces (`expected_lookups`);
-    /// callers then fall back to the inline per-candidate expression.
+    /// Returns `None` unless the table rule says the `expected_lookups`
+    /// pay for the block ([`ETA_POW_MAX_ENTRIES`] is its cap); callers
+    /// then fall back to the inline per-candidate expression.
     pub fn eta_pow_block(
         &self,
         slots: std::ops::Range<usize>,
@@ -344,10 +336,7 @@ impl EvalCache {
         expected_lookups: usize,
     ) -> Option<Vec<f64>> {
         let v = self.vm_count();
-        let entries = slots.len().checked_mul(v)?;
-        if entries == 0 || entries > ETA_POW_MAX_ENTRIES || entries > expected_lookups {
-            return None;
-        }
+        let entries = worth_tabulating(slots.len(), v, expected_lookups, ETA_POW_MAX_ENTRIES)?;
         let mut block = Vec::with_capacity(entries);
         for c in slots {
             for j in 0..v {
@@ -545,10 +534,20 @@ mod tests {
             .collect()
     }
 
+    /// Runs `check` on one cache before and after `expect_evaluations`
+    /// materializes its ETC matrix.
+    fn before_and_after_fill(p: &SchedulingProblem, mut check: impl FnMut(&EvalCache)) {
+        let cache = EvalCache::new(p);
+        check(&cache);
+        cache.expect_evaluations(u64::MAX);
+        assert!(cache.has_dense_etc());
+        check(&cache);
+    }
+
     #[test]
     fn exec_ms_is_bit_identical_to_problem() {
         let p = hetero_problem();
-        for cache in [EvalCache::new(&p), EvalCache::lite(&p)] {
+        before_and_after_fill(&p, |cache| {
             for c in 0..p.cloudlet_count() {
                 for v in 0..p.vm_count() {
                     assert_eq!(
@@ -560,15 +559,32 @@ mod tests {
                     assert_eq!(cache.heuristic(c, v).to_bits(), p.heuristic(c, v).to_bits());
                 }
             }
-        }
+        });
     }
 
     #[test]
-    fn dense_matrix_respects_threshold() {
+    fn the_matrix_is_built_only_when_declared_reads_pay_for_it() {
+        // One evaluation reads one entry per row, so V evaluations read
+        // exactly as many times as the matrix holds entries.
         let p = hetero_problem();
-        assert!(EvalCache::new(&p).has_dense_etc());
-        assert!(!EvalCache::lite(&p).has_dense_etc());
-        assert!(!EvalCache::with_dense(&p, false).has_dense_etc());
+        let vms = p.vm_count() as u64;
+        let cache = EvalCache::new(&p);
+        assert!(!cache.has_dense_etc(), "construction alone never fills");
+        cache.expect_evaluations(vms);
+        assert!(!cache.has_dense_etc(), "reads equal to entries do not pay");
+        cache.expect_evaluations(vms + 1);
+        assert!(cache.has_dense_etc());
+    }
+
+    #[test]
+    fn a_problem_above_the_cap_never_materializes() {
+        let cloudlets = DENSE_ETC_MAX_ENTRIES / 4 + 1;
+        let cache = EvalCache::new(&uniform_problem(4, cloudlets));
+        cache.expect_evaluations(u64::MAX);
+        assert!(!cache.has_dense_etc());
+        let at_cap = EvalCache::new(&uniform_problem(4, cloudlets - 1));
+        at_cap.expect_evaluations(u64::MAX);
+        assert!(at_cap.has_dense_etc());
     }
 
     #[test]
@@ -576,7 +592,7 @@ mod tests {
         let p = hetero_problem();
         let plan = some_plan(&p);
         let assignment = Assignment::new(plan.clone());
-        for cache in [EvalCache::new(&p), EvalCache::lite(&p)] {
+        before_and_after_fill(&p, |cache| {
             for objective in Objective::ALL {
                 assert_eq!(
                     cache.score(&plan, objective).to_bits(),
@@ -585,7 +601,7 @@ mod tests {
                     cache.has_dense_etc()
                 );
             }
-        }
+        });
     }
 
     #[test]
@@ -704,7 +720,7 @@ mod tests {
         // slots read disjoint k-windows and a sweep of ceil(v/k) slots
         // covers the whole fleet.
         let p = uniform_problem(10, 40);
-        let cache = EvalCache::lite(&p);
+        let cache = EvalCache::new(&p);
         let k = 3;
         let block = cache.candidate_block(0..40, k, 0.99);
         assert_eq!(block.k(), k);
@@ -735,7 +751,7 @@ mod tests {
             .map(|_| CloudletSpec::new(2_000.0, 0.0, 0.0, 1))
             .collect();
         let p = SchedulingProblem::single_datacenter(vms, cloudlets, CostModel::default());
-        let cache = EvalCache::lite(&p);
+        let cache = EvalCache::new(&p);
         let block = cache.candidate_block(0..64, 4, 0.99);
         let mut appearances = [0usize; 16];
         for s in 0..64 {
@@ -764,7 +780,7 @@ mod tests {
     #[test]
     fn candidate_block_k_clamps_to_fleet() {
         let p = uniform_problem(4, 8);
-        let cache = EvalCache::lite(&p);
+        let cache = EvalCache::new(&p);
         let block = cache.candidate_block(0..8, 32, 0.99);
         assert_eq!(block.k(), 4);
     }
@@ -782,18 +798,20 @@ mod tests {
             first.vm_placement.clone(),
         )
         .unwrap();
-        for lite in [false, true] {
-            let mut warm = if lite {
-                EvalCache::lite(&first)
-            } else {
-                EvalCache::new(&first)
-            };
+        // A matrix filled for the first wave holds its times; retarget
+        // must drop it, or the second wave would read stale entries.
+        for filled in [false, true] {
+            let mut warm = EvalCache::new(&first);
+            if filled {
+                warm.expect_evaluations(u64::MAX);
+                assert!(warm.has_dense_etc());
+            }
             // Prime the ring so retarget provably keeps it working.
             let _ = warm.candidate_block(0..first.cloudlet_count(), 3, 0.99);
             warm.retarget_cloudlets(&second);
+            assert!(!warm.has_dense_etc(), "retarget clears the matrix");
             let fresh = EvalCache::new(&second);
             assert_eq!(warm.cloudlet_count(), 31);
-            assert_eq!(warm.has_dense_etc(), !lite);
             for c in 0..second.cloudlet_count() {
                 for v in 0..second.vm_count() {
                     assert_eq!(warm.exec_ms(c, v).to_bits(), fresh.exec_ms(c, v).to_bits());

@@ -9,9 +9,10 @@
 //! centralizes all of it:
 //!
 //! * [`EvalCache`] — built once per problem; precomputes the per-VM rate
-//!   factors and per-cloudlet lengths so `d(c, v)` becomes a cached lookup
-//!   (dense ETC matrix under [`DENSE_ETC_MAX_ENTRIES`], exact on-the-fly
-//!   recomputation above it), and scores whole assignments with the same
+//!   factors and per-cloudlet lengths so `d(c, v)` is recomputed exactly
+//!   from cached factors, or read from a dense ETC matrix built when a
+//!   caller's declared reads pay for it (the table rule in DESIGN.md
+//!   "Evaluation kernel"), and scores whole assignments with the same
 //!   floating-point evaluation order as
 //!   [`crate::objective::score_assignment`] — results are bit-identical.
 //! * [`LoadTracker`] — incremental per-VM busy time with running min / max /

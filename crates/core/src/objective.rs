@@ -57,7 +57,7 @@ pub fn score_assignment(
     assignment: &Assignment,
     objective: Objective,
 ) -> f64 {
-    EvalCache::lite(problem).score(assignment.as_slice(), objective)
+    EvalCache::new(problem).score(assignment.as_slice(), objective)
 }
 
 #[cfg(test)]

@@ -130,6 +130,7 @@ impl<R: PopulationRun> Stepped<R> {
         incumbent: Option<&[u32]>,
     ) -> (Assignment, Vec<f64>) {
         let mut run = R::start(self.params.clone(), self.rng.clone(), cache, incumbent);
+        cache.expect_evaluations(run.full_units());
         let mut trace = Vec::new();
         while !run.done() {
             let best = run.step(cache);

@@ -574,6 +574,7 @@ impl RacingScheduler {
         let max_full = full.iter().copied().max().unwrap_or(1);
         let quantum = self.params.quantum.unwrap_or((max_full / 16).max(1));
         let budget = self.params.budget.unwrap_or(portfolio_units);
+        cache.expect_evaluations(budget);
 
         // Funding order & tie-break priority from the book.
         let order = self.book.order(&key);
@@ -893,7 +894,7 @@ mod tests {
     fn book_persists_across_rounds_on_one_instance() {
         let p = hetero_problem(6, 40);
         let mut racer = RacingScheduler::new(small_params(), 13);
-        let key = RaceBook::family_key(&EvalCache::lite(&p));
+        let key = RaceBook::family_key(&EvalCache::new(&p));
         racer.schedule(&p);
         assert_eq!(racer.book().races(&key), 1);
         racer.schedule(&p);
@@ -920,8 +921,8 @@ mod tests {
 
     #[test]
     fn family_key_buckets_scale() {
-        let small = EvalCache::lite(&hetero_problem(8, 32));
-        let big = EvalCache::lite(&hetero_problem(8, 1024));
+        let small = EvalCache::new(&hetero_problem(8, 32));
+        let big = EvalCache::new(&hetero_problem(8, 1024));
         assert_eq!(RaceBook::family_key(&small), "v3:r2");
         assert_ne!(RaceBook::family_key(&small), RaceBook::family_key(&big));
     }

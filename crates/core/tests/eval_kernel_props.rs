@@ -70,27 +70,62 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
 }
 
+/// Every value the cache hands out for `plan`, as bits: Eq. 6 times,
+/// heuristics and costs per pair, the three objective scores, the load
+/// vector, a candidate block and the η^β block.
+fn cache_bits(cache: &EvalCache, plan: &[VmId]) -> Vec<u64> {
+    let (c, v) = (cache.cloudlet_count(), cache.vm_count());
+    let mut bits = Vec::new();
+    for cl in 0..c {
+        for vm in 0..v {
+            let values = [
+                cache.exec_ms(cl, vm),
+                cache.heuristic(cl, vm),
+                cache.cost(cl, vm),
+            ];
+            bits.extend(values.map(f64::to_bits));
+        }
+    }
+    bits.extend(Objective::ALL.map(|obj| cache.score(plan, obj).to_bits()));
+    bits.extend(cache.load_vector(plan).iter().map(|x| x.to_bits()));
+    let block = cache.candidate_block(0..c, 3, 0.99);
+    for slot in 0..block.slot_count() {
+        bits.extend(block.row(slot).iter().map(|&vm| u64::from(vm)));
+        bits.extend(block.eta_row(slot).iter().map(|w| w.to_bits()));
+    }
+    let eta = cache
+        .eta_pow_block(0..c, 0.99, usize::MAX)
+        .expect("a small block");
+    bits.extend(eta.iter().map(|w| w.to_bits()));
+    bits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Batch cache scoring is bit-identical to the from-scratch reference
-    /// for every objective, with and without the dense ETC matrix.
+    /// for every objective, and materializing the ETC matrix changes no
+    /// bit of anything the cache hands out.
     #[test]
-    fn cache_score_matches_reference_bitwise(s in scenario()) {
+    fn cache_is_bit_identical_before_and_after_the_etc_fill(s in scenario()) {
         let p = s.problem();
         let map: Vec<VmId> = s.initial.iter().map(|&v| VmId::from_index(v)).collect();
         let plan = Assignment::new(map);
-        for cache in [EvalCache::new(&p), EvalCache::lite(&p)] {
-            for obj in Objective::ALL {
-                let reference = score_assignment(&p, &plan, obj);
-                let cached = cache.score(plan.as_slice(), obj);
-                prop_assert_eq!(
-                    cached.to_bits(),
-                    reference.to_bits(),
-                    "objective {:?}: cache {} vs reference {}",
-                    obj, cached, reference
-                );
-            }
+        let cache = EvalCache::new(&p);
+        prop_assert!(!cache.has_dense_etc());
+        let lazy = cache_bits(&cache, plan.as_slice());
+        cache.expect_evaluations(u64::MAX);
+        prop_assert!(cache.has_dense_etc());
+        prop_assert_eq!(cache_bits(&cache, plan.as_slice()), lazy);
+        for obj in Objective::ALL {
+            let reference = score_assignment(&p, &plan, obj);
+            let cached = cache.score(plan.as_slice(), obj);
+            prop_assert_eq!(
+                cached.to_bits(),
+                reference.to_bits(),
+                "objective {:?}: cache {} vs reference {}",
+                obj, cached, reference
+            );
         }
     }
 

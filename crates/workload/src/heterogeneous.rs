@@ -158,6 +158,31 @@ mod tests {
     }
 
     #[test]
+    fn fig6_schedulers_materialize_the_etc_matrix() {
+        // A fig6 point: the paper-profile colony and the racer both read
+        // each Eq. 6 time many times over, so both fill the matrix.
+        use biosched_core::eval::EvalCache;
+        use biosched_core::objective::Objective;
+        use biosched_core::scheduler::AlgorithmKind;
+        let problem = HeterogeneousScenario {
+            vm_count: 100,
+            cloudlet_count: 500,
+            datacenter_count: DEFAULT_DATACENTERS,
+            seed: 42,
+        }
+        .build()
+        .problem();
+        for kind in [
+            AlgorithmKind::AntColony,
+            AlgorithmKind::Racing(Objective::Makespan),
+        ] {
+            let cache = EvalCache::new(&problem);
+            kind.build(1).schedule_with_cache(&problem, &cache);
+            assert!(cache.has_dense_etc(), "{kind} left the matrix unbuilt");
+        }
+    }
+
+    #[test]
     fn fig6_axis() {
         let pts = fig6_vm_points();
         assert_eq!(pts.len(), 10);

@@ -84,7 +84,7 @@ impl Rescheduler for CacheRescheduler {
         let sub =
             SchedulingProblem::new(vms, cloudlets, self.problem.datacenters.clone(), placement)
                 .expect("alive-fleet sub-problems inherit scenario consistency");
-        let cache = EvalCache::lite(&sub);
+        let cache = EvalCache::new(&sub);
         let plan = self.scheduler.schedule_with_cache(&sub, &cache);
         assert_eq!(
             plan.len(),
