@@ -56,13 +56,14 @@ fn run_point(vms: usize, cloudlets: usize, engine: EngineKind) {
     harness::emit("peak_rss_kb", harness::opt_json(rss));
 }
 
-/// Parent side: runs one point in a child and renders its `points` row.
+/// Parent side: runs one point in a child and renders its `points` row;
+/// also returns the point's event count.
 fn spawn_point(
     label: &str,
     (vms, cloudlets): (usize, usize),
     engine: EngineKind,
     threads: usize,
-) -> Result<String, String> {
+) -> Result<(String, u64), String> {
     let args = format!(
         "--vms {vms} --cloudlets {cloudlets} --engine {} --threads {threads}",
         engine.name()
@@ -70,12 +71,13 @@ fn spawn_point(
     let args: Vec<String> = args.split(' ').map(String::from).collect();
     let report = harness::spawn_self(&args)?;
     let (wall_ms, events) = (report.get::<f64>("wall_ms")?, report.get::<u64>("events")?);
-    Ok(format!(
+    let row = format!(
         "{{\"scale\": \"{label}\", \"vms\": {vms}, \"cloudlets\": {cloudlets}, \"engine\": \"{}\", \"threads\": {threads}, \"wall_ms\": {wall_ms:.3}, \"events\": {events}, \"events_per_sec\": {:.1}, \"peak_rss_kb\": {}}}",
         engine.name(),
         events as f64 / (wall_ms / 1_000.0),
         harness::opt_json(report.opt::<u64>("peak_rss_kb")?),
-    ))
+    );
+    Ok((row, events))
 }
 
 fn main() {
@@ -113,13 +115,20 @@ fn main() {
     }
     let mut rows = Vec::new();
     for (label, size @ (vms, cloudlets)) in points {
+        let mut events = Vec::new();
         for engine in [EngineKind::Sequential, EngineKind::Sharded] {
             let engine_name = engine.name();
             eprintln!("running {label} ({vms} vms / {cloudlets} cloudlets) on {engine_name}...");
-            let row = spawn_point(label, size, engine, threads)
+            let (row, n) = spawn_point(label, size, engine, threads)
                 .unwrap_or_else(|e| panic!("point {label}/{engine_name}: {e}"));
             rows.push(row);
+            events.push(n);
         }
+        // The engines are trace-equivalent, so they process the same events.
+        assert_eq!(
+            events[0], events[1],
+            "point {label}: sequential and sharded event counts differ"
+        );
     }
 
     Report::new("simulator")

@@ -27,6 +27,16 @@ enum Mode {
 
 fn schedule_greedy(cache: &EvalCache, mode: Mode) -> Assignment {
     let c = cache.cloudlet_count();
+    // Declared Eq. 6 reads, in whole-plan units of C reads: the initial
+    // C·V sweep is V units, each rescan reads one row of V, and the loop
+    // rescans at most C(C−1)/2 times (every unassigned cloudlet after
+    // every pick), so at most V + V(C−1)/2 = V(C+1)/2 units. Measured on
+    // 100 VMs × 1 000 cloudlets (CLI `compare`, seed 42): 499 500
+    // rescans on the homogeneous problem for both heuristics, the bound
+    // itself; 304 847 (Min-Min) and 163 003 (Max-Min) on the
+    // heterogeneous one.
+    let v = cache.vm_count() as u64;
+    cache.expect_evaluations(v * (c as u64 + 1) / 2);
     let mut map = vec![VmId(0); c];
     // A VM's ready time is exactly its tracked estimated load: assignments
     // only ever append work, so completion = load + d.

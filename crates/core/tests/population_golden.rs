@@ -16,7 +16,7 @@ use biosched_core::cuckoo_sos::{CsosParams, CuckooSos};
 use biosched_core::eval::EvalCache;
 use biosched_core::ga::{GaParams, Genetic};
 use biosched_core::gsa::{Gsa, GsaParams};
-use biosched_core::minmax::MinMin;
+use biosched_core::minmax::{MaxMin, MinMin};
 use biosched_core::problem::SchedulingProblem;
 use biosched_core::pso::{ParticleSwarm, PsoParams};
 use biosched_core::scheduler::Scheduler;
@@ -167,4 +167,49 @@ fn population_plans_match_golden_digests() {
         .collect();
     let expected: Vec<(String, u64)> = GOLDEN.iter().map(|&(c, d)| (c.to_string(), d)).collect();
     assert_eq!(got, expected, "population plans changed; now:\n{table}");
+}
+
+/// Min-Min's and Max-Min's plans, pinned the same way on the
+/// heterogeneous batch and on 40 identical VMs × 400 identical-shape
+/// cloudlets, where every pick rescans every unassigned cloudlet. Their
+/// Eq. 6 reads come from the dense ETC matrix or are recomputed, with the
+/// same bits either way, so these digests must not move when the matrix
+/// rule does.
+const GREEDY_GOLDEN: [(&str, u64); 4] = [
+    ("min-min/heterogeneous", 0x1909489073754ac5),
+    ("max-min/heterogeneous", 0x2cb249aef979cd7d),
+    ("min-min/homogeneous", 0xfb56522230650d85),
+    ("max-min/homogeneous", 0xd82ce28d24d35d65),
+];
+
+#[test]
+fn greedy_baseline_plans_match_golden_digests() {
+    let mut rng = simcloud::rng::stream(7, "greedy-golden");
+    let homogeneous = SchedulingProblem::single_datacenter(
+        vec![VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 1); 40],
+        (0..400)
+            .map(|_| CloudletSpec::new(rng.gen_range(1_000.0..40_000.0), 0.0, 0.0, 1))
+            .collect(),
+        CostModel::default(),
+    );
+    let mut got = Vec::new();
+    for (shape, p) in [("heterogeneous", problem()), ("homogeneous", homogeneous)] {
+        let plans = [
+            ("min-min", MinMin::new().schedule(&p)),
+            ("max-min", MaxMin::new().schedule(&p)),
+        ];
+        for (name, plan) in plans {
+            assert!(plan.validate(&p).is_ok(), "{name}/{shape}");
+            got.push((format!("{name}/{shape}"), digest(&plan)));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(case, d)| format!("    (\"{case}\", {d:#018x}),\n"))
+        .collect();
+    let expected: Vec<(String, u64)> = GREEDY_GOLDEN
+        .iter()
+        .map(|&(c, d)| (c.to_string(), d))
+        .collect();
+    assert_eq!(got, expected, "greedy plans changed; now:\n{table}");
 }

@@ -1,37 +1,31 @@
-//! The sharded simulation engine.
+//! The sharded simulation engine: one replay path, the epoch driver
+//! ([`run_epochs`]), bit-identical to the sequential kernel at any thread
+//! count (the engine-equivalence suite enforces this across seeds,
+//! scheduler flavours, plain batches, fault plans, recovery policies,
+//! resubmission and workflow DAGs).
 //!
-//! Two replay paths live here, both bit-identical to the sequential
-//! kernel at any thread count (the engine-equivalence suite enforces this
-//! across seeds, scheduler flavours, fault plans, recovery policies,
-//! resubmission and workflow DAGs):
-//!
-//! 1. **Free-running replay** ([`run`]) for the paper's dominant shape —
-//!    a pre-computed cloudlet→VM assignment with no dependencies, no
-//!    fault injection, no recovery and no resubmission. Every VM's
-//!    timeline is independent of every other VM's once placement has
-//!    happened, so the fleet is partitioned into contiguous shards that
-//!    replay to completion on rayon workers with no synchronisation at
-//!    all.
-//!
-//! 2. **The epoch driver** ([`run_epochs`]) for everything else. The run
-//!    alternates between *control instants* — host failures and repairs,
-//!    VM degrades, retry wake-ups, submissions landing on dead VMs —
-//!    handled sequentially by the *real* [`crate::broker::Broker`] and
-//!    [`crate::datacenter`] entities, and *bulk epochs* in between, where
-//!    every VM's local events (submissions and submission batches to live
-//!    VMs, settle ticks, completions) replay in parallel lanes up to the
-//!    next control instant. Workflow DAGs add a *release barrier*: replay
-//!    is also bounded by the earliest completion that can still release a
-//!    cross-VM child, while releases whose parents all share the child's
-//!    VM resolve inside that VM's lane. A run without dependencies is an
-//!    edgeless plan, for which the barrier never binds. Determinism holds
-//!    because the event queue's `(time, seq)` order already sorts every
-//!    control event against everything staged before it, cross-VM effects
-//!    only originate at control instants or barrier deliveries, and each
-//!    lane reproduces the queue's tick-coalescing rules with a one-slot
-//!    `armed` deadline. See DESIGN.md §"The epoch driver" for the horizon
-//!    rule, the barrier soundness argument and why the free-running path
-//!    stays.
+//! The run alternates between *control instants* — VM placement, host
+//! failures and repairs, VM degrades, retry wake-ups, submissions landing
+//! on dead VMs — handled sequentially by the *real*
+//! [`crate::broker::Broker`] and [`crate::datacenter`] entities, and *bulk
+//! epochs* in between, where every VM's local events (submissions and
+//! submission batches to live VMs, settle ticks, completions) replay in
+//! parallel lanes up to the next control instant. Workflow DAGs add a
+//! *release barrier*: replay is also bounded by the earliest completion
+//! that can still release a cross-VM child, while releases whose parents
+//! all share the child's VM resolve inside that VM's lane. A run without
+//! dependencies is an edgeless plan, for which the barrier never binds;
+//! a plain batch (no dependencies, no faults) has no control instant after
+//! placement, so its whole replay is one final flush. A flush replays and
+//! commits its due lanes in ascending-`VmId` chunks, so its memory is
+//! bounded by a chunk's records rather than the fleet's. Determinism
+//! holds because the event queue's `(time, seq)` order already sorts
+//! every control event against everything staged before it, cross-VM
+//! effects only originate at control instants or barrier deliveries, and
+//! each lane reproduces the queue's tick-coalescing rules with a one-slot
+//! `armed` deadline. See DESIGN.md §"The epoch driver" for the horizon
+//! rule, the barrier soundness argument and the chunked flush's memory
+//! measurement.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -41,287 +35,22 @@ use rayon::prelude::*;
 use crate::broker::Broker;
 use crate::characteristics::CostModel;
 use crate::cloudlet::{Cloudlet, CloudletStatus};
-use crate::cloudlet_sched::{CloudletScheduler, RunningCloudlet, SchedulerKind};
+use crate::cloudlet_sched::{CloudletScheduler, RunningCloudlet};
 use crate::cost::cloudlet_cost;
-use crate::datacenter::{Datacenter, DatacenterBlueprint};
+use crate::datacenter::Datacenter;
 use crate::event::{Event, EventQueue, ScheduledEvent};
-use crate::host::Host;
-use crate::ids::{CloudletId, DatacenterId, EntityId, HostId, VmId};
+use crate::ids::{CloudletId, DatacenterId, EntityId, VmId};
 use crate::kernel::{Context, Entity, RunStats, World};
 use crate::network::{transfer_time, Topology};
 use crate::time::SimTime;
 use crate::vm::Vm;
 
-/// Per-datacenter data the per-VM replay needs after placement.
-struct DcInfo {
-    scheduler: SchedulerKind,
-    cost: CostModel,
-}
-
-/// Finished-cloudlet result produced by a shard.
-struct Update {
-    id: CloudletId,
-    start: SimTime,
-    finish: SimTime,
-    cost: f64,
-}
-
-/// Everything a shard reports back for the deterministic merge.
-struct ShardOut {
-    updates: Vec<Update>,
-    /// Latest event the shard's VMs would have put on the kernel clock
-    /// (tick fires and completion returns, including output transfer).
-    last_event: SimTime,
-    /// `VmTick` events the sequential kernel would have delivered.
-    ticks: u64,
-}
-
-/// Runs a plain batch scenario on the free-running sharded engine.
-///
-/// The caller ([`crate::simulation::SimulationBuilder::run`]) has already
-/// validated the scenario and checked eligibility: no dependencies, no
-/// fault injection (host failures, fault plans, recovery), no
-/// resubmission. The event count is exact, so the run is reported as not
-/// drained when it exceeds `max_events`, as the kernel would.
-pub(crate) fn run(
-    world: &mut World,
-    blueprints: Vec<DatacenterBlueprint>,
-    vm_placement: &[DatacenterId],
-    assignment: &[VmId],
-    arrivals: Option<&[SimTime]>,
-    topology: &Topology,
-    max_events: u64,
-) -> RunStats {
-    let dc_count = blueprints.len();
-
-    // ---- Phase 1: VM placement, exactly as the kernel would order it.
-    //
-    // The kernel delivers `VmCreate`s ordered by (arrival time, push
-    // sequence). All of a datacenter's creates share one latency and were
-    // pushed in VM-index order, so each datacenter sees its VMs in index
-    // order — which a single index-order loop over disjoint per-DC state
-    // reproduces.
-    let mut dc_infos = Vec::with_capacity(dc_count);
-    let mut dc_states = Vec::with_capacity(dc_count);
-    for blueprint in blueprints {
-        assert!(!blueprint.hosts.is_empty(), "datacenter needs hosts");
-        let hosts: Vec<Host> = blueprint
-            .hosts
-            .into_iter()
-            .enumerate()
-            .map(|(i, spec)| Host::new(HostId::from_index(i), spec))
-            .collect();
-        dc_states.push((hosts, blueprint.allocation));
-        dc_infos.push(DcInfo {
-            scheduler: blueprint.scheduler,
-            cost: blueprint.characteristics.cost,
-        });
-    }
-    // The broker submits cloudlets when the last ack lands: each ack
-    // arrives at its datacenter's latency, so readiness is the max.
-    let mut t_ready = SimTime::ZERO;
-    for (idx, dc) in vm_placement.iter().enumerate() {
-        let vm_id = VmId::from_index(idx);
-        world.vm_mut(vm_id).status = crate::vm::VmStatus::Requested;
-        t_ready = t_ready.max(topology.latency_to(*dc));
-        let spec = world.vm(vm_id).spec.clone();
-        let (hosts, allocation) = &mut dc_states[dc.index()];
-        let placed = allocation.select_host(hosts, &spec).and_then(|host_id| {
-            let host = &mut hosts[host_id.index()];
-            host.allocate_vm(vm_id, &spec).then_some(host_id)
-        });
-        match placed {
-            Some(host_id) => world.vm_mut(vm_id).place(*dc, host_id),
-            None => world.vm_mut(vm_id).reject(),
-        }
-    }
-    drop(dc_states);
-
-    // ---- Phase 2: submission grouping, mirroring the broker's batch
-    // path bit for bit (same delay arithmetic, same group keys, same
-    // first-occurrence order).
-    let mut groups: Vec<(VmId, SimTime, Vec<CloudletId>)> = Vec::new();
-    let mut group_of: HashMap<(u32, u64), usize> = HashMap::new();
-    for idx in 0..assignment.len() {
-        let cloudlet = CloudletId::from_index(idx);
-        let vm_id = assignment[idx];
-        let vm = world.vm(vm_id);
-        if !vm.is_active() {
-            world.cloudlet_mut(cloudlet).status = CloudletStatus::Failed;
-            continue;
-        }
-        let dc = vm.datacenter.expect("active VM has a datacenter");
-        let latency = topology.latency_to(dc);
-        let spec = &world.cloudlets[idx].spec;
-        let in_delay = transfer_time(spec.file_size_mb, vm.spec.bw_mbps);
-        let wait = arrivals
-            .map(|a| a[idx].saturating_sub(t_ready))
-            .unwrap_or(SimTime::ZERO);
-        let delay = wait + latency + in_delay;
-        {
-            let cl = world.cloudlet_mut(cloudlet);
-            cl.submit_time = Some(t_ready + wait);
-            cl.vm = Some(vm_id);
-        }
-        let slot = *group_of
-            .entry((vm_id.0, delay.as_millis().to_bits()))
-            .or_insert_with(|| {
-                groups.push((vm_id, t_ready + delay, Vec::new()));
-                groups.len() - 1
-            });
-        groups[slot].2.push(cloudlet);
-    }
-    let group_count = groups.len() as u64;
-
-    // ---- Phase 3: per-VM replay across shards.
-    let vm_count = world.vms.len();
-    let mut per_vm: Vec<Vec<(SimTime, Vec<CloudletId>)>> = vec![Vec::new(); vm_count];
-    for (vm_id, delivery, cls) in groups {
-        per_vm[vm_id.index()].push((delivery, cls));
-    }
-    for subs in &mut per_vm {
-        // Stable by delivery time: equal-time groups (distinct delays that
-        // round to one instant) keep the broker's first-occurrence order.
-        subs.sort_by_key(|g| g.0);
-    }
-
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = vm_count.div_ceil(threads).max(1);
-    let ranges: Vec<(usize, usize)> = (0..vm_count)
-        .step_by(chunk)
-        .map(|lo| (lo, (lo + chunk).min(vm_count)))
-        .collect();
-    let vms = &world.vms;
-    let cloudlets = &world.cloudlets;
-    let per_vm_ref = &per_vm;
-    let dc_infos_ref = &dc_infos;
-    let shard_results: Vec<ShardOut> = ranges
-        .into_par_iter()
-        .map(|(lo, hi)| {
-            let mut out = ShardOut {
-                updates: Vec::new(),
-                last_event: SimTime::ZERO,
-                ticks: 0,
-            };
-            for vi in lo..hi {
-                replay_vm(&vms[vi], &per_vm_ref[vi], cloudlets, dc_infos_ref, &mut out);
-            }
-            out
-        })
-        .collect();
-
-    // ---- Deterministic merge. Shard results cover disjoint cloudlets
-    // (each belongs to exactly one VM), so merge order cannot matter; we
-    // still apply them in shard order.
-    let start_events = dc_count as u64 + 1; // every entity gets a Start
-    let mut events = start_events + 2 * vm_count as u64 + group_count;
-    let mut end_time = t_ready;
-    for shard in shard_results {
-        end_time = end_time.max(shard.last_event);
-        events += shard.ticks + shard.updates.len() as u64;
-        for u in shard.updates {
-            let cl = world.cloudlet_mut(u.id);
-            cl.status = CloudletStatus::Finished;
-            cl.start_time = Some(u.start);
-            cl.finish_time = Some(u.finish);
-            cl.cost = u.cost;
-        }
-    }
-    RunStats {
-        end_time,
-        events_processed: events,
-        drained: events <= max_events,
-    }
-}
-
-/// Replays one VM's event sequence: submission batches interleaved with
-/// the coalesced tick timer, exactly as the sequential kernel delivers
-/// them.
-fn replay_vm(
-    vm: &Vm,
-    subs: &[(SimTime, Vec<CloudletId>)],
-    cloudlets: &[Cloudlet],
-    dc_infos: &[DcInfo],
-    out: &mut ShardOut,
-) {
-    if subs.is_empty() {
-        return;
-    }
-    let dc = vm.datacenter.expect("VM with submissions is placed");
-    let info = &dc_infos[dc.index()];
-    let mut sched = info.scheduler.build(vm.spec.mips, vm.spec.pes);
-    // The one-slot armed deadline reproduces the event queue's per-VM
-    // coalescing: at most one live tick, superseded only by an earlier
-    // one (see `EventQueue::push_vm_tick`).
-    let mut armed: Option<SimTime> = None;
-    let mut gi = 0usize;
-    let mut starts: HashMap<CloudletId, SimTime> = HashMap::new();
-    loop {
-        // Next event is the earlier of the next submission batch and the
-        // armed tick. On a tie the submission wins: submission events were
-        // pushed when the fleet came up, before any tick could be armed,
-        // so they carry lower sequence numbers.
-        let next_sub = subs.get(gi).map(|g| g.0);
-        let (now, is_sub) = match (next_sub, armed) {
-            (Some(s), Some(a)) => {
-                if s <= a {
-                    (s, true)
-                } else {
-                    (a, false)
-                }
-            }
-            (Some(s), None) => (s, true),
-            (None, Some(a)) => (a, false),
-            (None, None) => break,
-        };
-        out.last_event = out.last_event.max(now);
-        let tick = if is_sub {
-            let batch: Vec<RunningCloudlet> = subs[gi]
-                .1
-                .iter()
-                .map(|&c| {
-                    let cl = &cloudlets[c.index()];
-                    RunningCloudlet::new(c, cl.spec.length_mi, cl.spec.pes)
-                })
-                .collect();
-            gi += 1;
-            sched.submit_many(now, batch)
-        } else {
-            armed = None;
-            out.ticks += 1;
-            sched.advance(now)
-        };
-        for c in &tick.started {
-            starts.insert(*c, now);
-        }
-        for &c in &tick.finished {
-            let start = starts[&c];
-            // Mirrors `Datacenter::apply_tick`: cost from the execution
-            // span, completion notified after the output transfer.
-            let cpu_seconds = now.saturating_sub(start).as_secs();
-            let spec = &cloudlets[c.index()].spec;
-            let cost = cloudlet_cost(&info.cost, &vm.spec, spec, cpu_seconds);
-            let out_delay = transfer_time(spec.output_size_mb, vm.spec.bw_mbps);
-            out.last_event = out.last_event.max(now + out_delay);
-            out.updates.push(Update {
-                id: c,
-                start,
-                finish: now,
-                cost,
-            });
-        }
-        if let Some(p) = tick.next_completion {
-            let t = p.max(now);
-            if armed.is_none_or(|a| t < a || a < now) {
-                armed = Some(t);
-            }
-        }
-    }
-}
-
-// ====================================================================
-// Epoch driver: fault shaping, recovery, resubmission and workflow DAGs.
-// ====================================================================
+/// Due lanes a flush replays before committing them: the chunk size that
+/// bounds a flush's memory. On a 2-vCPU host, the benchmark's scale-batch
+/// workload (seed 42, one 20 000-lane flush) peaks at 88.5–89.3 MB with
+/// 512-lane chunks, 94.0–95.8 MB with 4 096-lane chunks and 118.6–118.9
+/// MB unchunked.
+const FLUSH_CHUNK_LANES: usize = 512;
 
 /// A completion notification produced by a lane replay, pending
 /// delivery to the real broker at an epoch boundary.
@@ -387,7 +116,7 @@ pub(crate) struct DagPlan {
     local_off: Vec<u32>,
     local_child: Vec<u32>,
     /// Parents with at least one cross child — their completions bound
-    /// the release barrier.
+    /// the release barrier. Empty for an edgeless plan.
     has_cross: Vec<bool>,
     /// Children resolved locally: masked in the broker.
     local_mask: Vec<bool>,
@@ -416,7 +145,7 @@ impl DagPlan {
             return DagPlan {
                 local_off: Vec::new(),
                 local_child: Vec::new(),
-                has_cross: vec![false; n],
+                has_cross: Vec::new(),
                 local_mask: Vec::new(),
                 lane_pending: Vec::new(),
                 arrivals: None,
@@ -475,6 +204,11 @@ impl DagPlan {
             arrivals: arrivals.map(<[SimTime]>::to_vec),
             topology,
         }
+    }
+
+    /// Whether `parent`'s completion can release a cross child.
+    fn crosses(&self, parent: CloudletId) -> bool {
+        self.has_cross.get(parent.index()) == Some(&true)
     }
 
     fn local_children(&self, parent: CloudletId) -> &[u32] {
@@ -618,12 +352,14 @@ struct Driver {
     /// While any exist, replay is also bounded by the earliest lane
     /// event (their completion times are not yet known).
     rel_inflight: u64,
+    /// Per-cloudlet flags behind `rel_inflight`, sized like the plan's
+    /// `has_cross` (empty for an edgeless plan).
     in_flight: Vec<bool>,
     broker_id: EntityId,
 }
 
-/// Runs a fault-shaped, recovering, resubmitting or workflow-DAG scenario
-/// on the epoch-sharded engine.
+/// Runs any scenario on the sharded engine: plain batch, fault-shaped,
+/// recovering, resubmitting or workflow DAG.
 ///
 /// The caller ([`crate::simulation::SimulationBuilder::run`]) has
 /// validated the scenario and built the *real* datacenter and broker
@@ -643,7 +379,8 @@ struct Driver {
 /// chains); queue events are never outrun because rounds fire only when
 /// the earliest deliverable queue event lies beyond the barrier. With an
 /// edgeless plan the barrier is always `None`: control instants alone
-/// separate the parallel epochs.
+/// separate the parallel epochs, and a plain batch, which has none after
+/// placement, replays in the final flush.
 pub(crate) fn run_epochs(
     world: &mut World,
     dcs: &mut [Datacenter],
@@ -652,7 +389,6 @@ pub(crate) fn run_epochs(
     mut plan: DagPlan,
 ) -> RunStats {
     let broker_id = EntityId::from_index(dcs.len());
-    let n = world.cloudlets.len();
     let vm_count = world.vms.len();
     // Mask locally resolved children so the broker never double-releases
     // them (their counters keep a sentinel excess that no return clears).
@@ -679,7 +415,7 @@ pub(crate) fn run_epochs(
         rel_ats: BinaryHeap::new(),
         return_ord: 0,
         rel_inflight: 0,
-        in_flight: vec![false; n],
+        in_flight: vec![false; plan.has_cross.len()],
         broker_id,
     };
     // Start every entity at t=0 in registration order, as the kernel does.
@@ -717,7 +453,7 @@ pub(crate) fn run_epochs(
                         // at or before it replays first, matured
                         // completions deliver first — kernel order.
                         if let Event::CloudletFailed { cloudlet } = ev.event {
-                            driver.note_failed(cloudlet);
+                            driver.settle(cloudlet);
                         }
                         driver.flush(world, dcs, Bound::Control(ev.time), &plan);
                         driver.deliver_returns(world, broker, Some(ev.time), false, &plan);
@@ -822,7 +558,7 @@ impl Driver {
 
     fn stage_sub(&mut self, vm: VmId, time: SimTime, sub: Sub, plan: &DagPlan) {
         for c in sub.cloudlets() {
-            if plan.has_cross[c.index()] && !self.in_flight[c.index()] {
+            if plan.crosses(*c) && !self.in_flight[c.index()] {
                 self.in_flight[c.index()] = true;
                 self.rel_inflight += 1;
             }
@@ -831,19 +567,27 @@ impl Driver {
         self.mark_dirty(vm);
     }
 
-    /// A `CloudletFailed` control was popped: if the cloudlet was staged
-    /// as an in-flight cross parent (its host died, or recovery drained
-    /// it), it can no longer complete — release the barrier hold. A
+    /// A staged cloudlet finished, or a `CloudletFailed` control was
+    /// popped for it: if it was an in-flight cross parent (a failed one's
+    /// host died, or recovery drained it), release the barrier hold. A
     /// later resubmission re-stages (and re-counts) it.
-    fn note_failed(&mut self, cloudlet: CloudletId) {
-        if self.in_flight[cloudlet.index()] {
-            self.in_flight[cloudlet.index()] = false;
+    fn settle(&mut self, cloudlet: CloudletId) {
+        if let Some(flag @ true) = self.in_flight.get_mut(cloudlet.index()) {
+            *flag = false;
             self.rel_inflight -= 1;
         }
     }
 
     /// Replays every lane with an event due under `bound`, commits the
     /// results in ascending VM order and reconciles armed ticks.
+    ///
+    /// Due lanes replay and commit in ascending-`VmId` chunks, each chunk
+    /// committed before the next is built, so a flush holds one chunk's
+    /// replay records rather than the whole fleet's (a plain batch is a
+    /// single flush of every lane). Chunking cannot change the trace: a
+    /// lane's replay reads only its own VM, scheduler, armed tick and
+    /// cloudlets, which no other lane's commit writes, and commit order
+    /// stays ascending `VmId`.
     fn flush(&mut self, world: &mut World, dcs: &mut [Datacenter], bound: Bound, plan: &DagPlan) {
         let limit = match bound {
             Bound::Control(t) => Some(t),
@@ -862,94 +606,104 @@ impl Driver {
                 due.push(VmId(vm));
             }
         }
-        if due.is_empty() {
-            return;
-        }
         due.sort_unstable_by_key(|v| v.index());
-        let mut segs: Vec<LaneSeg> = Vec::with_capacity(due.len());
-        for vm in due {
-            let mut lane = std::mem::take(&mut self.lanes[vm.index()]);
-            lane.in_round = false;
-            let dc = world
-                .vm(vm)
-                .datacenter
-                .expect("lane content implies placement")
-                .index();
-            let sched = dcs[dc]
-                .take_sched(vm)
-                .expect("lane content implies a live scheduler");
-            segs.push(LaneSeg {
-                vm,
-                dc,
-                lane,
-                armed_before: self.queue.armed_tick(vm),
-                sched,
-                cost: dcs[dc].characteristics().cost,
-                latency: plan.topology.latency_to(DatacenterId::from_index(dc)),
-            });
+        for vms in due.chunks(FLUSH_CHUNK_LANES) {
+            let segs: Vec<LaneSeg> = vms
+                .iter()
+                .map(|&vm| self.segment(world, dcs, vm, plan))
+                .collect();
+            let (vms, cloudlets) = (&world.vms, &world.cloudlets);
+            let outs: Vec<LaneOut> = if segs.len() > 1 {
+                segs.into_par_iter()
+                    .map(|s| replay_lane(s, vms, cloudlets, plan, bound))
+                    .collect()
+            } else {
+                segs.into_iter()
+                    .map(|s| replay_lane(s, vms, cloudlets, plan, bound))
+                    .collect()
+            };
+            for out in outs {
+                self.commit(world, dcs, out, plan);
+            }
         }
-        let vms = &world.vms;
-        let cloudlets = &world.cloudlets;
-        let outs: Vec<LaneOut> = if segs.len() > 1 {
-            segs.into_par_iter()
-                .map(|s| replay_lane(s, vms, cloudlets, plan, bound))
-                .collect()
-        } else {
-            segs.into_iter()
-                .map(|s| replay_lane(s, vms, cloudlets, plan, bound))
-                .collect()
-        };
-        for out in outs {
-            self.processed += out.ticks + out.sub_events;
-            self.clock = self.clock.max(out.last_event);
-            let dc_id = EntityId::from_index(out.dc);
-            dcs[out.dc].put_sched(out.vm, out.sched);
-            dcs[out.dc].note_completed(out.finished.len() as u64);
-            if out.armed_after != out.armed_before {
-                self.queue.cancel_vm_tick(out.vm);
-                if let Some(t) = out.armed_after {
-                    self.queue
-                        .push_vm_tick(out.last_now, dc_id, dc_id, out.vm, t);
-                }
-            }
-            for &c in &out.queued {
-                let cl = world.cloudlet_mut(c);
-                cl.status = CloudletStatus::Queued;
-                cl.vm = Some(out.vm);
-            }
-            for &(c, t) in &out.released {
-                world.cloudlet_mut(c).submit_time = Some(t);
-            }
-            for &(c, t) in &out.started {
-                let cl = world.cloudlet_mut(c);
-                if cl.start_time.is_none() {
-                    cl.start_time = Some(t);
-                }
-                cl.status = CloudletStatus::Running;
-            }
-            for f in out.finished {
-                let cl = world.cloudlet_mut(f.id);
-                cl.finish_time = Some(f.finish);
-                cl.status = CloudletStatus::Finished;
-                cl.cost = f.cost;
-                if self.in_flight[f.id.index()] {
-                    self.in_flight[f.id.index()] = false;
-                    self.rel_inflight -= 1;
-                }
-                if plan.has_cross[f.id.index()] {
-                    self.rel_ats.push(Reverse(f.return_at));
-                }
-                self.returns.push(Reverse(PendingReturn {
-                    at: f.return_at,
-                    ord: self.return_ord,
-                    cloudlet: f.id,
-                }));
-                self.return_ord += 1;
-            }
-            let vm = out.vm;
-            self.lanes[vm.index()] = out.lane;
-            self.mark_dirty(vm);
+    }
+
+    /// Moves a due lane and its VM's scheduler out for replay.
+    fn segment(
+        &mut self,
+        world: &World,
+        dcs: &mut [Datacenter],
+        vm: VmId,
+        plan: &DagPlan,
+    ) -> LaneSeg {
+        let mut lane = std::mem::take(&mut self.lanes[vm.index()]);
+        lane.in_round = false;
+        let dc = world
+            .vm(vm)
+            .datacenter
+            .expect("lane content implies placement")
+            .index();
+        let sched = dcs[dc]
+            .take_sched(vm)
+            .expect("lane content implies a live scheduler");
+        LaneSeg {
+            vm,
+            dc,
+            lane,
+            armed_before: self.queue.armed_tick(vm),
+            sched,
+            cost: dcs[dc].characteristics().cost,
+            latency: plan.topology.latency_to(DatacenterId::from_index(dc)),
         }
+    }
+
+    /// Applies one lane replay to the world, the entities and the queue.
+    fn commit(&mut self, world: &mut World, dcs: &mut [Datacenter], out: LaneOut, plan: &DagPlan) {
+        self.processed += out.ticks + out.sub_events;
+        self.clock = self.clock.max(out.last_event);
+        let dc_id = EntityId::from_index(out.dc);
+        dcs[out.dc].put_sched(out.vm, out.sched);
+        dcs[out.dc].note_completed(out.finished.len() as u64);
+        if out.armed_after != out.armed_before {
+            self.queue.cancel_vm_tick(out.vm);
+            if let Some(t) = out.armed_after {
+                self.queue
+                    .push_vm_tick(out.last_now, dc_id, dc_id, out.vm, t);
+            }
+        }
+        for &c in &out.queued {
+            let cl = world.cloudlet_mut(c);
+            cl.status = CloudletStatus::Queued;
+            cl.vm = Some(out.vm);
+        }
+        for &(c, t) in &out.released {
+            world.cloudlet_mut(c).submit_time = Some(t);
+        }
+        for &(c, t) in &out.started {
+            let cl = world.cloudlet_mut(c);
+            if cl.start_time.is_none() {
+                cl.start_time = Some(t);
+            }
+            cl.status = CloudletStatus::Running;
+        }
+        for f in out.finished {
+            let cl = world.cloudlet_mut(f.id);
+            cl.finish_time = Some(f.finish);
+            cl.status = CloudletStatus::Finished;
+            cl.cost = f.cost;
+            self.settle(f.id);
+            if plan.crosses(f.id) {
+                self.rel_ats.push(Reverse(f.return_at));
+            }
+            self.returns.push(Reverse(PendingReturn {
+                at: f.return_at,
+                ord: self.return_ord,
+                cloudlet: f.id,
+            }));
+            self.return_ord += 1;
+        }
+        self.lanes[out.vm.index()] = out.lane;
+        self.mark_dirty(out.vm);
     }
 
     /// Delivers matured completions to the real broker in (time,
@@ -976,7 +730,7 @@ impl Driver {
                 break;
             }
             let Reverse(r) = self.returns.pop().expect("peeked entry pops");
-            if plan.has_cross[r.cloudlet.index()] {
+            if plan.crosses(r.cloudlet) {
                 let Some(Reverse(t)) = self.rel_ats.pop() else {
                     unreachable!("cross return delivered without barrier entry");
                 };
@@ -1199,6 +953,11 @@ fn replay_lane(
         }
     }
     lane.popped_tick = None;
+    // Compact only long lanes: dropping consumed batches frees the
+    // broker's allocations on this worker thread, and doing that for every
+    // drained lane of a plain batch serialized the workers on the
+    // allocator (scale-batch lane replay took longer at 2 threads than at
+    // 1). Short lanes keep them until the driver drops the lanes.
     if lane.head > 32 && lane.head * 2 >= lane.subs.len() {
         lane.subs.drain(..lane.head);
         lane.head = 0;

@@ -47,13 +47,14 @@ pub enum EngineKind {
     #[default]
     Sequential,
     /// The sharded engine: per-VM timelines replayed across rayon
-    /// workers, trace-equivalent to the sequential kernel. Plain batch
-    /// scenarios run free (no synchronisation at all); everything else —
-    /// fault injection, recovery, resubmission, workflow DAGs — runs on
-    /// the epoch driver, which interleaves sequential control instants
-    /// with parallel lane replay, bounds DAG replay by a release barrier
-    /// and resolves same-VM releases inside the lanes. Every scenario the
-    /// builder accepts runs on the engine it asked for.
+    /// workers, trace-equivalent to the sequential kernel. Every scenario
+    /// — plain batch, fault injection, recovery, resubmission, workflow
+    /// DAGs — runs on the epoch driver, which interleaves sequential
+    /// control instants with parallel lane replay, bounds DAG replay by a
+    /// release barrier and resolves same-VM releases inside the lanes. A
+    /// plain batch has no control instant after placement, so its lanes
+    /// replay in one parallel flush. Every scenario the builder accepts
+    /// runs on the engine it asked for.
     Sharded,
 }
 
@@ -340,10 +341,12 @@ impl SimulationBuilder {
             }
         }
 
-        // Engine routing: plain batch on the sharded engine replays free
-        // (no synchronisation; the paper's dominant shape), everything
-        // else sharded runs on the epoch driver, and
-        // `EngineKind::Sequential` runs on the kernel.
+        // Engine routing: `EngineKind::Sharded` runs on the epoch driver
+        // and `EngineKind::Sequential` on the kernel. A plain batch (no
+        // dependencies, no fault shaping) compiles to an edgeless plan with
+        // no control instant after placement. The dependency table is
+        // compiled before the broker consumes the assignment, arrival and
+        // topology vectors.
         let max_events = self.max_events.unwrap_or(Kernel::DEFAULT_MAX_EVENTS);
         let fault_shaped = self.datacenters.iter().any(|d| !d.failures.is_empty())
             || dc_failures.iter().any(|f| !f.is_empty())
@@ -351,23 +354,7 @@ impl SimulationBuilder {
             || dc_degrades.iter().any(|d| !d.is_empty())
             || self.recovery.is_some()
             || self.max_retries > 0;
-        let sharded = self.engine == EngineKind::Sharded;
-        if sharded && self.dependencies.is_none() && !fault_shaped {
-            let mut world = World::new(self.vms, self.cloudlets);
-            let stats = crate::sharded::run(
-                &mut world,
-                self.datacenters,
-                &vm_placement,
-                &self.assignment,
-                self.arrivals.as_deref(),
-                &topology,
-                max_events,
-            );
-            return outcome_from_world(&world, stats, self.engine, self.record_mode);
-        }
-        // The dependency table is compiled before the broker consumes the
-        // assignment, arrival and topology vectors.
-        let plan = sharded.then(|| {
+        let plan = (self.engine == EngineKind::Sharded).then(|| {
             crate::sharded::DagPlan::compile(
                 self.dependencies.as_deref(),
                 &self.assignment,
@@ -380,8 +367,8 @@ impl SimulationBuilder {
 
         let mut world = World::new(self.vms, self.cloudlets);
 
-        // Both remaining paths drive the same entities, built with dense
-        // ids (datacenters first, broker last) — exactly the ids
+        // Both paths drive the same entities, built with dense ids
+        // (datacenters first, broker last) — exactly the ids
         // `Kernel::register` would hand out in this order.
         let mut dcs = Vec::with_capacity(dc_count);
         let mut dc_entities = Vec::with_capacity(dc_count);
@@ -1013,7 +1000,8 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
-        // An all-healthy plan injects nothing: the free-running path.
+        // An all-healthy plan injects nothing: a plain batch, an edgeless
+        // plan with no control instant after placement.
         let ok = base().faults(FaultPlan::healthy()).run().unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
         assert_eq!(ok.finished_count(), 4);

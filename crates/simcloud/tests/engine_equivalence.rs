@@ -8,8 +8,9 @@
 //! homogeneous and heterogeneous fleets, fault plans, recovery policies,
 //! resubmission, batched submissions under fault shaping, workflow DAGs
 //! (alone and composed with faults), both record modes and any rayon
-//! thread count. Plain batch scenarios exercise the free-running path;
-//! every other shape exercises the epoch driver.
+//! thread count. Every shape runs on the epoch driver: a plain batch is
+//! an edgeless plan whose whole replay is one final flush, which commits
+//! its lanes in chunks when the fleet is wide enough.
 
 use rand::Rng;
 use simcloud::datacenter::DatacenterBlueprint;
@@ -23,6 +24,13 @@ enum Shape {
     /// Two datacenters with distinct latencies and prices, mixed VM
     /// sizes, staggered arrivals.
     Heterogeneous,
+    /// `Homogeneous` on 1 300 VMs with four cloudlets each on average:
+    /// more than two of the epoch driver's 512-lane flush chunks, so one
+    /// flush commits several chunks in turn.
+    Wide,
+    /// `Homogeneous` with hosts for two VMs fewer than the fleet: the last
+    /// two VMs are rejected at placement and their cloudlets fail.
+    Overcommitted,
 }
 
 struct Scenario {
@@ -36,10 +44,12 @@ impl Scenario {
     /// and cannot be cloned) and runs it on `engine`.
     fn run_on(&self, engine: EngineKind) -> SimulationOutcome {
         let mut rng = simcloud::rng::stream(self.seed, "engine-equivalence");
-        let (vm_count, cloudlet_count) = (12, 160);
+        let (vm_count, cloudlet_count) = match self.shape {
+            Shape::Wide => (1_300, 5_200),
+            _ => (12, 160),
+        };
         let vms: Vec<VmSpec> = (0..vm_count)
             .map(|_| match self.shape {
-                Shape::Homogeneous => VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 2),
                 Shape::Heterogeneous => VmSpec::new(
                     rng.gen_range(500.0..2_500.0),
                     10_000.0,
@@ -47,19 +57,20 @@ impl Scenario {
                     rng.gen_range(100.0..1_000.0),
                     rng.gen_range(1..=4),
                 ),
+                _ => VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 2),
             })
             .collect();
         let cloudlets: Vec<CloudletSpec> = (0..cloudlet_count)
             .map(|_| {
                 let len = rng.gen_range(1_000.0..40_000.0);
                 match self.shape {
-                    Shape::Homogeneous => CloudletSpec::new(len, 0.0, 0.0, 1),
                     Shape::Heterogeneous => CloudletSpec::new(
                         len,
                         rng.gen_range(0.0..300.0),
                         rng.gen_range(0.0..300.0),
                         rng.gen_range(1..=3),
                     ),
+                    _ => CloudletSpec::new(len, 0.0, 0.0, 1),
                 }
             })
             .collect();
@@ -73,10 +84,10 @@ impl Scenario {
             bw_mbps: 1_000.0,
             pes: vms.iter().map(|v| v.pes).max().unwrap(),
         };
-        let blueprint = |cost: CostModel| {
+        let blueprint = |cost: CostModel, capacity: usize| {
             let mut b = DatacenterBlueprint::sized_for(
                 &envelope,
-                vm_count,
+                capacity,
                 2,
                 DatacenterCharacteristics {
                     cost,
@@ -92,7 +103,10 @@ impl Scenario {
             .cloudlets(cloudlets)
             .assignment(assignment);
         builder = match self.shape {
-            Shape::Homogeneous => builder.datacenter(blueprint(CostModel::free())),
+            Shape::Homogeneous | Shape::Wide => {
+                builder.datacenter(blueprint(CostModel::free(), vm_count))
+            }
+            Shape::Overcommitted => builder.datacenter(blueprint(CostModel::free(), vm_count - 2)),
             Shape::Heterogeneous => {
                 let arrivals: Vec<SimTime> = (0..cloudlet_count)
                     .map(|_| SimTime::new(rng.gen_range(0.0..200.0)))
@@ -101,8 +115,8 @@ impl Scenario {
                     .map(|i| DatacenterId::from_index(i % 2))
                     .collect();
                 builder
-                    .datacenter(blueprint(CostModel::table_vii_midpoint()))
-                    .datacenter(blueprint(CostModel::new(0.05, 0.001, 0.02, 5.0)))
+                    .datacenter(blueprint(CostModel::table_vii_midpoint(), vm_count))
+                    .datacenter(blueprint(CostModel::new(0.05, 0.001, 0.02, 5.0), vm_count))
                     .vm_placement(placement)
                     .topology(Topology::with_latencies(vec![1.5, 40.0]))
                     .arrivals(arrivals)
@@ -246,7 +260,12 @@ fn assert_aggregate_identical(a: &SimulationOutcome, b: &SimulationOutcome, labe
 fn sharded_matches_sequential_across_seeds_schedulers_and_shapes() {
     for seed in [1u64, 7, 42] {
         for scheduler in [SchedulerKind::SpaceShared, SchedulerKind::TimeShared] {
-            for shape in [Shape::Homogeneous, Shape::Heterogeneous] {
+            for shape in [
+                Shape::Homogeneous,
+                Shape::Heterogeneous,
+                Shape::Wide,
+                Shape::Overcommitted,
+            ] {
                 let sc = Scenario {
                     seed,
                     scheduler,
@@ -261,6 +280,10 @@ fn sharded_matches_sequential_across_seeds_schedulers_and_shapes() {
                     "eligible scenario must not fall back"
                 );
                 assert!(seq.finished_count() > 0, "scenario must do work");
+                if shape == Shape::Overcommitted {
+                    assert!(seq.vms_rejected > 0, "no VM rejected at placement");
+                    assert!(seq.cloudlets_failed > 0, "no cloudlet failed");
+                }
                 let label = format!("seed {seed} / {scheduler:?} / {shape:?}");
                 assert_identical(&seq, &shd, &label);
             }
@@ -268,23 +291,33 @@ fn sharded_matches_sequential_across_seeds_schedulers_and_shapes() {
     }
 }
 
-/// Shard boundaries move with the worker count; results must not.
+/// The worker split of each flush moves with the thread count; results
+/// must not.
 #[test]
 fn sharded_results_are_thread_count_independent() {
-    let sc = Scenario {
+    let shapes = [Shape::Heterogeneous, Shape::Wide, Shape::Overcommitted];
+    let scenarios = shapes.map(|shape| Scenario {
         seed: 99,
         scheduler: SchedulerKind::SpaceShared,
-        shape: Shape::Heterogeneous,
-    };
-    let reference = sc.run_on(EngineKind::Sequential);
+        shape,
+    });
+    let references = scenarios
+        .each_ref()
+        .map(|sc| sc.run_on(EngineKind::Sequential));
     for threads in [1usize, 2, 4, 8] {
         rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build_global()
             .expect("vendored rayon accepts repeated global builds");
-        let shd = sc.run_on(EngineKind::Sharded);
-        assert_eq!(shd.engine, EngineKind::Sharded);
-        assert_identical(&reference, &shd, &format!("{threads} threads"));
+        for (sc, reference) in scenarios.iter().zip(&references) {
+            let shd = sc.run_on(EngineKind::Sharded);
+            assert_eq!(shd.engine, EngineKind::Sharded);
+            assert_identical(
+                reference,
+                &shd,
+                &format!("{threads} threads / {:?}", sc.shape),
+            );
+        }
     }
 }
 
