@@ -31,7 +31,7 @@ struct Options {
 impl Options {
     fn parse(a: &harness::Args) -> Result<Self, String> {
         let opts = Options {
-            scale: a.get("--scale", 10)?,
+            scale: a.get("--scale", 32)?,
             seed: a.get("--seed", 42)?,
         };
         if opts.scale == 0 {

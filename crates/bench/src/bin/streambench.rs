@@ -26,6 +26,8 @@
 //! simulation-derived values, so CI runs `--smoke` under different
 //! `RAYON_NUM_THREADS` and diffs outputs with the machine-dependent
 //! lines stripped (`grep -v wall_ms`).
+//!
+//! [`EvalCache::retarget_cloudlets`]: biosched_core::eval::EvalCache::retarget_cloudlets
 
 use std::time::Instant;
 

@@ -3,8 +3,8 @@
 //! The paper justifies its algorithm choices with convergence-speed
 //! claims ("HBO was also chosen because of the speed in which it
 //! converges", "PSO is the algorithm with the fastest convergence when
-//! compared to GA and ACO" [30], "GA … slow … due to the time to
-//! converge" [17]). This module produces the measurement those claims
+//! compared to GA and ACO" \[30\], "GA … slow … due to the time to
+//! converge" \[17\]). This module produces the measurement those claims
 //! call for: per-iteration best scores for ACO, PSO and GA on the same
 //! problem, normalized to each algorithm's starting point so the units
 //! (tour length vs makespan estimate) compare fairly.

@@ -35,20 +35,20 @@
 //! until something touches them, so a small wave replanned on a matrix
 //! grown by a large one pays for its own slots only. Each full-row draw
 //! is one allocation-free pass over that row ([`full_row::pick`]) with
-//! tabu entries masked in place by generation stamps ([`TourScratch`]),
+//! tabu entries masked in place by generation stamps (`TourScratch`),
 //! so tour construction allocates nothing but the returned tour. The
-//! pre-overhaul loop survives verbatim in [`reference`] as the
-//! equivalence baseline.
+//! pre-overhaul loop survives verbatim in [`reference`](mod@reference)
+//! as the equivalence baseline.
 //!
 //! # Sampling regimes
 //!
 //! The candidate-list width k fixes how each Eq. 5 draw is made. With
 //! k ≥ #VMs (the paper profile) every non-tabu VM enters a linear
-//! roulette that draws what [`reference`] draws, bit for bit. With
-//! k < #VMs each slot draws from its per-batch top-η [`CandidateBlock`] by
-//! binary search over per-iteration prefix sums ([`prefix_pick`]),
-//! rejecting tabu picks a few times before falling back to the exact
-//! roulette over the non-tabu candidates.
+//! roulette that draws what [`reference`](mod@reference) draws, bit for
+//! bit. With k < #VMs each slot draws from its per-batch top-η
+//! [`CandidateBlock`] by binary search over per-iteration prefix sums
+//! ([`prefix_pick`]), rejecting tabu picks a few times before falling
+//! back to the exact roulette over the non-tabu candidates.
 //!
 //! ```
 //! use biosched_core::aco::{AcoParams, AntColony};
@@ -531,14 +531,14 @@ fn apply_pheromone_updates(
     *bl
 }
 
-/// The anytime ACO run: every colony's [`ColonyState`] plus a shared
+/// The anytime ACO run: every colony's `ColonyState` plus a shared
 /// iteration cursor. One [`AcoRun::step`] call advances *every* colony by
 /// one iteration (colonies evolve in lockstep, iteration-major), charging
 /// `ants` evaluation units — each of the `ants` tours per colony covers
 /// only that colony's batch, so all colonies together construct `ants`
 /// full assignments per step.
 ///
-/// Ant seeds are pre-drawn colony-major exactly like [`AntColony::run`]
+/// Ant seeds are pre-drawn colony-major exactly like `AntColony::run`
 /// and colonies are mutually independent, so a fresh `AcoRun` stepped to
 /// completion picks the same per-colony best tours as the one-shot
 /// scheduler — bit-identical plans (asserted in tests for both regimes).

@@ -241,7 +241,7 @@ impl PheromoneMatrix {
     /// recomputed exactly, as is the shared base power.
     ///
     /// The first call, an α change, and a base clamped at the
-    /// [`MIN_PHEROMONE`] floor (where the rescale stops being uniform) all
+    /// `MIN_PHEROMONE` floor (where the rescale stops being uniform) all
     /// fall back to the exact [`Self::prepare_pow`] sweep over the `live`
     /// lowest lanes. Otherwise every stale lane is replayed first and then
     /// every lane advances. Clean entries drift from the exact power only

@@ -76,9 +76,9 @@ impl RefPheromone {
 }
 
 /// Schedules `problem` with the pre-overhaul ACO loop. Byte-identical to
-/// [`super::AntColony::schedule`] for any seed when k ≥ #VMs (full rows);
-/// its random-k branch is only schedbench's `reference_aco_k32_ms` timing
-/// baseline.
+/// [`AntColony`](super::AntColony)'s `schedule` for any seed when
+/// k ≥ #VMs (full rows); its random-k branch is only schedbench's
+/// `reference_aco_k32_ms` timing baseline.
 pub fn schedule_reference(
     params: &AcoParams,
     seed: u64,

@@ -1,9 +1,9 @@
 //! Genetic Algorithm scheduler — related-work baseline.
 //!
-//! Section II's first family of heuristics: GA schedulers ([6] Ge & Wei,
-//! [10] Jang et al., [31] Zhao et al.). The paper repeats the survey
-//! verdict that "GA scheduling algorithms are slow for Cloud due [to] the
-//! time to converge" [17] — this implementation exists to make that
+//! Section II's first family of heuristics: GA schedulers (\[6\] Ge & Wei,
+//! \[10\] Jang et al., \[31\] Zhao et al.). The paper repeats the survey
+//! verdict that "GA scheduling algorithms are slow for Cloud due \[to\] the
+//! time to converge" \[17\] — this implementation exists to make that
 //! comparison measurable (see `repro convergence`).
 //!
 //! Standard generational GA over assignment chromosomes:
@@ -144,7 +144,7 @@ pub struct GaRun {
 
 impl GaRun {
     /// First fittest chromosome in current population order — the same
-    /// pick a stable ascending sort followed by `population[0]` makes.
+    /// pick a stable ascending sort followed by `population\[0\]` makes.
     fn best_index(&self) -> usize {
         let mut best = 0;
         for i in 1..self.population.len() {

@@ -1,7 +1,7 @@
 //! Min-Min and Max-Min greedy baselines.
 //!
 //! These are the classic list-scheduling heuristics the paper's related
-//! work compares against (an improved Max-Min is proposed in [4]). Both
+//! work compares against (an improved Max-Min is proposed in \[4\]). Both
 //! track per-VM ready times and repeatedly pick the cloudlet whose best
 //! completion time is smallest (Min-Min) or largest (Max-Min), assigning
 //! it to its best VM.

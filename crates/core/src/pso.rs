@@ -1,17 +1,17 @@
 //! Particle Swarm Optimization scheduler — related-work baseline.
 //!
-//! Section II surveys PSO-based cloud schedulers at length ([18] Pandey et
-//! al., [23] Rodriguez & Buyya, [12]/[11] renumbering PSO) and notes that
+//! Section II surveys PSO-based cloud schedulers at length (\[18\] Pandey et
+//! al., \[23\] Rodriguez & Buyya, \[12\]/\[11\] renumbering PSO) and notes that
 //! "PSO is the algorithm with the fastest convergence when compared to GA
-//! and ACO" [30]. This module implements the discrete PSO those works use:
+//! and ACO" \[30\]. This module implements the discrete PSO those works use:
 //!
 //! * **Encoding** — one dimension per cloudlet; the continuous position is
-//!   discretized by rounding into a VM index ([23]'s "rounded integer
+//!   discretized by rounding into a VM index (\[23\]'s "rounded integer
 //!   specifying the index of the resource assigned to each task").
 //! * **Dynamics** — the classic inertia-weight update
 //!   `v ← w·v + c1·r1·(pbest − x) + c2·r2·(gbest − x)`, with `w` decaying
 //!   linearly over the run and velocity clamped to ±`v_max`.
-//! * **Fitness** — selectable [`Objective`]; [18] optimizes cost, most
+//! * **Fitness** — selectable [`Objective`]; \[18\] optimizes cost, most
 //!   others makespan.
 //! * **Stepping** — [`PsoRun`] implements the population stepper contract
 //!   ([`PopulationRun`], one step = one swarm iteration);

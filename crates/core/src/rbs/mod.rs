@@ -13,7 +13,7 @@
 //! as free again — each group's NID is reset in place (the group topology
 //! and cyclic cursors are preserved; nothing is rebuilt), mirroring the
 //! dynamic re-sampling of the original biased random sampling load
-//! balancer [20]. A running free-VM counter detects exhaustion in O(1)
+//! balancer \[20\]. A running free-VM counter detects exhaustion in O(1)
 //! instead of scanning every group per walk step. The bias of low-υ groups
 //! plus the randomness of ω is what produces the fluctuating balance the
 //! paper observes in Figs. 4 and 6.

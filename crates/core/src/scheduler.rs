@@ -103,13 +103,13 @@ pub enum AlgorithmKind {
     HoneyBee,
     /// Random Biased Sampling (Section V).
     Rbs,
-    /// Min-Min greedy baseline (related work, [4]).
+    /// Min-Min greedy baseline (related work, \[4\]).
     MinMin,
-    /// Max-Min greedy baseline (related work, [4]).
+    /// Max-Min greedy baseline (related work, \[4\]).
     MaxMin,
-    /// Discrete Particle Swarm Optimization (related work, [18]/[23]).
+    /// Discrete Particle Swarm Optimization (related work, \[18\]/\[23\]).
     Pso,
-    /// Genetic Algorithm (related work, [6]/[31]).
+    /// Genetic Algorithm (related work, \[6\]/\[31\]).
     Ga,
     /// The paper's future-work adaptive hybrid, fixed to an objective.
     Hybrid(Objective),

@@ -2,7 +2,7 @@
 //!
 //! The paper's studied algorithms bind independent cloudlets; its related
 //! work, however, is dominated by *workflow* schedulers (PSO for DAGs
-//! [18]/[3]/[23]). This module provides the classic list-scheduling
+//! \[18\]/\[3\]/\[23\]). This module provides the classic list-scheduling
 //! reference those works compare against — **HEFT** (Heterogeneous
 //! Earliest Finish Time): rank tasks by upward rank over mean execution
 //! times, then greedily place each on the VM minimizing its earliest

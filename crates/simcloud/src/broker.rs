@@ -110,10 +110,6 @@ pub struct Broker {
     topology: Topology,
     outstanding_vm_acks: usize,
     fleet_ready: bool,
-    vms_created: usize,
-    vms_rejected: usize,
-    cloudlets_returned: usize,
-    cloudlets_failed: usize,
     /// Fault tolerance: rebind failed cloudlets onto surviving VMs up to
     /// this many times each. `0` disables resubmission (paper behavior).
     max_retries: u8,
@@ -172,10 +168,6 @@ impl Broker {
             topology,
             outstanding_vm_acks: 0,
             fleet_ready: false,
-            vms_created: 0,
-            vms_rejected: 0,
-            cloudlets_returned: 0,
-            cloudlets_failed: 0,
             max_retries: 0,
             retries: Vec::new(),
             rebind_cursor: 0,
@@ -263,26 +255,6 @@ impl Broker {
         );
         self.arrivals = Some(arrivals);
         self
-    }
-
-    /// VMs successfully created.
-    pub fn vms_created(&self) -> usize {
-        self.vms_created
-    }
-
-    /// VMs the datacenters refused.
-    pub fn vms_rejected(&self) -> usize {
-        self.vms_rejected
-    }
-
-    /// Cloudlets completed and returned.
-    pub fn cloudlets_returned(&self) -> usize {
-        self.cloudlets_returned
-    }
-
-    /// Cloudlets that could not run (bound to rejected VMs).
-    pub fn cloudlets_failed(&self) -> usize {
-        self.cloudlets_failed
     }
 
     fn request_vms(&mut self, world: &mut World, ctx: &mut Context<'_>) {
@@ -600,11 +572,12 @@ impl Broker {
     /// workflow descendants that can now never run.
     fn abandon(&mut self, world: &mut World, cloudlet: CloudletId) {
         world.resilience.abandoned += 1;
-        let cl = world.cloudlet_mut(cloudlet);
-        if cl.status != CloudletStatus::Failed {
-            cl.status = CloudletStatus::Failed;
-        }
-        self.cloudlets_failed += 1;
+        world.cloudlet_mut(cloudlet).status = CloudletStatus::Failed;
+        self.fail_descendants(world, cloudlet);
+    }
+
+    /// Fails every workflow descendant of the failed `cloudlet`.
+    fn fail_descendants(&mut self, world: &mut World, cloudlet: CloudletId) {
         if self.parents.is_some() {
             let children: Vec<u32> = self.children[cloudlet.index()].clone();
             for child in children {
@@ -623,7 +596,6 @@ impl Broker {
                 continue;
             }
             cl.status = CloudletStatus::Failed;
-            self.cloudlets_failed += 1;
             if self.parents.is_some() {
                 stack.extend(self.children[c as usize].iter().copied());
             }
@@ -639,12 +611,7 @@ impl Entity for Broker {
     fn handle(&mut self, world: &mut World, ctx: &mut Context<'_>, ev: ScheduledEvent) {
         match ev.event {
             Event::Start => self.request_vms(world, ctx),
-            Event::VmCreateAck { vm: _, success } => {
-                if success {
-                    self.vms_created += 1;
-                } else {
-                    self.vms_rejected += 1;
-                }
+            Event::VmCreateAck { .. } => {
                 self.outstanding_vm_acks -= 1;
                 if self.outstanding_vm_acks == 0 {
                     self.submit_cloudlets(world, ctx);
@@ -655,7 +622,6 @@ impl Entity for Broker {
                     world.cloudlet(cloudlet).is_finished(),
                     "returned cloudlet must be finished"
                 );
-                self.cloudlets_returned += 1;
                 // Close the recovery window for a cloudlet that had
                 // failed at least once and now completed.
                 if let Some(slot) = self.first_failed_at.get_mut(cloudlet.index()) {
@@ -683,14 +649,8 @@ impl Entity for Broker {
                     return;
                 }
                 // The datacenter marked the cloudlet itself; the broker
-                // counts it and fails any descendants that now cannot run.
-                self.cloudlets_failed += 1;
-                if self.parents.is_some() {
-                    let children: Vec<u32> = self.children[cloudlet.index()].clone();
-                    for child in children {
-                        self.cascade_failure(world, CloudletId(child));
-                    }
-                }
+                // fails any descendants that now cannot run.
+                self.fail_descendants(world, cloudlet);
             }
             Event::RetryWake => {
                 self.retry_wake_armed = false;

@@ -1,6 +1,6 @@
 //! Energy accounting.
 //!
-//! The paper's related work includes energy-aware schedulers ([27] Wang &
+//! The paper's related work includes energy-aware schedulers (\[27\] Wang &
 //! Wang); this module adds the standard linear power model so energy can
 //! be reported as a fifth metric next to the paper's four. A machine draws
 //! `idle_w` watts while powered and ramps linearly to `peak_w` at full
@@ -103,18 +103,21 @@ mod tests {
     use super::*;
     use crate::cloudlet::CloudletStatus;
     use crate::ids::{CloudletId, VmId};
-    use crate::stats::CloudletRecord;
+    use crate::stats::{AggregateMetrics, CloudletRecord};
     use crate::time::SimTime;
 
     fn outcome(records: Vec<CloudletRecord>) -> SimulationOutcome {
+        let mut aggregate = AggregateMetrics::new(2);
+        for r in &records {
+            aggregate.observe(r);
+        }
         SimulationOutcome {
             records,
-            aggregate: None,
+            aggregate,
             end_time: SimTime::new(1_000.0),
             events_processed: 1,
             vms_created: 2,
             vms_rejected: 0,
-            cloudlets_failed: 0,
             engine: crate::simulation::EngineKind::Sequential,
             resilience: crate::stats::ResilienceCounters::default(),
         }

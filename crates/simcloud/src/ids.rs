@@ -1,6 +1,6 @@
 //! Typed identifiers for simulation objects.
 //!
-//! All simulation objects live in dense arenas owned by the [`crate::World`]
+//! All simulation objects live in dense arenas owned by the [`crate::kernel::World`]
 //! or by their parent entity, so identifiers are plain `u32` indices wrapped
 //! in newtypes to keep host/VM/cloudlet/datacenter spaces from mixing.
 

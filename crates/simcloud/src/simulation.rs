@@ -421,16 +421,16 @@ impl SimulationBuilder {
     }
 }
 
-/// Collects run-level counters and per-cloudlet records from the world,
-/// or returns the runaway-guard error when the run hit its event limit.
+/// Collects run-level counters and the metric fold from the world, or
+/// returns the runaway-guard error when the run hit its event limit.
 ///
 /// The kernel owns the entities; rather than downcasting the broker we
 /// recompute the counters from the world, which is equivalent and keeps
 /// the kernel API minimal. The sharded engine shares this path, which
-/// guarantees both engines derive their outcome identically. Under
-/// [`RecordMode::Aggregate`] the per-cloudlet records are folded into an
-/// [`AggregateMetrics`] in cloudlet-id order (the exact order the record
-/// accessors scan) and never materialized as a vector.
+/// guarantees both engines derive their outcome identically. Every
+/// cloudlet's record is folded into one [`AggregateMetrics`] in
+/// cloudlet-id order whatever the [`RecordMode`]; `Full` additionally
+/// keeps the records.
 fn outcome_from_world(
     world: &World,
     stats: crate::kernel::RunStats,
@@ -448,28 +448,18 @@ fn outcome_from_world(
         .iter()
         .filter(|v| v.status == crate::vm::VmStatus::Rejected)
         .count();
-    let cloudlets_failed = world
-        .cloudlets
-        .iter()
-        .filter(|c| c.status == crate::cloudlet::CloudletStatus::Failed)
-        .count();
-    let (records, aggregate) = match mode {
-        RecordMode::Full => (
-            world
-                .cloudlets
-                .iter()
-                .map(CloudletRecord::from)
-                .collect::<Vec<_>>(),
-            None,
-        ),
-        RecordMode::Aggregate => {
-            let mut agg = AggregateMetrics::new(world.vms.len());
-            for cl in &world.cloudlets {
-                agg.observe(&CloudletRecord::from(cl));
-            }
-            (Vec::new(), Some(agg))
-        }
+    let mut aggregate = AggregateMetrics::new(world.vms.len());
+    let mut records = match mode {
+        RecordMode::Full => Vec::with_capacity(world.cloudlets.len()),
+        RecordMode::Aggregate => Vec::new(),
     };
+    for cl in &world.cloudlets {
+        let record = CloudletRecord::from(cl);
+        aggregate.observe(&record);
+        if mode == RecordMode::Full {
+            records.push(record);
+        }
+    }
     Ok(SimulationOutcome {
         records,
         aggregate,
@@ -477,7 +467,6 @@ fn outcome_from_world(
         events_processed: stats.events_processed,
         vms_created,
         vms_rejected,
-        cloudlets_failed,
         resilience: world.resilience,
         engine,
     })
@@ -566,7 +555,7 @@ mod tests {
         assert_eq!(outcome.finished_count(), 20);
         assert_eq!(outcome.vms_created, 4);
         assert_eq!(outcome.vms_rejected, 0);
-        assert_eq!(outcome.cloudlets_failed, 0);
+        assert_eq!(outcome.failed_count(), 0);
         assert!(outcome.simulation_time_ms().unwrap() > 0.0);
     }
 
@@ -638,7 +627,7 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.vms_created, 1);
         assert_eq!(outcome.vms_rejected, 1);
-        assert_eq!(outcome.cloudlets_failed, 2);
+        assert_eq!(outcome.failed_count(), 2);
         assert_eq!(outcome.finished_count(), 2);
     }
 
@@ -741,7 +730,7 @@ mod tests {
             .unwrap();
         // VM0's two cloudlets die with the host; VM1's two finish.
         assert_eq!(outcome.finished_count(), 2);
-        assert_eq!(outcome.cloudlets_failed, 2);
+        assert_eq!(outcome.failed_count(), 2);
         for r in &outcome.records {
             match r.vm {
                 Some(VmId(0)) => assert_eq!(r.status, crate::cloudlet::CloudletStatus::Failed),
@@ -770,7 +759,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(outcome.finished_count(), 4, "resubmission saves the work");
-        assert_eq!(outcome.cloudlets_failed, 0);
+        assert_eq!(outcome.failed_count(), 0);
         // Anything finishing after the failure must be on the survivor.
         for r in &outcome.records {
             if r.finish.unwrap() > SimTime::new(500.0) {
@@ -796,7 +785,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(outcome.finished_count(), 0);
-        assert_eq!(outcome.cloudlets_failed, 2);
+        assert_eq!(outcome.failed_count(), 2);
     }
 
     #[test]
@@ -818,7 +807,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(outcome.finished_count(), 0);
-        assert_eq!(outcome.cloudlets_failed, 1);
+        assert_eq!(outcome.failed_count(), 1);
     }
 
     #[test]
@@ -949,7 +938,7 @@ mod tests {
         assert_eq!(outcome.records[1].status, CloudletStatus::Failed);
         assert_eq!(outcome.records[2].status, CloudletStatus::Failed);
         assert_eq!(outcome.records[3].status, CloudletStatus::Finished);
-        assert_eq!(outcome.cloudlets_failed, 3);
+        assert_eq!(outcome.failed_count(), 3);
     }
 
     #[test]
@@ -1165,7 +1154,7 @@ mod tests {
         // The single VM dies at 500 and is revived at 1000; the retry
         // wakes at 500 + 600 = 1100 and lands on the repaired host.
         assert_eq!(outcome.finished_count(), 1, "repair saves the work");
-        assert_eq!(outcome.cloudlets_failed, 0);
+        assert_eq!(outcome.failed_count(), 0);
         let r = &outcome.records[0];
         assert!((r.start.unwrap().as_millis() - 1_100.0).abs() < 1e-6);
         assert!((r.finish.unwrap().as_millis() - 3_100.0).abs() < 1e-6);
@@ -1206,7 +1195,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(outcome.finished_count(), 4, "retries save the orphans");
-        assert_eq!(outcome.cloudlets_failed, 0);
+        assert_eq!(outcome.failed_count(), 0);
         assert_eq!(outcome.resilience.retries, 2);
         assert_eq!(outcome.resilience.recovered, 2);
         assert!(outcome.resilience.wasted_work_ms > 0.0);
@@ -1295,7 +1284,7 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(outcome.finished_count(), 0);
-        assert_eq!(outcome.cloudlets_failed, 2);
+        assert_eq!(outcome.failed_count(), 2);
         assert_eq!(outcome.failed_count(), 2);
         assert_eq!(outcome.resilience.abandoned, 2);
         assert_eq!(outcome.resilience.recovered, 0);

@@ -1,16 +1,18 @@
 //! Simulation outcomes and the paper's evaluation metrics.
 //!
 //! [`SimulationOutcome`] is the data the paper's figures are computed from:
-//! one record per cloudlet plus run-level counters. The metric definitions
+//! the folded metrics, optionally one record per cloudlet, and run-level
+//! counters. The metric definitions
 //! follow Section VI-C: simulation time (Eq. 12), degree of time imbalance
 //! (Eq. 13) and processing cost (Section VI-C-4).
 //!
-//! Two retention modes exist ([`RecordMode`]): `Full` keeps the
-//! per-cloudlet record vector; `Aggregate` folds every metric online into
-//! an [`AggregateMetrics`] at outcome construction and drops the records,
-//! cutting a run's retained memory from O(cloudlets) to O(VMs). Every
-//! metric accessor answers identically (bit-for-bit) in both modes; the
-//! equivalence suite in `crates/workload/tests` pins that contract.
+//! Every run's metrics are folded once, in cloudlet-id order, into an
+//! [`AggregateMetrics`] at outcome construction, and every metric
+//! accessor reads that fold. [`RecordMode`] decides only whether the
+//! per-cloudlet record vector is kept as well: `Full` keeps it (CSV
+//! export, drill-downs), `Aggregate` drops it, cutting a run's retained
+//! memory from O(cloudlets) to O(VMs). Both modes therefore answer every
+//! metric from the same fold, bit for bit.
 
 use crate::cloudlet::{Cloudlet, CloudletStatus};
 use crate::ids::{CloudletId, VmId};
@@ -19,11 +21,11 @@ use crate::time::SimTime;
 /// How a run's per-cloudlet results are retained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecordMode {
-    /// Keep one [`CloudletRecord`] per cloudlet (CSV export, diagnostics,
-    /// SLA drill-downs). The default.
+    /// Also keep one [`CloudletRecord`] per cloudlet (CSV export,
+    /// diagnostics, SLA drill-downs). The default.
     #[default]
     Full,
-    /// Fold the paper's metrics online and retain no per-cloudlet vector.
+    /// Keep only the folded metrics, no per-cloudlet vector.
     Aggregate,
 }
 
@@ -60,11 +62,9 @@ const WAIT_MIN_MS: f64 = 1e-3;
 
 /// Fixed log-bucketed histogram of cloudlet wait times (start − submit).
 ///
-/// Both record modes answer wait quantiles through this same estimator so
-/// the bit-identity contract between [`RecordMode::Full`] and
-/// [`RecordMode::Aggregate`] extends to p50/p99: bucket insertion is
-/// integer counting (order-independent) and the representative value of a
-/// bucket is a pure function of its index. 256 buckets at 8 per octave
+/// Bucket insertion is integer counting (order-independent) and the
+/// representative value of a bucket is a pure function of its index, so
+/// p50/p99 do not depend on fold order. 256 buckets at 8 per octave
 /// cover 1 µs to ~4.3 × 10^6 ms with ≈9% relative resolution; anything
 /// below the floor reads as a zero wait, anything above clamps to the top
 /// bucket.
@@ -141,8 +141,8 @@ impl WaitHistogram {
     }
 }
 
-/// Per-VM usage summary: busy time and finished-cloudlet count, computed
-/// in one pass over the records (or read straight off the aggregate).
+/// Per-VM usage summary: busy time and finished-cloudlet count, read off
+/// the run's [`AggregateMetrics`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct VmUsage {
     /// Sum of execution times of the cloudlets each VM finished, in ms.
@@ -152,8 +152,7 @@ pub struct VmUsage {
 }
 
 /// The paper's metrics folded online, one record at a time, in cloudlet-id
-/// order — the same order the [`SimulationOutcome`] accessors scan the
-/// record vector, so every min/max/sum lands on identical bits.
+/// order. Every [`SimulationOutcome`] metric accessor reads this fold.
 #[derive(Debug, Clone)]
 pub struct AggregateMetrics {
     finished: usize,
@@ -165,8 +164,7 @@ pub struct AggregateMetrics {
     exec_max: f64,
     exec_sum: f64,
     exec_n: usize,
-    /// A finished cloudlet lacked `execution_ms` (makes Eq. 13 undefined,
-    /// matching the record path's early `None`).
+    /// A finished cloudlet lacked `execution_ms` (makes Eq. 13 undefined).
     exec_missing: bool,
     turn_min: f64,
     turn_max: f64,
@@ -217,9 +215,8 @@ impl AggregateMetrics {
         }
     }
 
-    /// Folds one cloudlet's final state. Must be called in cloudlet-id
-    /// order to keep the floating-point fold bit-identical to a scan of
-    /// the full record vector.
+    /// Folds one cloudlet's final state. Callers fold in cloudlet-id
+    /// order, which fixes the floating-point sums' bits.
     pub fn observe(&mut self, r: &CloudletRecord) {
         self.observed += 1;
         if let Some(ok) = r.met_deadline {
@@ -327,10 +324,9 @@ pub struct SimulationOutcome {
     /// One record per cloudlet, in cloudlet-id order. Empty when the run
     /// was executed under [`RecordMode::Aggregate`].
     pub records: Vec<CloudletRecord>,
-    /// Metrics folded online at outcome construction. `Some` exactly when
-    /// the run used [`RecordMode::Aggregate`]; accessors read it first and
-    /// fall back to scanning `records`.
-    pub aggregate: Option<AggregateMetrics>,
+    /// The run's metrics, folded once at outcome construction in either
+    /// record mode. Every metric accessor reads it.
+    pub aggregate: AggregateMetrics,
     /// Final simulated clock.
     pub end_time: SimTime,
     /// Kernel events processed.
@@ -339,8 +335,6 @@ pub struct SimulationOutcome {
     pub vms_created: usize,
     /// VMs refused by their datacenter.
     pub vms_rejected: usize,
-    /// Cloudlets that never ran.
-    pub cloudlets_failed: usize,
     /// Recovery counters accumulated during the run (all zeros on a
     /// fault-free run).
     pub resilience: ResilienceCounters,
@@ -349,105 +343,45 @@ pub struct SimulationOutcome {
 }
 
 impl SimulationOutcome {
-    /// Cloudlets that finished successfully.
-    pub fn finished(&self) -> impl Iterator<Item = &CloudletRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.status == CloudletStatus::Finished)
-    }
-
     /// Number of finished cloudlets.
     pub fn finished_count(&self) -> usize {
-        match &self.aggregate {
-            Some(a) => a.finished,
-            None => self.finished().count(),
-        }
+        self.aggregate.finished
     }
 
     /// The paper's Eq. 12: `T_sim = T_maxFinish − T_minStart`, in ms.
     ///
     /// `None` when no cloudlet finished.
     pub fn simulation_time_ms(&self) -> Option<f64> {
-        if let Some(a) = &self.aggregate {
-            return Some(a.max_finish? - a.min_start?);
-        }
-        let mut min_start: Option<f64> = None;
-        let mut max_finish: Option<f64> = None;
-        for r in self.finished() {
-            if let (Some(s), Some(f)) = (r.start, r.finish) {
-                let s = s.as_millis();
-                let f = f.as_millis();
-                min_start = Some(min_start.map_or(s, |m| m.min(s)));
-                max_finish = Some(max_finish.map_or(f, |m| m.max(f)));
-            }
-        }
-        Some(max_finish? - min_start?)
+        Some(self.aggregate.max_finish? - self.aggregate.min_start?)
     }
 
     /// The paper's Eq. 13: `T_im = (T_max − T_min) / T_avg` over cloudlet
     /// execution times.
     ///
-    /// `None` when no cloudlet finished or all execution times are zero.
+    /// `None` when no cloudlet finished, a finished cloudlet lacks its
+    /// execution time, or all execution times are zero.
     pub fn time_imbalance(&self) -> Option<f64> {
-        if let Some(a) = &self.aggregate {
-            if a.exec_missing || a.exec_n == 0 || a.exec_sum == 0.0 {
-                return None;
-            }
-            let avg = a.exec_sum / a.exec_n as f64;
-            return Some((a.exec_max - a.exec_min) / avg);
-        }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for r in self.finished() {
-            let e = r.execution_ms?;
-            min = min.min(e);
-            max = max.max(e);
-            sum += e;
-            n += 1;
-        }
-        if n == 0 || sum == 0.0 {
+        let a = &self.aggregate;
+        if a.exec_missing || a.exec_n == 0 || a.exec_sum == 0.0 {
             return None;
         }
-        let avg = sum / n as f64;
-        Some((max - min) / avg)
+        Some((a.exec_max - a.exec_min) / (a.exec_sum / a.exec_n as f64))
     }
 
     /// Eq. 13 computed over *turnaround* times (finish − submit) instead
     /// of execution times. With batch submission this measures the spread
     /// of completion, which penalizes queueing on overloaded VMs.
     pub fn turnaround_imbalance(&self) -> Option<f64> {
-        if let Some(a) = &self.aggregate {
-            if a.turn_missing || a.turn_n == 0 || a.turn_sum == 0.0 {
-                return None;
-            }
-            return Some((a.turn_max - a.turn_min) / (a.turn_sum / a.turn_n as f64));
-        }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for r in self.finished() {
-            let (s, f) = (r.submit?, r.finish?);
-            let t = f.saturating_sub(s).as_millis();
-            min = min.min(t);
-            max = max.max(t);
-            sum += t;
-            n += 1;
-        }
-        if n == 0 || sum == 0.0 {
+        let a = &self.aggregate;
+        if a.turn_missing || a.turn_n == 0 || a.turn_sum == 0.0 {
             return None;
         }
-        Some((max - min) / (sum / n as f64))
+        Some((a.turn_max - a.turn_min) / (a.turn_sum / a.turn_n as f64))
     }
 
     /// Total processing cost over all finished cloudlets (Fig. 6d's y-axis).
     pub fn total_cost(&self) -> f64 {
-        match &self.aggregate {
-            Some(a) => a.total_cost,
-            None => self.finished().map(|r| r.cost).sum(),
-        }
+        self.aggregate.total_cost
     }
 
     /// Mean processing cost per finished cloudlet.
@@ -456,65 +390,33 @@ impl SimulationOutcome {
         (n > 0).then(|| self.total_cost() / n as f64)
     }
 
-    /// Mean execution time over finished cloudlets, in ms.
+    /// Mean execution time over finished cloudlets that carry one, in ms.
     pub fn mean_execution_ms(&self) -> Option<f64> {
-        if let Some(a) = &self.aggregate {
-            return (a.exec_n > 0).then(|| a.exec_sum / a.exec_n as f64);
-        }
-        let (sum, n) = self
-            .finished()
-            .filter_map(|r| r.execution_ms)
-            .fold((0.0, 0usize), |(s, n), e| (s + e, n + 1));
-        (n > 0).then(|| sum / n as f64)
+        let a = &self.aggregate;
+        (a.exec_n > 0).then(|| a.exec_sum / a.exec_n as f64)
     }
 
     /// Number of deadline-carrying cloudlets that missed their SLA
     /// (including ones that failed outright).
     pub fn sla_violations(&self) -> usize {
-        match &self.aggregate {
-            Some(a) => a.sla_total - a.sla_met,
-            None => self
-                .records
-                .iter()
-                .filter(|r| r.met_deadline == Some(false))
-                .count(),
-        }
+        self.aggregate.sla_total - self.aggregate.sla_met
     }
 
     /// Fraction of deadline-carrying cloudlets that met their SLA.
     /// `None` when no cloudlet carries a deadline.
     pub fn sla_attainment(&self) -> Option<f64> {
-        if let Some(a) = &self.aggregate {
-            return (a.sla_total > 0).then(|| a.sla_met as f64 / a.sla_total as f64);
-        }
-        let (met, total) = self
-            .records
-            .iter()
-            .filter_map(|r| r.met_deadline)
-            .fold((0usize, 0usize), |(m, t), ok| (m + usize::from(ok), t + 1));
-        (total > 0).then(|| met as f64 / total as f64)
+        let a = &self.aggregate;
+        (a.sla_total > 0).then(|| a.sla_met as f64 / a.sla_total as f64)
     }
 
-    /// Cloudlets that ended the run in [`CloudletStatus::Failed`],
-    /// answered identically in both record modes.
+    /// Cloudlets that ended the run in [`CloudletStatus::Failed`].
     pub fn failed_count(&self) -> usize {
-        match &self.aggregate {
-            Some(a) => a.failed,
-            None => self
-                .records
-                .iter()
-                .filter(|r| r.status == CloudletStatus::Failed)
-                .count(),
-        }
+        self.aggregate.failed
     }
 
-    /// Cloudlets observed by the run (the workload size), answered
-    /// identically in both record modes.
+    /// Cloudlets observed by the run (the workload size).
     pub fn observed_count(&self) -> usize {
-        match &self.aggregate {
-            Some(a) => a.observed,
-            None => self.records.len(),
-        }
+        self.aggregate.observed
     }
 
     /// Fraction of the workload that finished. `None` on an empty run.
@@ -527,10 +429,7 @@ impl SimulationOutcome {
     /// over that plus the execution time lost to failed attempts. `1.0`
     /// on a fault-free run; `None` when nothing executed at all.
     pub fn goodput(&self) -> Option<f64> {
-        let useful = match &self.aggregate {
-            Some(a) => a.exec_sum,
-            None => self.finished().filter_map(|r| r.execution_ms).sum(),
-        };
+        let useful = self.aggregate.exec_sum;
         let total = useful + self.resilience.wasted_work_ms;
         (total > 0.0).then(|| useful / total)
     }
@@ -541,31 +440,15 @@ impl SimulationOutcome {
         self.resilience.mean_time_to_recovery_ms()
     }
 
-    /// Per-VM busy time and finished-cloudlet counts in one pass over the
-    /// records (the old `per_vm_busy_ms`/`per_vm_counts` pair each
-    /// re-scanned the whole vector). VMs at index ≥ `vm_count` are
-    /// ignored; indexes the run never touched stay zero.
+    /// Per-VM busy time and finished-cloudlet counts. VMs at index ≥
+    /// `vm_count` are ignored; indexes past the fleet read zero.
     pub fn per_vm_usage(&self, vm_count: usize) -> VmUsage {
-        if let Some(a) = &self.aggregate {
-            let mut busy_ms = vec![0.0f64; vm_count];
-            let mut counts = vec![0usize; vm_count];
-            let n = vm_count.min(a.per_vm_busy_ms.len());
-            busy_ms[..n].copy_from_slice(&a.per_vm_busy_ms[..n]);
-            counts[..n].copy_from_slice(&a.per_vm_counts[..n]);
-            return VmUsage { busy_ms, counts };
-        }
+        let a = &self.aggregate;
         let mut busy_ms = vec![0.0f64; vm_count];
         let mut counts = vec![0usize; vm_count];
-        for r in self.finished() {
-            if let Some(vm) = r.vm {
-                if vm.index() < vm_count {
-                    counts[vm.index()] += 1;
-                    if let Some(exec) = r.execution_ms {
-                        busy_ms[vm.index()] += exec;
-                    }
-                }
-            }
-        }
+        let n = vm_count.min(a.per_vm_busy_ms.len());
+        busy_ms[..n].copy_from_slice(&a.per_vm_busy_ms[..n]);
+        counts[..n].copy_from_slice(&a.per_vm_counts[..n]);
         VmUsage { busy_ms, counts }
     }
 
@@ -582,30 +465,16 @@ impl SimulationOutcome {
         self.per_vm_usage(vm_count).counts
     }
 
-    /// The wait-time histogram (start − submit over finished cloudlets),
-    /// rebuilt from the records in Full mode and read off the fold in
-    /// Aggregate mode. Integer counting makes the two bit-identical.
-    pub fn wait_histogram(&self) -> WaitHistogram {
-        if let Some(a) = &self.aggregate {
-            return a.wait_hist.clone();
-        }
-        let mut hist = WaitHistogram::new();
-        for r in self.finished() {
-            if let (Some(sub), Some(st)) = (r.submit, r.start) {
-                hist.record(st.saturating_sub(sub).as_millis());
-            }
-        }
-        hist
+    /// The wait-time histogram (start − submit over finished cloudlets).
+    pub fn wait_histogram(&self) -> &WaitHistogram {
+        &self.aggregate.wait_hist
     }
 
     /// The `q`-quantile of cloudlet wait time (start − submit) in ms,
     /// estimated from the shared log-bucket histogram (≈9% relative
     /// resolution). `None` when no finished cloudlet carries both stamps.
     pub fn wait_quantile_ms(&self, q: f64) -> Option<f64> {
-        if let Some(a) = &self.aggregate {
-            return a.wait_hist.quantile(q);
-        }
-        self.wait_histogram().quantile(q)
+        self.aggregate.wait_hist.quantile(q)
     }
 
     /// Median queueing wait in ms (streaming-broker latency headline).
@@ -621,72 +490,29 @@ impl SimulationOutcome {
     /// Mean queueing wait in ms over finished cloudlets, exact (not
     /// histogram-estimated). `None` when nothing finished with stamps.
     pub fn mean_wait_ms(&self) -> Option<f64> {
-        if let Some(a) = &self.aggregate {
-            return (a.wait_n > 0).then(|| a.wait_sum / a.wait_n as f64);
-        }
-        let (sum, n) = self
-            .finished()
-            .filter_map(|r| Some((r.submit?, r.start?)))
-            .fold((0.0, 0usize), |(s, n), (sub, st)| {
-                (s + st.saturating_sub(sub).as_millis(), n + 1)
-            });
-        (n > 0).then(|| sum / n as f64)
+        let a = &self.aggregate;
+        (a.wait_n > 0).then(|| a.wait_sum / a.wait_n as f64)
     }
 
     /// Maximum queueing wait in ms over finished cloudlets, exact.
     pub fn max_wait_ms(&self) -> Option<f64> {
-        if let Some(a) = &self.aggregate {
-            return (a.wait_n > 0).then_some(a.wait_max);
-        }
-        let mut max = f64::NEG_INFINITY;
-        let mut n = 0usize;
-        for r in self.finished() {
-            if let (Some(sub), Some(st)) = (r.submit, r.start) {
-                max = max.max(st.saturating_sub(sub).as_millis());
-                n += 1;
-            }
-        }
-        (n > 0).then_some(max)
+        let a = &self.aggregate;
+        (a.wait_n > 0).then_some(a.wait_max)
     }
 
     /// Earliest submission time over finished cloudlets, in ms. Opens the
     /// throughput window (arrival-anchored, unlike Eq. 12's `min_start`).
     pub fn min_submit_ms(&self) -> Option<f64> {
-        if let Some(a) = &self.aggregate {
-            return a.min_submit;
-        }
-        let mut min: Option<f64> = None;
-        for r in self.finished() {
-            if let Some(s) = r.submit {
-                let s = s.as_millis();
-                min = Some(min.map_or(s, |m| m.min(s)));
-            }
-        }
-        min
+        self.aggregate.min_submit
     }
 
     /// Sustained throughput in finished cloudlets per second over the
-    /// window from first submission to last finish. `None` when nothing
-    /// finished or the window is degenerate (zero span).
+    /// window from first submission to last finish (the latest finish of
+    /// a cloudlet carrying both start and finish stamps). `None` when
+    /// nothing finished or the window is degenerate (zero span).
     pub fn throughput_per_s(&self) -> Option<f64> {
-        let window_ms = self.latest_finish_ms()? - self.min_submit_ms()?;
+        let window_ms = self.aggregate.max_finish? - self.min_submit_ms()?;
         (window_ms > 0.0).then(|| self.finished_count() as f64 / (window_ms / 1000.0))
-    }
-
-    /// Latest finish time over finished cloudlets, in ms. Mirrors the
-    /// aggregate fold's guard (start AND finish present) bit-for-bit.
-    fn latest_finish_ms(&self) -> Option<f64> {
-        if let Some(a) = &self.aggregate {
-            return a.max_finish;
-        }
-        let mut max: Option<f64> = None;
-        for r in self.finished() {
-            if let (Some(_), Some(f)) = (r.start, r.finish) {
-                let f = f.as_millis();
-                max = Some(max.map_or(f, |m| m.max(f)));
-            }
-        }
-        max
     }
 }
 
@@ -708,15 +534,20 @@ mod tests {
         }
     }
 
+    /// A two-VM outcome folded from `records`, as `outcome_from_world`
+    /// folds a run.
     fn outcome(records: Vec<CloudletRecord>) -> SimulationOutcome {
+        let mut aggregate = AggregateMetrics::new(2);
+        for r in &records {
+            aggregate.observe(r);
+        }
         SimulationOutcome {
             records,
-            aggregate: None,
+            aggregate,
             end_time: SimTime::new(100.0),
             events_processed: 1,
             vms_created: 2,
             vms_rejected: 0,
-            cloudlets_failed: 0,
             resilience: ResilienceCounters::default(),
             engine: crate::simulation::EngineKind::Sequential,
         }
@@ -793,93 +624,62 @@ mod tests {
         assert!((busy[1] - 30.0).abs() < 1e-12);
     }
 
-    fn aggregate_of(records: &[CloudletRecord], vm_count: usize) -> SimulationOutcome {
-        let mut agg = AggregateMetrics::new(vm_count);
-        for r in records {
-            agg.observe(r);
-        }
-        let mut o = outcome(Vec::new());
-        o.aggregate = Some(agg);
-        o
-    }
-
     #[test]
-    fn aggregate_fold_matches_record_scan_bitwise() {
+    fn fold_answers_a_mixed_run() {
         let mut failed = rec(3, 0.0, 0.0, 99.0);
         failed.status = CloudletStatus::Failed;
         failed.execution_ms = None;
         failed.met_deadline = Some(false);
         let mut hit = rec(4, 2.0, 9.5, 0.25);
         hit.met_deadline = Some(true);
-        let records = vec![
+        let o = outcome(vec![
             rec(0, 5.0, 20.0, 1.5),
             rec(1, 10.0, 50.0, 2.25),
             rec(2, 0.5, 13.0, 0.125),
             failed,
             hit,
-        ];
-        let full = outcome(records.clone());
-        let agg = aggregate_of(&records, 2);
-
-        assert_eq!(full.finished_count(), agg.finished_count());
+        ]);
+        assert_eq!(o.finished_count(), 4);
+        assert_eq!(o.simulation_time_ms(), Some(49.5));
+        // exec 15, 40, 12.5, 7.5: (40 − 7.5) / 18.75.
+        assert_eq!(o.time_imbalance(), Some(32.5 / 18.75));
         assert_eq!(
-            full.simulation_time_ms().map(f64::to_bits),
-            agg.simulation_time_ms().map(f64::to_bits)
+            o.total_cost(),
+            4.125,
+            "the failed cloudlet's cost is excluded"
+        );
+        assert_eq!(o.sla_violations(), 1);
+        assert_eq!(o.sla_attainment(), Some(0.5));
+        // ids 0, 2 and 4 ran on vm0, id 1 on vm1; id 3 failed.
+        let usage = o.per_vm_usage(2);
+        assert_eq!(usage.counts, vec![3, 1]);
+        assert_eq!(usage.busy_ms, vec![35.0, 40.0]);
+        // Asking for more VM slots than the fleet had pads with zeros;
+        // asking for fewer truncates.
+        assert_eq!(
+            o.per_vm_usage(4),
+            VmUsage {
+                busy_ms: vec![35.0, 40.0, 0.0, 0.0],
+                counts: vec![3, 1, 0, 0],
+            }
         );
         assert_eq!(
-            full.time_imbalance().map(f64::to_bits),
-            agg.time_imbalance().map(f64::to_bits)
+            o.per_vm_usage(1),
+            VmUsage {
+                busy_ms: vec![35.0],
+                counts: vec![3],
+            }
         );
-        assert_eq!(
-            full.turnaround_imbalance().map(f64::to_bits),
-            agg.turnaround_imbalance().map(f64::to_bits)
-        );
-        assert_eq!(full.total_cost().to_bits(), agg.total_cost().to_bits());
-        assert_eq!(
-            full.mean_execution_ms().map(f64::to_bits),
-            agg.mean_execution_ms().map(f64::to_bits)
-        );
-        assert_eq!(full.sla_violations(), agg.sla_violations());
-        assert_eq!(full.sla_attainment(), agg.sla_attainment());
-        assert_eq!(full.wait_histogram(), agg.wait_histogram());
-        assert_eq!(
-            full.wait_p50_ms().map(f64::to_bits),
-            agg.wait_p50_ms().map(f64::to_bits)
-        );
-        assert_eq!(
-            full.wait_p99_ms().map(f64::to_bits),
-            agg.wait_p99_ms().map(f64::to_bits)
-        );
-        assert_eq!(
-            full.mean_wait_ms().map(f64::to_bits),
-            agg.mean_wait_ms().map(f64::to_bits)
-        );
-        assert_eq!(
-            full.max_wait_ms().map(f64::to_bits),
-            agg.max_wait_ms().map(f64::to_bits)
-        );
-        assert_eq!(
-            full.throughput_per_s().map(f64::to_bits),
-            agg.throughput_per_s().map(f64::to_bits)
-        );
-        assert_eq!(full.per_vm_usage(2), agg.per_vm_usage(2));
-        // Asking for more (or fewer) VM slots than the fleet had behaves
-        // like the record scan's index guard.
-        assert_eq!(full.per_vm_usage(4), agg.per_vm_usage(4));
-        assert_eq!(full.per_vm_usage(1), agg.per_vm_usage(1));
     }
 
     #[test]
-    fn aggregate_missing_exec_on_finished_voids_imbalance() {
+    fn missing_exec_on_finished_voids_imbalance_but_not_the_mean() {
         let mut odd = rec(1, 0.0, 30.0, 0.0);
         odd.execution_ms = None;
-        let records = vec![rec(0, 0.0, 10.0, 0.0), odd];
-        let full = outcome(records.clone());
-        let agg = aggregate_of(&records, 2);
-        assert_eq!(full.time_imbalance(), None);
-        assert_eq!(agg.time_imbalance(), None);
-        // mean_execution_ms skips the hole instead (filter_map semantics).
-        assert_eq!(full.mean_execution_ms(), agg.mean_execution_ms());
+        let o = outcome(vec![rec(0, 0.0, 10.0, 0.0), odd]);
+        assert_eq!(o.time_imbalance(), None);
+        // The mean skips the hole instead.
+        assert_eq!(o.mean_execution_ms(), Some(10.0));
     }
 
     #[test]
@@ -896,22 +696,14 @@ mod tests {
     }
 
     #[test]
-    fn failed_and_observed_counts_match_across_modes() {
+    fn failed_and_observed_counts() {
         let mut failed = rec(2, 0.0, 0.0, 0.0);
         failed.status = CloudletStatus::Failed;
         failed.execution_ms = None;
-        let records = vec![rec(0, 0.0, 10.0, 1.0), rec(1, 0.0, 20.0, 1.0), failed];
-        let full = outcome(records.clone());
-        let agg = aggregate_of(&records, 2);
-        assert_eq!(full.failed_count(), 1);
-        assert_eq!(agg.failed_count(), 1);
-        assert_eq!(full.observed_count(), 3);
-        assert_eq!(agg.observed_count(), 3);
-        assert_eq!(
-            full.completion_ratio().map(f64::to_bits),
-            agg.completion_ratio().map(f64::to_bits)
-        );
-        assert!((full.completion_ratio().unwrap() - 2.0 / 3.0).abs() < 1e-12);
+        let o = outcome(vec![rec(0, 0.0, 10.0, 1.0), rec(1, 0.0, 20.0, 1.0), failed]);
+        assert_eq!(o.failed_count(), 1);
+        assert_eq!(o.observed_count(), 3);
+        assert!((o.completion_ratio().unwrap() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -928,14 +720,6 @@ mod tests {
         };
         assert!((o.goodput().unwrap() - 0.5).abs() < 1e-12);
         assert_eq!(o.mean_time_to_recovery_ms(), Some(250.0));
-        // Aggregate mode answers goodput from the folded exec sum.
-        let records = vec![rec(0, 0.0, 100.0, 0.0)];
-        let mut agg = aggregate_of(&records, 2);
-        agg.resilience = o.resilience;
-        assert_eq!(
-            agg.goodput().map(f64::to_bits),
-            o.goodput().map(f64::to_bits)
-        );
         // Empty run: no execution anywhere -> None.
         let empty = outcome(vec![]);
         assert_eq!(empty.goodput(), None);
@@ -964,16 +748,11 @@ mod tests {
     #[test]
     fn wait_metrics_measure_submit_to_start() {
         // rec() submits at t=0, so wait == start.
-        let records = vec![rec(0, 5.0, 20.0, 0.0), rec(1, 40.0, 50.0, 0.0)];
-        let o = outcome(records.clone());
+        let o = outcome(vec![rec(0, 5.0, 20.0, 0.0), rec(1, 40.0, 50.0, 0.0)]);
         assert_eq!(o.mean_wait_ms(), Some(22.5));
         assert_eq!(o.max_wait_ms(), Some(40.0));
         let p50 = o.wait_p50_ms().unwrap();
         assert!((p50 - 5.0).abs() / 5.0 < 0.10, "p50 = {p50}");
-        // Aggregate mode answers identically.
-        let agg = aggregate_of(&records, 2);
-        assert_eq!(agg.mean_wait_ms(), Some(22.5));
-        assert_eq!(agg.max_wait_ms(), Some(40.0));
         // No records at all -> None everywhere.
         let empty = outcome(vec![]);
         assert_eq!(empty.wait_p50_ms(), None);

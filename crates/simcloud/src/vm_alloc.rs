@@ -5,6 +5,8 @@
 //! `VmAllocationPolicySimple` (least-loaded) plus the classic first-fit /
 //! best-fit / round-robin alternatives used in ablations.
 
+use std::collections::HashMap;
+
 use crate::host::Host;
 use crate::ids::HostId;
 use crate::vm::VmSpec;
@@ -41,33 +43,27 @@ fn spec_key(vm: &VmSpec) -> SpecKey {
 /// shrinks (VMs are never released back mid-run, and failed hosts never
 /// recover), so a host that could not fit a given spec once can never fit
 /// it later. Each scan resumes where the previous scan for the same spec
-/// stopped, making a placement phase O(hosts + VMs) instead of
-/// O(hosts × VMs) while returning exactly the hosts a full rescan would.
+/// stopped, so the VMs of one spec are placed in O(hosts + VMs) instead
+/// of O(hosts × VMs), returning exactly the hosts a full rescan would.
+/// Cursors are looked up by spec in a map, so a fleet of distinct specs
+/// pays one hash probe per VM, not a search over every spec seen.
 #[derive(Debug, Default, Clone)]
 pub struct FirstFit {
-    /// (spec fingerprint, first host index not yet ruled out).
-    cursors: Vec<(SpecKey, usize)>,
+    /// First host index not yet ruled out, per spec fingerprint.
+    cursors: HashMap<SpecKey, usize>,
 }
 
 impl VmAllocationPolicy for FirstFit {
     fn select_host(&mut self, hosts: &[Host], vm: &VmSpec) -> Option<HostId> {
-        let key = spec_key(vm);
-        let slot = match self.cursors.iter().position(|(k, _)| *k == key) {
-            Some(i) => i,
-            None => {
-                self.cursors.push((key, 0));
-                self.cursors.len() - 1
-            }
-        };
-        let start = self.cursors[slot].1.min(hosts.len());
+        let cursor = self.cursors.entry(spec_key(vm)).or_insert(0);
+        let start = (*cursor).min(hosts.len());
         match hosts[start..].iter().position(|h| h.is_suitable_for(vm)) {
             Some(offset) => {
-                let idx = start + offset;
-                self.cursors[slot].1 = idx;
-                Some(hosts[idx].id)
+                *cursor = start + offset;
+                Some(hosts[*cursor].id)
             }
             None => {
-                self.cursors[slot].1 = hosts.len();
+                *cursor = hosts.len();
                 None
             }
         }
@@ -121,7 +117,7 @@ impl VmAllocationPolicy for LeastLoaded {
 /// Energy-motivated consolidation: the suitable host with the *fewest*
 /// free PEs (ties to the lowest id). Packing VMs onto already-busy hosts
 /// leaves the rest idle — the placement half of the power-aware policies
-/// in the paper's related work ([27]).
+/// in the paper's related work (\[27\]).
 #[derive(Debug, Default, Clone)]
 pub struct Consolidate;
 
@@ -202,6 +198,28 @@ mod tests {
         assert!(hs[0].allocate_vm(crate::ids::VmId(99), &big));
         let mut p = FirstFit::default();
         assert_eq!(p.select_host(&hs, &small_vm()), Some(HostId(1)));
+    }
+
+    #[test]
+    fn first_fit_cursors_match_a_stateless_scan() {
+        let mut hs = hosts(8);
+        let a = small_vm();
+        let b = VmSpec::new(500.0, 1_000.0, 512.0, 100.0, 1);
+        let c = VmSpec::new(900.0, 1_000.0, 128.0, 10.0, 2);
+        // Repeated specs resume their cursor; distinct specs get their own.
+        let order = [
+            &a, &b, &a, &c, &b, &a, &c, &a, &b, &b, &c, &a, &a, &b, &c, &a,
+        ];
+        let mut p = FirstFit::default();
+        for (i, vm) in order.into_iter().enumerate() {
+            let expected = hs.iter().position(|h| h.is_suitable_for(vm));
+            let picked = p.select_host(&hs, vm);
+            assert_eq!(picked.map(|h| h.index()), expected, "pick {i}");
+            if let Some(h) = picked {
+                assert!(hs[h.index()].allocate_vm(crate::ids::VmId(i as u32), vm));
+            }
+        }
+        assert_eq!(p.cursors.len(), 3);
     }
 
     #[test]

@@ -176,10 +176,7 @@ fn assert_identical(a: &SimulationOutcome, b: &SimulationOutcome, label: &str) {
     );
     assert_eq!(a.vms_created, b.vms_created, "{label}: vms_created");
     assert_eq!(a.vms_rejected, b.vms_rejected, "{label}: vms_rejected");
-    assert_eq!(
-        a.cloudlets_failed, b.cloudlets_failed,
-        "{label}: cloudlets_failed"
-    );
+    assert_eq!(a.failed_count(), b.failed_count(), "{label}: failed_count");
     assert_resilience_identical(a, b, label);
 }
 
@@ -282,7 +279,7 @@ fn sharded_matches_sequential_across_seeds_schedulers_and_shapes() {
                 assert!(seq.finished_count() > 0, "scenario must do work");
                 if shape == Shape::Overcommitted {
                     assert!(seq.vms_rejected > 0, "no VM rejected at placement");
-                    assert!(seq.cloudlets_failed > 0, "no cloudlet failed");
+                    assert!(seq.failed_count() > 0, "no cloudlet failed");
                 }
                 let label = format!("seed {seed} / {scheduler:?} / {shape:?}");
                 assert_identical(&seq, &shd, &label);

@@ -76,7 +76,7 @@ proptest! {
     fn kernel_always_completes(raw in raw_scenario()) {
         let outcome = run(&raw);
         prop_assert_eq!(outcome.finished_count(), raw.cloudlets.len());
-        prop_assert_eq!(outcome.cloudlets_failed, 0);
+        prop_assert_eq!(outcome.failed_count(), 0);
         prop_assert_eq!(outcome.vms_created, raw.vms.len());
         let makespan = outcome.simulation_time_ms().unwrap();
         prop_assert!(outcome.end_time.as_millis() + 1e-9 >= makespan);

@@ -394,36 +394,59 @@ mod tests {
 
     #[test]
     fn full_and_aggregate_modes_agree_under_faults() {
-        let mut s = scenario(9);
-        inject_faults(&mut s, &gentle_spec(0.4), 9, patient_policy());
-        let problem = s.problem();
-        let cache = EvalCache::new(&problem);
-        let run = |mode: RecordMode| {
-            let mut scheduler = AlgorithmKind::Rbs.build(9);
-            let assignment = scheduler.schedule_with_cache(&problem, &cache);
-            let rescheduler = CacheRescheduler::new(scheduler, problem.clone());
-            s.simulate_resilient(
-                assignment,
-                EngineKind::Sequential,
-                mode,
-                Box::new(rescheduler),
-            )
-            .unwrap()
+        // A gentle campaign, and a total loss: inputs land at 4.8 s, then
+        // every host dies for good a second or two into the first
+        // attempts, long before any of them finishes.
+        let total_loss = FaultSpec {
+            host_fail_fraction: 1.0,
+            fail_window_ms: (6_000.0, 7_000.0),
+            repair_after_ms: None,
+            straggler_fraction: 0.0,
+            ..FaultSpec::default()
         };
-        let full = run(RecordMode::Full);
-        let agg = run(RecordMode::Aggregate);
-        assert_eq!(full.finished_count(), agg.finished_count());
-        assert_eq!(full.failed_count(), agg.failed_count());
-        assert_eq!(full.observed_count(), agg.observed_count());
-        assert_eq!(full.resilience, agg.resilience);
-        assert_eq!(
-            full.goodput().map(f64::to_bits),
-            agg.goodput().map(f64::to_bits)
-        );
-        assert_eq!(
-            full.completion_ratio().map(f64::to_bits),
-            agg.completion_ratio().map(f64::to_bits)
-        );
+        let outcomes: Vec<SimulationOutcome> = [gentle_spec(0.4), total_loss]
+            .iter()
+            .map(|spec| {
+                let mut s = scenario(9);
+                inject_faults(&mut s, spec, 9, patient_policy());
+                let problem = s.problem();
+                let cache = EvalCache::new(&problem);
+                let run = |mode: RecordMode| {
+                    let mut scheduler = AlgorithmKind::Rbs.build(9);
+                    let assignment = scheduler.schedule_with_cache(&problem, &cache);
+                    let rescheduler = CacheRescheduler::new(scheduler, problem.clone());
+                    s.simulate_resilient(
+                        assignment,
+                        EngineKind::Sequential,
+                        mode,
+                        Box::new(rescheduler),
+                    )
+                    .unwrap()
+                };
+                let full = run(RecordMode::Full);
+                let agg = run(RecordMode::Aggregate);
+                assert_eq!(full.finished_count(), agg.finished_count());
+                assert_eq!(full.failed_count(), agg.failed_count());
+                assert_eq!(full.observed_count(), agg.observed_count());
+                assert_eq!(full.resilience, agg.resilience);
+                assert_eq!(full.total_cost().to_bits(), agg.total_cost().to_bits());
+                assert_eq!(
+                    full.goodput().map(f64::to_bits),
+                    agg.goodput().map(f64::to_bits)
+                );
+                assert_eq!(
+                    full.completion_ratio().map(f64::to_bits),
+                    agg.completion_ratio().map(f64::to_bits)
+                );
+                agg
+            })
+            .collect();
+        // Nothing finished but work was wasted: the empty sums read +0.0.
+        let lost = &outcomes[1];
+        assert_eq!(lost.finished_count(), 0);
+        assert!(lost.resilience.wasted_work_ms > 0.0, "no attempt ran");
+        assert_eq!(lost.total_cost().to_bits(), 0.0f64.to_bits());
+        assert_eq!(lost.goodput().map(f64::to_bits), Some(0.0f64.to_bits()));
     }
 
     #[test]

@@ -139,8 +139,9 @@ impl Scenario {
         self.builder(assignment, engine, mode).run()
     }
 
-    /// [`Scenario::simulate_mode`] with a fault-aware [`Rescheduler`]
-    /// handling the broker's retry batches (see [`crate::resilience`]).
+    /// [`Scenario::simulate_mode`] with a fault-aware
+    /// [`Rescheduler`](simcloud::broker::Rescheduler) handling the broker's
+    /// retry batches (see [`crate::resilience`]).
     pub fn simulate_resilient(
         &self,
         assignment: Assignment,
@@ -200,7 +201,7 @@ impl Scenario {
     }
 
     /// Host count per datacenter, as the simulator will build them —
-    /// the fleet shape [`simcloud::faults::FaultSpec::generate`] samples
+    /// the fleet shape [`simcloud::faults::FaultPlan::generate`] samples
     /// outages over.
     pub fn host_counts(&self) -> Vec<usize> {
         (0..self.datacenters.len())

@@ -13,8 +13,8 @@
 //! the last to finish, and every simulation runs under
 //! [`RecordMode::Aggregate`] so a point retains O(VMs) memory, not
 //! O(cloudlets). Metrics are bit-identical to the old nested executor:
-//! `EvalCache` construction is deterministic (shared = private) and the
-//! aggregate fold replays the record scan's operation order.
+//! `EvalCache` construction is deterministic (shared = private) and every
+//! outcome answers from the same metric fold whatever its record mode.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

@@ -1,7 +1,7 @@
 //! Workflow (DAG) workload generators.
 //!
 //! The paper's related work is dominated by *workflow* schedulers
-//! ([18] Pandey, [3] Chen & Zhang, [23] Rodriguez & Buyya all schedule
+//! (\[18\] Pandey, \[3\] Chen & Zhang, \[23\] Rodriguez & Buyya all schedule
 //! DAGs); this module generates the classic shapes so the simulator's
 //! precedence engine and the HEFT scheduler in `biosched-core` can be
 //! exercised: chains, fork-joins, random layered DAGs and a

@@ -76,12 +76,12 @@ fn main() {
     println!(
         "with a host failure at t=20s: finished {} / failed {} cloudlets; {} of {} VMs survived",
         outcome.finished_count(),
-        outcome.cloudlets_failed,
+        outcome.failed_count(),
         outcome.vms_created,
         faulty.vm_count(),
     );
     assert_eq!(
-        outcome.finished_count() + outcome.cloudlets_failed,
+        outcome.finished_count() + outcome.failed_count(),
         faulty.cloudlet_count(),
         "conservation: every cloudlet finishes or fails"
     );

@@ -7,12 +7,12 @@
 //!
 //! * [`simcloud`] — a discrete-event cloud simulator (the CloudSim
 //!   substitute): datacenters, hosts, VMs, cloudlets, brokers, cost model.
-//! * [`core`](biosched_core) — the schedulers: Ant Colony Optimization,
+//! * [`core`] — the schedulers: Ant Colony Optimization,
 //!   Honey Bee Optimization, Random Biased Sampling, the cyclic Base
 //!   Test, Min-Min/Max-Min baselines, and an adaptive hybrid.
-//! * [`workload`](biosched_workload) — the paper's homogeneous and
+//! * [`workload`] — the paper's homogeneous and
 //!   heterogeneous scenario generators plus stress workloads.
-//! * [`metrics`](biosched_metrics) — statistics, figure series, reports.
+//! * [`metrics`] — statistics, figure series, reports.
 //!
 //! ## Quickstart
 //!

@@ -73,10 +73,10 @@ proptest! {
         let a = RandomBiasedSampling::new(RbsParams::paper(), seed).schedule(&problem);
         let outcome = scenario.simulate(a).expect("generated scenarios are feasible");
         prop_assert_eq!(
-            outcome.finished_count() + outcome.cloudlets_failed,
+            outcome.finished_count() + outcome.failed_count(),
             problem.cloudlet_count()
         );
-        prop_assert_eq!(outcome.cloudlets_failed, 0, "generators size hosts for all VMs");
+        prop_assert_eq!(outcome.failed_count(), 0, "generators size hosts for all VMs");
         let makespan = outcome.simulation_time_ms().expect("all finished");
         prop_assert!(makespan > 0.0);
         for r in &outcome.records {

@@ -128,7 +128,7 @@ fn cloudlet_conservation_under_rejections() {
         .unwrap();
     assert_eq!(outcome.vms_created, 2);
     assert_eq!(outcome.vms_rejected, 3);
-    assert_eq!(outcome.finished_count() + outcome.cloudlets_failed, 20);
+    assert_eq!(outcome.finished_count() + outcome.failed_count(), 20);
     // Exactly the cloudlets bound to the two surviving VMs finish.
     assert_eq!(outcome.finished_count(), 8);
 }
