@@ -3,7 +3,10 @@
 //! Measures wall-clock, event throughput and peak RSS of the discrete-event
 //! simulator at 1k/10k/100k-cloudlet scales (the paper's 10:1 cloudlet:VM
 //! ratio) on both engines, plus the full paper-scale point (100 000 VMs /
-//! 1 000 000 cloudlets) with `--full-scale`.
+//! 1 000 000 cloudlets) with `--full-scale`. The homogeneous points are
+//! tie-heavy (every VM finishes its batch at the same instants); the
+//! `100k-hetero` point draws the paper's heterogeneous fleet and lengths
+//! at the 100k scale, so time-shared finish times are all distinct.
 //!
 //! Each point runs in a child process (this binary re-invoked as
 //! `simbench child`) so peak-RSS figures are per-point rather than
@@ -13,6 +16,7 @@ use std::time::Instant;
 
 use biosched_bench::harness::{self, Flag, Report, OUT};
 use biosched_core::scheduler::AlgorithmKind;
+use biosched_workload::heterogeneous::HeterogeneousScenario;
 use biosched_workload::homogeneous::HomogeneousScenario;
 use simcloud::simulation::EngineKind;
 
@@ -26,6 +30,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 const CHILD_FLAGS: &[Flag] = &[
+    Flag::switch("--hetero"),
     Flag::value("--vms", "N"),
     Flag::value("--cloudlets", "N"),
     Flag::value("--engine", "E"),
@@ -34,12 +39,22 @@ const CHILD_FLAGS: &[Flag] = &[
 
 /// Child side: simulates one point, then emits its wall clock, event
 /// count and peak RSS.
-fn run_point(vms: usize, cloudlets: usize, engine: EngineKind) {
-    let scenario = HomogeneousScenario {
-        vm_count: vms,
-        cloudlet_count: cloudlets,
-    }
-    .build();
+fn run_point(hetero: bool, vms: usize, cloudlets: usize, engine: EngineKind) {
+    let scenario = if hetero {
+        HeterogeneousScenario {
+            vm_count: vms,
+            cloudlet_count: cloudlets,
+            datacenter_count: 4,
+            seed: 42,
+        }
+        .build()
+    } else {
+        HomogeneousScenario {
+            vm_count: vms,
+            cloudlet_count: cloudlets,
+        }
+        .build()
+    };
     let assignment = AlgorithmKind::BaseTest
         .build(0)
         .schedule(&scenario.problem());
@@ -60,6 +75,7 @@ fn run_point(vms: usize, cloudlets: usize, engine: EngineKind) {
 /// also returns the point's event count.
 fn spawn_point(
     label: &str,
+    hetero: bool,
     (vms, cloudlets): (usize, usize),
     engine: EngineKind,
     threads: usize,
@@ -68,7 +84,10 @@ fn spawn_point(
         "--vms {vms} --cloudlets {cloudlets} --engine {} --threads {threads}",
         engine.name()
     );
-    let args: Vec<String> = args.split(' ').map(String::from).collect();
+    let mut args: Vec<String> = args.split(' ').map(String::from).collect();
+    if hetero {
+        args.push("--hetero".into());
+    }
     let report = harness::spawn_self(&args)?;
     let (wall_ms, events) = (report.get::<f64>("wall_ms")?, report.get::<u64>("events")?);
     let row = format!(
@@ -83,16 +102,17 @@ fn spawn_point(
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if let Some(child) = harness::child_args(&argv) {
-        let (vms, cloudlets, engine, threads) =
+        let (hetero, vms, cloudlets, engine, threads) =
             harness::parse_or_exit("simbench child", CHILD_FLAGS, child, |a| {
                 Ok((
+                    a.switch("--hetero"),
                     a.get("--vms", 0)?,
                     a.get("--cloudlets", 0)?,
                     a.get("--engine", EngineKind::Sequential)?,
                     a.get("--threads", 1)?,
                 ))
             });
-        harness::with_threads(threads, || run_point(vms, cloudlets, engine));
+        harness::with_threads(threads, || run_point(hetero, vms, cloudlets, engine));
         return;
     }
     let (out_path, full_scale, threads) = harness::parse_or_exit("simbench", FLAGS, &argv, |a| {
@@ -103,23 +123,24 @@ fn main() {
         ))
     });
 
-    let mut points: Vec<(&str, (usize, usize))> = SCALES
+    let mut points: Vec<(&str, bool, (usize, usize))> = SCALES
         .iter()
         .map(|&(label, divisor)| {
             let s = HomogeneousScenario::scaled(100_000, divisor);
-            (label, (s.vm_count, s.cloudlet_count))
+            (label, false, (s.vm_count, s.cloudlet_count))
         })
         .collect();
+    points.push(("100k-hetero", true, (10_000, 100_000)));
     if full_scale {
-        points.push(("full", (100_000, 1_000_000)));
+        points.push(("full", false, (100_000, 1_000_000)));
     }
     let mut rows = Vec::new();
-    for (label, size @ (vms, cloudlets)) in points {
+    for (label, hetero, size @ (vms, cloudlets)) in points {
         let mut events = Vec::new();
         for engine in [EngineKind::Sequential, EngineKind::Sharded] {
             let engine_name = engine.name();
             eprintln!("running {label} ({vms} vms / {cloudlets} cloudlets) on {engine_name}...");
-            let (row, n) = spawn_point(label, size, engine, threads)
+            let (row, n) = spawn_point(label, hetero, size, engine, threads)
                 .unwrap_or_else(|e| panic!("point {label}/{engine_name}: {e}"));
             rows.push(row);
             events.push(n);

@@ -361,7 +361,7 @@ impl Broker {
                     delay,
                     Event::CloudletSubmitBatch {
                         vm: vm_id,
-                        cloudlets,
+                        cloudlets: cloudlets.into_boxed_slice(),
                     },
                 );
             }

@@ -304,7 +304,7 @@ impl Datacenter {
         ctx: &mut Context<'_>,
         src: EntityId,
         vm_id: VmId,
-        cloudlets: Vec<crate::ids::CloudletId>,
+        cloudlets: Box<[crate::ids::CloudletId]>,
     ) {
         self.broker_hint = Some(src);
         let alive = self
@@ -319,7 +319,7 @@ impl Datacenter {
                 crate::vm::VmStatus::Destroyed,
                 "cloudlet batch submitted to VM {vm_id} that was never hosted here"
             );
-            for cloudlet in cloudlets {
+            for &cloudlet in &cloudlets {
                 let cl = world.cloudlet_mut(cloudlet);
                 cl.vm = Some(vm_id);
                 cl.status = CloudletStatus::Failed;
@@ -328,8 +328,8 @@ impl Datacenter {
             return;
         }
         let batch: Vec<RunningCloudlet> = cloudlets
-            .into_iter()
-            .map(|cloudlet| {
+            .iter()
+            .map(|&cloudlet| {
                 let cl = world.cloudlet_mut(cloudlet);
                 cl.status = CloudletStatus::Queued;
                 cl.vm = Some(vm_id);

@@ -4,18 +4,33 @@
 //! Ties on time are broken by insertion sequence number, which makes runs
 //! fully deterministic for a fixed input.
 //!
-//! The queue is a *bucketed* future-event list: events sharing a timestamp
-//! live in one append-ordered bucket, buckets are keyed by time in a
-//! `BTreeMap`, and the earliest bucket is held out and drained by cursor.
-//! Discrete-event cloud workloads are tie-heavy — a broker submitting 10⁶
-//! cloudlets lands them on a handful of distinct delivery times — so most
-//! pushes and pops are O(1) appends/reads instead of heap percolations.
+//! The queue is a *monotone radix heap* over an order-preserving `u64`
+//! key of the event time. Bucket 0 holds the events at the last refill
+//! time, appended in order and drained by cursor; bucket `i` holds the
+//! events whose key first differs from that time at bit `i − 1`. A refill
+//! moves only the lowest non-empty bucket, re-based on its earliest time,
+//! and a bucket of one time is handed to bucket 0 whole (a bucket filled
+//! only by pushes tracks its key range, so that needs no scan). Both
+//! workload shapes stay cheap:
+//!
+//! - *tie-heavy* runs — a broker submitting 10⁶ cloudlets lands them on a
+//!   handful of distinct delivery times — push and pop by O(1) appends and
+//!   cursor reads on bucket 0;
+//! - *distinct-timestamp* runs — time-shared heterogeneous finish times
+//!   are all different — pay one bucket index (`xor` and
+//!   `leading_zeros`) per push and move each event at most once per
+//!   key bit, with no per-timestamp allocation or tree node.
+//!
+//! A push earlier than the last refill time (the epoch driver's pushes
+//! before a time it already peeked) goes to a small `(time, seq)` binary
+//! heap that drains before the buckets.
 //!
 //! `VmTick` timer events additionally go through [`EventQueue::push_vm_tick`],
 //! which keeps one armed deadline per VM and lazily drops superseded or
 //! cancelled ticks at pop time, so stale duplicates never reach the kernel.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::ids::{CloudletId, EntityId, HostId, VmId};
 use crate::time::SimTime;
@@ -53,8 +68,9 @@ pub enum Event {
     CloudletSubmitBatch {
         /// The VM the batch is bound to.
         vm: VmId,
-        /// The cloudlets, in submission order.
-        cloudlets: Vec<CloudletId>,
+        /// The cloudlets, in submission order (boxed so the payload keeps
+        /// every queued event at 48 bytes).
+        cloudlets: Box<[CloudletId]>,
     },
     /// Datacenter returns a completed cloudlet to its broker.
     CloudletReturn {
@@ -136,38 +152,52 @@ impl Ord for ScheduledEvent {
     }
 }
 
-/// One timestamp's events, appended in seq order and drained by cursor.
-#[derive(Debug, Default)]
-struct Bucket {
-    events: Vec<ScheduledEvent>,
-    cursor: usize,
-}
+/// Radix buckets: bucket 0 plus one per bit of the 64-bit time key.
+const BUCKETS: usize = 65;
 
-impl Bucket {
-    fn exhausted(&self) -> bool {
-        self.cursor >= self.events.len()
+/// Order-preserving map from an event time to a `u64` key: `a < b` as
+/// times iff `key(a) < key(b)`, for every finite or infinite `f64`
+/// (release builds only `debug_assert!` valid clocks). −0.0 and +0.0
+/// compare equal as times, so adding +0.0 folds them into one key.
+fn key(time: SimTime) -> u64 {
+    let bits = (time.as_millis() + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
 }
 
-/// Deterministic bucketed future-event list.
+/// The radix bucket of `key` relative to the last refill key: 0 when
+/// they are equal, else one past the highest bit in which they differ.
+fn bucket(key: u64, last: u64) -> usize {
+    (u64::BITS - (key ^ last).leading_zeros()) as usize
+}
+
+/// Deterministic monotone radix future-event list.
 ///
 /// Every insertion is stamped with a sequence number so same-time events
 /// fire in submission order — the (time, seq) determinism contract the
 /// kernel relies on.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct EventQueue {
-    /// The earliest bucket, held out of the map while it drains. Pushes at
-    /// its exact timestamp append to it (higher seq ⇒ delivered after), so
-    /// zero-delay sends issued while handling a time-t event still fire in
-    /// insertion order at t.
-    current: Option<(SimTime, Bucket)>,
-    /// Buckets strictly after `current`, keyed by firing time.
-    future: BTreeMap<SimTime, Vec<ScheduledEvent>>,
-    /// Storage of drained buckets kept for reuse. At paper scale a bucket
-    /// holds ~10⁶ events (~64 MB); dropping and reallocating one per
-    /// timestamp turns into mmap/munmap churn that dominates wall-clock,
-    /// so drained allocations are recycled instead.
-    spare: Vec<Vec<ScheduledEvent>>,
+    /// `buckets[0]` holds the events whose key equals `last`, appended in
+    /// seq order and drained by `cursor`; `buckets[i]` holds those whose
+    /// key first differs from `last` at bit `i − 1`. All keys of one time
+    /// share a bucket, and every bucket keeps seq order within a time.
+    buckets: [Vec<ScheduledEvent>; BUCKETS],
+    /// The smallest and largest key in each bucket that only pushes have
+    /// filled (`(u64::MAX, 0)` while empty), so handing a pushed bucket of
+    /// one time to bucket 0 needs no scan; `None` once a refill moved
+    /// events in, which the next refill of that bucket scans for.
+    bounds: [Option<(u64, u64)>; BUCKETS],
+    cursor: usize,
+    /// The key of the last refill: no bucketed event lies below it.
+    last: u64,
+    /// Events pushed below `last` (the epoch driver's pushes before a
+    /// time it already peeked), ordered by `(time, seq)`. They all precede
+    /// every bucketed event, so they drain first.
+    early: BinaryHeap<Reverse<ScheduledEvent>>,
     /// Earliest armed `VmTick` deadline per VM: the lazy-deletion index
     /// behind tick coalescing. An in-queue tick is delivered only if its
     /// time still matches this slot.
@@ -179,17 +209,27 @@ pub struct EventQueue {
     coalesced: u64,
 }
 
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue {
+            buckets: std::array::from_fn(|_| Vec::new()),
+            bounds: [Some((u64::MAX, 0)); BUCKETS],
+            cursor: 0,
+            last: 0,
+            early: BinaryHeap::new(),
+            tick_armed: Vec::new(),
+            next_seq: 0,
+            pushed: 0,
+            popped: 0,
+            pending: 0,
+            coalesced: 0,
+        }
+    }
+}
+
 impl EventQueue {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty queue with pre-reserved capacity.
-    ///
-    /// Bucket storage grows on demand; the hint is kept for API
-    /// compatibility with the former binary-heap implementation.
-    pub fn with_capacity(_cap: usize) -> Self {
         Self::default()
     }
 
@@ -218,42 +258,15 @@ impl EventQueue {
             src,
             event,
         };
-        enum Target {
-            Current,
-            Future,
-            Restage,
-        }
-        let target = match &self.current {
-            Some((t, _)) if time == *t => Target::Current,
-            Some((t, _)) if time < *t => Target::Restage,
-            _ => Target::Future,
-        };
-        match target {
-            Target::Current => {
-                self.current
-                    .as_mut()
-                    .expect("checked above")
-                    .1
-                    .events
-                    .push(ev);
-            }
-            Target::Future => {
-                let spare = &mut self.spare;
-                self.future
-                    .entry(time)
-                    .or_insert_with(|| spare.pop().unwrap_or_default())
-                    .push(ev);
-            }
-            Target::Restage => {
-                // A push before the bucket being drained (never issued by
-                // entity handlers, whose delays are non-negative): put the
-                // bucket's remainder back so pop re-selects the earliest.
-                let (t, bucket) = self.current.take().expect("checked above");
-                let rest: Vec<ScheduledEvent> = bucket.events[bucket.cursor..].to_vec();
-                if !rest.is_empty() {
-                    self.future.insert(t, rest);
-                }
-                self.future.entry(time).or_default().push(ev);
+        let k = key(time);
+        if k < self.last {
+            self.early.push(Reverse(ev));
+        } else {
+            let b = bucket(k, self.last);
+            self.buckets[b].push(ev);
+            if let Some((lo, hi)) = &mut self.bounds[b] {
+                *lo = (*lo).min(k);
+                *hi = (*hi).max(k);
             }
         }
     }
@@ -303,48 +316,19 @@ impl EventQueue {
     /// Stale `VmTick`s — superseded by an earlier re-arm or cancelled —
     /// are dropped silently; the kernel never sees them.
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        loop {
-            let ev = self.pop_raw()?;
+        while self.ready() {
+            let ev = self.take_head();
+            if self.is_stale(&ev) {
+                self.coalesced += 1;
+                continue;
+            }
             if let Event::VmTick { vm } = ev.event {
-                let armed = self.tick_armed.get(vm.index()).copied().flatten();
-                if armed != Some(ev.time) {
-                    self.coalesced += 1;
-                    continue;
-                }
                 self.tick_armed[vm.index()] = None;
             }
             self.popped += 1;
             return Some(ev);
         }
-    }
-
-    fn pop_raw(&mut self) -> Option<ScheduledEvent> {
-        loop {
-            if let Some((time, bucket)) = &mut self.current {
-                if !bucket.exhausted() {
-                    let slot = &mut bucket.events[bucket.cursor];
-                    let dummy = ScheduledEvent {
-                        time: *time,
-                        seq: slot.seq,
-                        dest: slot.dest,
-                        src: slot.src,
-                        event: Event::Start,
-                    };
-                    let ev = std::mem::replace(slot, dummy);
-                    bucket.cursor += 1;
-                    self.pending -= 1;
-                    return Some(ev);
-                }
-                if let Some((_, mut bucket)) = self.current.take() {
-                    bucket.events.clear();
-                    if self.spare.len() < 4 {
-                        self.spare.push(bucket.events);
-                    }
-                }
-            }
-            let (t, events) = self.future.pop_first()?;
-            self.current = Some((t, Bucket { events, cursor: 0 }));
-        }
+        None
     }
 
     /// Time of the earliest *deliverable* event.
@@ -357,41 +341,115 @@ impl EventQueue {
     /// delivery time.) The epoch drivers ([`crate::sharded`]) use this to
     /// bound a replay round by the next real queue event.
     pub(crate) fn peek_deliverable_time(&mut self) -> Option<SimTime> {
-        loop {
-            if let Some((time, bucket)) = &mut self.current {
-                if !bucket.exhausted() {
-                    let slot = &bucket.events[bucket.cursor];
-                    if let Event::VmTick { vm } = slot.event {
-                        let armed = self.tick_armed.get(vm.index()).copied().flatten();
-                        if armed != Some(slot.time) {
-                            bucket.cursor += 1;
-                            self.pending -= 1;
-                            self.coalesced += 1;
-                            continue;
-                        }
-                    }
-                    return Some(*time);
-                }
-                if let Some((_, mut bucket)) = self.current.take() {
-                    bucket.events.clear();
-                    if self.spare.len() < 4 {
-                        self.spare.push(bucket.events);
-                    }
+        while self.ready() {
+            let head = self.head();
+            if !self.is_stale(head) {
+                return Some(head.time);
+            }
+            self.take_head();
+            self.coalesced += 1;
+        }
+        None
+    }
+
+    /// True for a `VmTick` whose deadline is no longer the armed one.
+    fn is_stale(&self, ev: &ScheduledEvent) -> bool {
+        match ev.event {
+            Event::VmTick { vm } => self.armed_tick(vm) != Some(ev.time),
+            _ => false,
+        }
+    }
+
+    /// Makes the earliest pending event the head, refilling bucket 0 when
+    /// it is drained; false when the queue is empty.
+    fn ready(&mut self) -> bool {
+        !self.early.is_empty() || self.cursor < self.buckets[0].len() || self.refill()
+    }
+
+    /// The earliest pending event. Requires a true [`Self::ready`].
+    fn head(&self) -> &ScheduledEvent {
+        match self.early.peek() {
+            Some(Reverse(ev)) => ev,
+            None => &self.buckets[0][self.cursor],
+        }
+    }
+
+    /// Removes the earliest pending event. Requires a true [`Self::ready`].
+    fn take_head(&mut self) -> ScheduledEvent {
+        self.pending -= 1;
+        if let Some(Reverse(ev)) = self.early.pop() {
+            return ev;
+        }
+        let slot = &mut self.buckets[0][self.cursor];
+        self.cursor += 1;
+        // The drained slot keeps a payload-free placeholder until the
+        // next refill clears bucket 0.
+        let placeholder = ScheduledEvent {
+            event: Event::Start,
+            ..*slot
+        };
+        std::mem::replace(slot, placeholder)
+    }
+
+    /// Re-bases on the lowest non-empty radix bucket once bucket 0 is
+    /// drained: its minimum key becomes `last`, and its events move to
+    /// lower buckets in order. A bucket of one time is handed to bucket 0
+    /// whole. False when no event is pending.
+    fn refill(&mut self) -> bool {
+        self.buckets[0].clear();
+        self.cursor = 0;
+        let Some(i) = (1..BUCKETS).find(|&i| !self.buckets[i].is_empty()) else {
+            return false;
+        };
+        let (lo, hi) = self.bounds[i].unwrap_or_else(|| {
+            self.buckets[i]
+                .iter()
+                .map(|ev| key(ev.time))
+                .fold((u64::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k)))
+        });
+        self.bounds[i] = Some((u64::MAX, 0));
+        self.last = lo;
+        let mut moving = std::mem::take(&mut self.buckets[i]);
+        if lo == hi {
+            self.buckets[0] = moving;
+            return true;
+        }
+        // Count each target first: the busiest keeps `moving`'s storage,
+        // the others grow once to their exact size, so a refill copies
+        // only the events that leave and never over-allocates for them.
+        let mut counts = [0usize; BUCKETS];
+        for ev in &moving {
+            counts[bucket(key(ev.time), lo)] += 1;
+        }
+        let keep = (0..i).max_by_key(|&b| counts[b]).expect("i ≥ 1");
+        for (b, &n) in counts.iter().enumerate() {
+            if n > 0 {
+                self.bounds[b] = None;
+                if b != keep {
+                    self.buckets[b].reserve_exact(n);
                 }
             }
-            let (t, events) = self.future.pop_first()?;
-            self.current = Some((t, Bucket { events, cursor: 0 }));
         }
+        for ev in moving.extract_if(.., |ev| bucket(key(ev.time), lo) != keep) {
+            self.buckets[bucket(key(ev.time), lo)].push(ev);
+        }
+        self.buckets[keep] = moving;
+        true
     }
 
     /// Time of the earliest pending event (including not-yet-dropped stale
     /// ticks — this is a diagnostic view of the raw queue).
     pub fn peek_time(&self) -> Option<SimTime> {
-        let current = self
-            .current
-            .as_ref()
-            .and_then(|(t, b)| (!b.exhausted()).then_some(*t));
-        current.or_else(|| self.future.keys().next().copied())
+        if let Some(Reverse(ev)) = self.early.peek() {
+            return Some(ev.time);
+        }
+        if let Some(ev) = self.buckets[0].get(self.cursor) {
+            return Some(ev.time);
+        }
+        self.buckets[1..]
+            .iter()
+            .find(|b| !b.is_empty())
+            .and_then(|b| b.iter().map(|ev| ev.time).min())
     }
 
     /// Number of pending events (including not-yet-dropped stale ticks).
@@ -422,6 +480,8 @@ impl EventQueue {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn ev(q: &mut EventQueue, t: f64) {
@@ -451,8 +511,14 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn scheduled_event_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<ScheduledEvent>(), 48);
+    }
+
+    #[test]
     fn counters_track_traffic() {
-        let mut q = EventQueue::with_capacity(4);
+        let mut q = EventQueue::new();
         assert!(q.is_empty());
         ev(&mut q, 1.0);
         ev(&mut q, 2.0);
@@ -587,5 +653,174 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![(2.0, 0), (4.0, 1)]);
+    }
+
+    /// Times with heavy ties, both zeros, an ulp apart and far apart, so
+    /// the radix buckets and the early heap all see traffic.
+    const LADDER: [f64; 14] = [
+        -0.0,
+        0.0,
+        0.0,
+        1.0,
+        1.0,
+        1.0 + f64::EPSILON,
+        2.5,
+        3.0,
+        3.0,
+        7.25,
+        1e3,
+        65_536.0,
+        1e9,
+        4.5e15,
+    ];
+
+    /// The queue's specification: pending events in a plain list, the
+    /// earliest `(time, seq)` found by a scan.
+    #[derive(Default)]
+    struct Oracle {
+        pending: Vec<(SimTime, u64, u32, Option<u32>)>,
+        armed: Vec<Option<SimTime>>,
+        next_seq: u64,
+        pushed: u64,
+        popped: u64,
+        coalesced: u64,
+    }
+
+    impl Oracle {
+        fn push(&mut self, time: SimTime, dest: u32, tick: Option<u32>) {
+            self.pending.push((time, self.next_seq, dest, tick));
+            self.next_seq += 1;
+            self.pushed += 1;
+        }
+
+        fn push_tick(&mut self, now: SimTime, vm: u32, time: SimTime, dest: u32) {
+            let slot = &mut self.armed[vm as usize];
+            if slot.is_none_or(|armed| time < armed || armed < now) {
+                *slot = Some(time);
+                self.push(time, dest, Some(vm));
+            }
+        }
+
+        fn head(&self) -> Option<usize> {
+            (0..self.pending.len()).min_by_key(|&i| (self.pending[i].0, self.pending[i].1))
+        }
+
+        fn stale(&self, i: usize) -> bool {
+            let (time, _, _, tick) = self.pending[i];
+            tick.is_some_and(|vm| self.armed[vm as usize] != Some(time))
+        }
+
+        fn pop(&mut self) -> Option<(u64, u64, u32)> {
+            while let Some(i) = self.head() {
+                let stale = self.stale(i);
+                let (time, seq, dest, tick) = self.pending.swap_remove(i);
+                if stale {
+                    self.coalesced += 1;
+                    continue;
+                }
+                if let Some(vm) = tick {
+                    self.armed[vm as usize] = None;
+                }
+                self.popped += 1;
+                return Some((time.as_millis().to_bits(), seq, dest));
+            }
+            None
+        }
+
+        fn peek(&mut self) -> Option<SimTime> {
+            while let Some(i) = self.head() {
+                if !self.stale(i) {
+                    return Some(self.pending[i].0);
+                }
+                self.pending.swap_remove(i);
+                self.coalesced += 1;
+            }
+            None
+        }
+    }
+
+    /// One step: (kind, ladder index, vm, fraction in [0, 1)).
+    fn ops() -> impl Strategy<Value = Vec<(u32, usize, u32, f64)>> {
+        prop::collection::vec((0u32..9, 0..LADDER.len(), 0u32..4, 0.0f64..1.0), 1..300)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any interleaving of pushes, tick arms and cancels, pops and
+        /// deliverable peeks delivers the oracle's `(time, seq, dest)`
+        /// sequence, with the oracle's counters after every step.
+        #[test]
+        fn matches_sorted_oracle(steps in ops()) {
+            let mut q = EventQueue::new();
+            let mut oracle = Oracle {
+                armed: vec![None; 4],
+                ..Oracle::default()
+            };
+            let mut now = SimTime::ZERO;
+            for (dest, &(kind, pick, vm, frac)) in (0u32..).zip(&steps) {
+                let at = SimTime::new(LADDER[pick]);
+                match kind {
+                    0 | 1 => {
+                        q.push(at, EntityId(0), EntityId(dest), Event::Start);
+                        oracle.push(at, dest, None);
+                    }
+                    2 => {
+                        // A distinct timestamp, as time-shared finish times are.
+                        let t = SimTime::new(frac * 1e7);
+                        q.push(t, EntityId(0), EntityId(dest), Event::Start);
+                        oracle.push(t, dest, None);
+                    }
+                    3 => {
+                        let t = now + SimTime::new(LADDER[pick].abs() * frac);
+                        q.push_vm_tick(now, EntityId(0), EntityId(dest), VmId(vm), t);
+                        oracle.push_tick(now, vm, t, dest);
+                    }
+                    4 => {
+                        q.cancel_vm_tick(VmId(vm));
+                        oracle.armed[vm as usize] = None;
+                    }
+                    5 | 6 => {
+                        let got = q
+                            .pop()
+                            .map(|e| (e.time.as_millis().to_bits(), e.seq, e.dest.0));
+                        let want = oracle.pop();
+                        prop_assert_eq!(got, want);
+                        if let Some((bits, _, _)) = want {
+                            now = SimTime::new(f64::from_bits(bits));
+                        }
+                    }
+                    _ => {
+                        // The epoch driver's pattern: peek the next
+                        // delivery, then push before it.
+                        let got = q.peek_deliverable_time();
+                        let want = oracle.peek();
+                        prop_assert_eq!(
+                            got.map(|t| t.as_millis().to_bits()),
+                            want.map(|t| t.as_millis().to_bits())
+                        );
+                        if let Some(t) = want {
+                            let below = SimTime::new(t.as_millis() * frac);
+                            q.push(below, EntityId(0), EntityId(dest), Event::Start);
+                            oracle.push(below, dest, None);
+                        }
+                    }
+                }
+                prop_assert_eq!(q.len(), oracle.pending.len());
+                prop_assert_eq!(q.total_pushed(), oracle.pushed);
+                prop_assert_eq!(q.total_popped(), oracle.popped);
+                prop_assert_eq!(q.total_coalesced(), oracle.coalesced);
+            }
+            // Drain: the tails agree too.
+            loop {
+                let got = q.pop().map(|e| (e.time.as_millis().to_bits(), e.seq, e.dest.0));
+                prop_assert_eq!(got, oracle.pop());
+                if got.is_none() {
+                    break;
+                }
+            }
+            prop_assert!(q.is_empty());
+            prop_assert_eq!(q.total_coalesced(), oracle.coalesced);
+        }
     }
 }

@@ -240,7 +240,7 @@ enum Sub {
     One(CloudletId),
     /// A `CloudletSubmitBatch`: one event, replayed through
     /// `submit_many`.
-    Batch(Vec<CloudletId>),
+    Batch(Box<[CloudletId]>),
 }
 
 impl Sub {
