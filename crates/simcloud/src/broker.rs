@@ -110,17 +110,11 @@ pub struct Broker {
     topology: Topology,
     outstanding_vm_acks: usize,
     fleet_ready: bool,
-    /// Fault tolerance: rebind failed cloudlets onto surviving VMs up to
-    /// this many times each. `0` disables resubmission (paper behavior).
-    max_retries: u8,
     /// Per-cloudlet retry counters (allocated lazily on first failure).
     retries: Vec<u8>,
     /// Cyclic cursor over the fleet for rebinding.
     rebind_cursor: usize,
-    /// Cloudlets resubmitted over the whole run (diagnostics).
-    resubmissions: u64,
-    /// Batched retry/backoff recovery; `None` keeps the legacy immediate
-    /// rebinding controlled by `max_retries`.
+    /// Batched retry/backoff recovery; `None` makes every failure final.
     recovery: Option<RecoveryPolicy>,
     /// Fault-aware rebinding for retry batches (falls back to cyclic).
     rescheduler: Option<Box<dyn Rescheduler>>,
@@ -168,10 +162,8 @@ impl Broker {
             topology,
             outstanding_vm_acks: 0,
             fleet_ready: false,
-            max_retries: 0,
             retries: Vec::new(),
             rebind_cursor: 0,
-            resubmissions: 0,
             recovery: None,
             rescheduler: None,
             retry_pending: Vec::new(),
@@ -180,34 +172,16 @@ impl Broker {
         }
     }
 
-    /// Enables batched retry/backoff recovery. Mutually exclusive with
-    /// [`Broker::with_resubmission`] (the legacy immediate rebind).
+    /// Enables batched retry/backoff recovery.
     pub fn with_recovery(
         mut self,
         policy: RecoveryPolicy,
         rescheduler: Option<Box<dyn Rescheduler>>,
     ) -> Self {
-        assert_eq!(
-            self.max_retries, 0,
-            "recovery and legacy resubmission are mutually exclusive"
-        );
         policy.validate().expect("invalid RecoveryPolicy");
         self.recovery = Some(policy);
         self.rescheduler = rescheduler;
         self
-    }
-
-    /// Enables fault tolerance: a cloudlet whose VM dies (or never came
-    /// up) is rebound to the next surviving VM and resubmitted, up to
-    /// `max_retries` times.
-    pub fn with_resubmission(mut self, max_retries: u8) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
-    /// Cloudlets resubmitted after failures.
-    pub fn resubmissions(&self) -> u64 {
-        self.resubmissions
     }
 
     /// Declares workflow precedence: `parents[c]` must all finish before
@@ -288,7 +262,7 @@ impl Broker {
             "assignment must cover every cloudlet"
         );
         self.fleet_ready = true;
-        if self.parents.is_none() && self.max_retries == 0 && self.recovery.is_none() {
+        if self.parents.is_none() && self.recovery.is_none() {
             self.submit_all_batched(world, ctx);
             return;
         }
@@ -308,7 +282,7 @@ impl Broker {
     /// order, and distinct delivery times stay distinct events), so this
     /// is trace-equivalent to the per-cloudlet path. Workflow runs keep
     /// that path because child submissions depend on return order, and so
-    /// do resubmission runs, where a rebind may interleave with a group.
+    /// do recovery runs, where a retry may interleave with a group.
     fn submit_all_batched(&mut self, world: &mut World, ctx: &mut Context<'_>) {
         let mut groups: Vec<(VmId, SimTime, Vec<CloudletId>)> = Vec::new();
         let mut group_of: std::collections::HashMap<(u32, u64), usize> =
@@ -381,34 +355,6 @@ impl Broker {
         None
     }
 
-    /// Attempts to rebind a dead cloudlet onto a surviving VM. Returns
-    /// true if it was resubmitted.
-    fn try_resubmit(&mut self, world: &mut World, ctx: &mut Context<'_>, idx: usize) -> bool {
-        if self.max_retries == 0 {
-            return false;
-        }
-        if self.retries.is_empty() {
-            self.retries = vec![0; self.assignment.len()];
-        }
-        if self.retries[idx] >= self.max_retries {
-            return false;
-        }
-        let Some(new_vm) = self.next_active_vm(world) else {
-            return false;
-        };
-        self.retries[idx] += 1;
-        self.resubmissions += 1;
-        self.assignment[idx] = new_vm;
-        // Reset the record: the cloudlet gets a fresh life on a new VM.
-        let cl = world.cloudlet_mut(CloudletId::from_index(idx));
-        cl.status = crate::cloudlet::CloudletStatus::Created;
-        cl.vm = None;
-        cl.start_time = None;
-        cl.finish_time = None;
-        self.submit_one(world, ctx, idx);
-        true
-    }
-
     /// Submits one ready cloudlet, or fails it (and its descendants) if
     /// its VM never came up.
     fn submit_one(&mut self, world: &mut World, ctx: &mut Context<'_>, idx: usize) {
@@ -420,7 +366,7 @@ impl Broker {
                 // Recovery mode: the dead-VM submission becomes a retry
                 // candidate instead of a terminal failure.
                 self.queue_retry(world, ctx, cloudlet);
-            } else if !self.try_resubmit(world, ctx, idx) {
+            } else {
                 self.cascade_failure(world, cloudlet);
             }
             return;
@@ -554,7 +500,6 @@ impl Broker {
                 continue;
             };
             self.retries[idx] += 1;
-            self.resubmissions += 1;
             world.resilience.retries += 1;
             self.assignment[idx] = vm;
             // Fresh life on the new VM: wipe the previous attempt.
@@ -638,19 +583,13 @@ impl Entity for Broker {
                     CloudletStatus::Failed,
                     "reported cloudlet must be failed"
                 );
-                // Batched retry/backoff recovery takes precedence; the
-                // legacy path rebinds immediately.
                 if self.recovery.is_some() {
                     self.queue_retry(world, ctx, cloudlet);
-                    return;
+                } else {
+                    // The datacenter marked the cloudlet itself; the broker
+                    // fails any descendants that now cannot run.
+                    self.fail_descendants(world, cloudlet);
                 }
-                // Fault tolerance first: a surviving VM can take the work.
-                if self.try_resubmit(world, ctx, cloudlet.index()) {
-                    return;
-                }
-                // The datacenter marked the cloudlet itself; the broker
-                // fails any descendants that now cannot run.
-                self.fail_descendants(world, cloudlet);
             }
             Event::RetryWake => {
                 self.retry_wake_armed = false;

@@ -26,8 +26,6 @@ pub struct DatacenterBlueprint {
     pub allocation: Box<dyn VmAllocationPolicy>,
     /// Per-VM cloudlet execution policy.
     pub scheduler: SchedulerKind,
-    /// Failure injection: hosts that go down at the given times.
-    pub failures: Vec<(HostId, SimTime)>,
 }
 
 impl DatacenterBlueprint {
@@ -46,14 +44,7 @@ impl DatacenterBlueprint {
             characteristics,
             allocation: Box::new(crate::vm_alloc::FirstFit::default()),
             scheduler: SchedulerKind::SpaceShared,
-            failures: Vec::new(),
         }
-    }
-
-    /// Adds a host failure at `time`.
-    pub fn with_failure(mut self, host: HostId, time: SimTime) -> Self {
-        self.failures.push((host, time));
-        self
     }
 }
 
@@ -68,12 +59,10 @@ pub struct Datacenter {
     scheduler_kind: SchedulerKind,
     /// Per-VM schedulers, lazily grown, indexed by `VmId`.
     vm_scheds: Vec<Option<Box<dyn CloudletScheduler>>>,
-    /// Cloudlets completed here (diagnostics).
-    completed: u64,
     /// Broker address, learned from the first cloudlet submission; needed
     /// by self-sent `VmTick` timers to route completions.
     broker_hint: Option<EntityId>,
-    /// Failure injection schedule, armed on `Start`.
+    /// Failure schedule from the fault plan, armed on `Start`.
     failures: Vec<(HostId, SimTime)>,
     /// Repair schedule from the fault plan, armed on `Start`.
     repairs: Vec<(HostId, SimTime)>,
@@ -83,8 +72,6 @@ pub struct Datacenter {
     /// VMs that died with each host (indexed by host), remembered so a
     /// repair can re-provision them.
     dead_vms: Vec<Vec<VmId>>,
-    /// Current straggler factor per VM (lazily grown; missing = 1.0).
-    vm_rate_factor: Vec<f64>,
 }
 
 impl Datacenter {
@@ -105,24 +92,25 @@ impl Datacenter {
             allocation: blueprint.allocation,
             scheduler_kind: blueprint.scheduler,
             vm_scheds: Vec::new(),
-            completed: 0,
             broker_hint: None,
-            failures: blueprint.failures,
+            failures: Vec::new(),
             repairs: Vec::new(),
             degrades: Vec::new(),
             dead_vms: Vec::new(),
-            vm_rate_factor: Vec::new(),
         }
     }
 
-    /// Installs the fault plan's repair and straggler schedules for this
-    /// datacenter. Called by the simulation builder before the kernel
-    /// starts; both lists are armed as self-addressed events on `Start`.
+    /// Installs the fault plan's failure, repair and straggler schedules
+    /// for this datacenter. Called by the simulation builder, after
+    /// [`crate::faults::FaultPlan::validate`], before the kernel starts;
+    /// all three lists are armed as self-addressed events on `Start`.
     pub fn arm_faults(
         &mut self,
+        failures: Vec<(HostId, SimTime)>,
         repairs: Vec<(HostId, SimTime)>,
         degrades: Vec<(VmId, SimTime, f64)>,
     ) {
+        self.failures = failures;
         self.repairs = repairs;
         self.degrades = degrades;
     }
@@ -130,11 +118,6 @@ impl Datacenter {
     /// The datacenter's characteristics (cost model etc.).
     pub fn characteristics(&self) -> &DatacenterCharacteristics {
         &self.characteristics
-    }
-
-    /// Cloudlets completed so far.
-    pub fn completed_count(&self) -> u64 {
-        self.completed
     }
 
     /// Host fleet view.
@@ -161,12 +144,6 @@ impl Datacenter {
         self.broker_hint = Some(broker);
     }
 
-    /// Folds completions harvested by a parallel replay segment into the
-    /// diagnostics counter behind [`Datacenter::completed_count`].
-    pub(crate) fn note_completed(&mut self, n: u64) {
-        self.completed += n;
-    }
-
     fn slot_mut<T: Default>(vec: &mut Vec<T>, idx: usize) -> &mut T {
         if vec.len() <= idx {
             vec.resize_with(idx + 1, T::default);
@@ -191,12 +168,11 @@ impl Datacenter {
             });
         let success = match placed {
             Some(host_id) => {
-                world.vm_mut(vm_id).place(self.id, host_id);
+                let vm = world.vm_mut(vm_id);
+                vm.place(self.id, host_id);
                 // A degrade that fired before creation still applies.
-                let factor = self.rate_factor(vm_id);
-                world.vm_mut(vm_id).rate_factor = factor;
                 *Self::slot_mut(&mut self.vm_scheds, vm_id.index()) =
-                    Some(self.scheduler_kind.build(spec.mips * factor, spec.pes));
+                    Some(self.scheduler_kind.build(vm.effective_mips(), spec.pes));
                 true
             }
             None => {
@@ -236,7 +212,6 @@ impl Datacenter {
                 let cpu_seconds = cl.execution_time().map(|t| t.as_secs()).unwrap_or(0.0);
                 cl.cost =
                     cloudlet_cost(&self.characteristics.cost, &vm_spec, &cl.spec, cpu_seconds);
-                self.completed += 1;
                 // The completion notification travels back after the output
                 // file crosses the VM's bandwidth.
                 let out_delay = transfer_time(cl.spec.output_size_mb, vm_spec.bw_mbps);
@@ -344,12 +319,10 @@ impl Datacenter {
     }
 
     /// Takes a host down: evicts its VMs, fails their queued/running
-    /// cloudlets and reports each to the broker.
+    /// cloudlets and reports each to the broker. The host index comes
+    /// from a validated fault plan.
     fn handle_host_fail(&mut self, world: &mut World, ctx: &mut Context<'_>, host_id: HostId) {
-        let Some(host) = self.hosts.get_mut(host_id.index()) else {
-            return; // unknown host: injection config referenced a ghost
-        };
-        let victims = host.fail();
+        let victims = self.hosts[host_id.index()].fail();
         // Remember who died here so a later repair can re-provision them.
         Self::slot_mut(&mut self.dead_vms, host_id.index()).extend(victims.iter().copied());
         for vm_id in victims {
@@ -371,14 +344,12 @@ impl Datacenter {
     }
 
     /// Brings a repaired host back online and re-provisions the VMs that
-    /// died with it, at their current straggler factor. Revived VMs come
-    /// back empty; the broker's retry path discovers them simply by
-    /// reading [`crate::vm::VmStatus::Active`] off the world.
+    /// died with it, at their current [`crate::vm::Vm::rate_factor`].
+    /// Revived VMs come back empty; the broker's retry path discovers them
+    /// simply by reading [`crate::vm::VmStatus::Active`] off the world.
     fn handle_host_repair(&mut self, world: &mut World, ctx: &mut Context<'_>, host_id: HostId) {
         let _ = ctx; // repairs re-provision silently; retries find the VM
-        let Some(host) = self.hosts.get_mut(host_id.index()) else {
-            return; // unknown host: injection config referenced a ghost
-        };
+        let host = &mut self.hosts[host_id.index()];
         if !host.is_failed() {
             return; // repair of a host that never failed is a no-op
         }
@@ -394,28 +365,19 @@ impl Datacenter {
             }
             let spec = world.vm(vm_id).spec.clone();
             if self.hosts[host_id.index()].allocate_vm(vm_id, &spec) {
-                world.vm_mut(vm_id).place(self.id, host_id);
-                let factor = self.rate_factor(vm_id);
-                world.vm_mut(vm_id).rate_factor = factor;
+                let vm = world.vm_mut(vm_id);
+                vm.place(self.id, host_id);
                 *Self::slot_mut(&mut self.vm_scheds, vm_id.index()) =
-                    Some(self.scheduler_kind.build(spec.mips * factor, spec.pes));
+                    Some(self.scheduler_kind.build(vm.effective_mips(), spec.pes));
             }
         }
-    }
-
-    /// Current straggler factor for `vm` (1.0 when never degraded).
-    fn rate_factor(&self, vm: VmId) -> f64 {
-        self.vm_rate_factor
-            .get(vm.index())
-            .copied()
-            .filter(|f| *f > 0.0)
-            .unwrap_or(1.0)
     }
 
     /// Applies a straggler factor to a VM: in-flight work is settled at
     /// the old rate up to `now`, then the VM runs at `factor × mips`.
     /// `factor == 1.0` restores nominal speed. A destroyed VM only has
-    /// its factor recorded, so a later repair revives it degraded.
+    /// its [`crate::vm::Vm::rate_factor`] written, so a later repair
+    /// revives it degraded.
     fn handle_vm_degrade(
         &mut self,
         world: &mut World,
@@ -427,11 +389,9 @@ impl Datacenter {
             factor > 0.0 && factor <= 1.0,
             "degrade factor must be in (0, 1], got {factor}"
         );
-        *Self::slot_mut(&mut self.vm_rate_factor, vm_id.index()) = factor;
-        if vm_id.index() < world.vms.len() {
-            world.vm_mut(vm_id).rate_factor = factor;
-        }
-        let mips = world.vm(vm_id).spec.mips * factor;
+        let vm = world.vm_mut(vm_id);
+        vm.rate_factor = factor;
+        let mips = vm.effective_mips();
         let Some(sched) = self
             .vm_scheds
             .get_mut(vm_id.index())

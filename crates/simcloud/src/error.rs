@@ -45,13 +45,6 @@ pub enum SimError {
         /// Human-readable description.
         what: String,
     },
-    /// The explicitly requested engine cannot run this scenario (e.g. the
-    /// sharded replay engine with fault injection). Explicit requests fail
-    /// loudly instead of silently running a different kernel.
-    Unsupported {
-        /// Human-readable description of the unsupported combination.
-        what: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -82,7 +75,6 @@ impl fmt::Display for SimError {
             SimError::InvalidDependencies { what } => {
                 write!(f, "invalid workflow dependencies: {what}")
             }
-            SimError::Unsupported { what } => write!(f, "unsupported engine request: {what}"),
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The sharded simulation engine: one replay path, the epoch driver
 //! ([`run_epochs`]), bit-identical to the sequential kernel at any thread
 //! count (the engine-equivalence suite enforces this across seeds,
-//! scheduler flavours, plain batches, fault plans, recovery policies,
-//! resubmission and workflow DAGs).
+//! scheduler flavours, plain batches, fault plans, recovery policies and
+//! workflow DAGs).
 //!
 //! The run alternates between *control instants* — VM placement, host
 //! failures and repairs, VM degrades, retry wake-ups, submissions landing
@@ -103,8 +103,8 @@ struct FinishedCl {
 ///   *release barrier* event: no lane may replay past it until it is
 ///   delivered.
 ///
-/// Under fault shaping (host failures, recovery, resubmission) every
-/// child is cross: resubmission can rewrite the assignment mid-run, so
+/// Under fault shaping (a non-empty fault plan, or recovery) every child
+/// is cross: a recovery retry can rewrite the assignment mid-run, so
 /// the static same-VM classification would be unsound. A run without
 /// dependencies compiles to an edgeless plan: no local children, no
 /// cross parents, so the barrier never binds and replay is bounded by
@@ -359,7 +359,7 @@ struct Driver {
 }
 
 /// Runs any scenario on the sharded engine: plain batch, fault-shaped,
-/// recovering, resubmitting or workflow DAG.
+/// recovering or workflow DAG.
 ///
 /// The caller ([`crate::simulation::SimulationBuilder::run`]) has
 /// validated the scenario and built the *real* datacenter and broker
@@ -570,7 +570,7 @@ impl Driver {
     /// A staged cloudlet finished, or a `CloudletFailed` control was
     /// popped for it: if it was an in-flight cross parent (a failed one's
     /// host died, or recovery drained it), release the barrier hold. A
-    /// later resubmission re-stages (and re-counts) it.
+    /// later retry re-stages (and re-counts) it.
     fn settle(&mut self, cloudlet: CloudletId) {
         if let Some(flag @ true) = self.in_flight.get_mut(cloudlet.index()) {
             *flag = false;
@@ -663,7 +663,6 @@ impl Driver {
         self.clock = self.clock.max(out.last_event);
         let dc_id = EntityId::from_index(out.dc);
         dcs[out.dc].put_sched(out.vm, out.sched);
-        dcs[out.dc].note_completed(out.finished.len() as u64);
         if out.armed_after != out.armed_before {
             self.queue.cancel_vm_tick(out.vm);
             if let Some(t) = out.armed_after {

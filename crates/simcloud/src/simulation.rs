@@ -48,13 +48,13 @@ pub enum EngineKind {
     Sequential,
     /// The sharded engine: per-VM timelines replayed across rayon
     /// workers, trace-equivalent to the sequential kernel. Every scenario
-    /// — plain batch, fault injection, recovery, resubmission, workflow
-    /// DAGs — runs on the epoch driver, which interleaves sequential
-    /// control instants with parallel lane replay, bounds DAG replay by a
-    /// release barrier and resolves same-VM releases inside the lanes. A
-    /// plain batch has no control instant after placement, so its lanes
-    /// replay in one parallel flush. Every scenario the builder accepts
-    /// runs on the engine it asked for.
+    /// — plain batch, fault injection, recovery, workflow DAGs — runs on
+    /// the epoch driver, which interleaves sequential control instants
+    /// with parallel lane replay, bounds DAG replay by a release barrier
+    /// and resolves same-VM releases inside the lanes. A plain batch has
+    /// no control instant after placement, so its lanes replay in one
+    /// parallel flush. Every scenario the builder accepts runs on the
+    /// engine it asked for.
     Sharded,
 }
 
@@ -93,7 +93,6 @@ pub struct SimulationBuilder {
     dependencies: Option<Vec<Vec<crate::ids::CloudletId>>>,
     topology: Option<Topology>,
     max_events: Option<u64>,
-    max_retries: u8,
     engine: EngineKind,
     record_mode: RecordMode,
     faults: Option<FaultPlan>,
@@ -120,7 +119,6 @@ impl SimulationBuilder {
             dependencies: None,
             topology: None,
             max_events: None,
-            max_retries: 0,
             engine: EngineKind::Sequential,
             record_mode: RecordMode::Full,
             faults: None,
@@ -141,7 +139,6 @@ impl SimulationBuilder {
     /// Enables broker-level batched retry/backoff recovery: failed
     /// cloudlets are collected into retry batches, backed off
     /// exponentially (capped), and resubmitted onto surviving VMs.
-    /// Mutually exclusive with [`SimulationBuilder::resubmit_failures`].
     pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.recovery = Some(policy);
         self
@@ -222,13 +219,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Enables fault tolerance: cloudlets whose VM dies are rebound to a
-    /// surviving VM up to `max_retries` times.
-    pub fn resubmit_failures(mut self, max_retries: u8) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
-
     /// Overrides the kernel's runaway-event guard.
     pub fn max_events(mut self, max: u64) -> Self {
         self.max_events = Some(max);
@@ -287,6 +277,11 @@ impl SimulationBuilder {
                 });
             }
         }
+        if let Some(i) = self.datacenters.iter().position(|d| d.hosts.is_empty()) {
+            return Err(SimError::InvalidSpec {
+                what: format!("datacenter {i} has no hosts"),
+            });
+        }
         for (i, vm) in self.vms.iter().enumerate() {
             vm.validate().map_err(|e| SimError::InvalidSpec {
                 what: format!("vm {i}: {e}"),
@@ -308,20 +303,14 @@ impl SimulationBuilder {
             policy.validate().map_err(|what| SimError::InvalidSpec {
                 what: format!("recovery policy: {what}"),
             })?;
-            if self.max_retries > 0 {
-                return Err(SimError::InvalidSpec {
-                    what: "recovery and resubmit_failures are mutually exclusive".into(),
-                });
-            }
         }
 
         let topology = self.topology.unwrap_or_else(|| Topology::flat(dc_count));
 
-        // Compile the fault plan into per-datacenter schedules: failures
-        // ride the blueprint's existing injection list, repairs and
-        // straggler intervals are armed via `Datacenter::arm_faults`. A
-        // slowdown with an end compiles to two `VmDegrade` events (onset
-        // factor, then 1.0 to restore).
+        // Compile the fault plan into per-datacenter schedules of
+        // failures, repairs and straggler intervals, armed via
+        // `Datacenter::arm_faults`. A slowdown with an end compiles to two
+        // `VmDegrade` events (onset factor, then 1.0 to restore).
         let mut dc_failures: Vec<Vec<(HostId, SimTime)>> = vec![Vec::new(); dc_count];
         let mut dc_repairs: Vec<Vec<(HostId, SimTime)>> = vec![Vec::new(); dc_count];
         let mut dc_degrades: Vec<Vec<(VmId, SimTime, f64)>> = vec![Vec::new(); dc_count];
@@ -348,12 +337,8 @@ impl SimulationBuilder {
         // compiled before the broker consumes the assignment, arrival and
         // topology vectors.
         let max_events = self.max_events.unwrap_or(Kernel::DEFAULT_MAX_EVENTS);
-        let fault_shaped = self.datacenters.iter().any(|d| !d.failures.is_empty())
-            || dc_failures.iter().any(|f| !f.is_empty())
-            || dc_repairs.iter().any(|r| !r.is_empty())
-            || dc_degrades.iter().any(|d| !d.is_empty())
-            || self.recovery.is_some()
-            || self.max_retries > 0;
+        let fault_shaped =
+            self.faults.as_ref().is_some_and(|p| !p.is_empty()) || self.recovery.is_some();
         let plan = (self.engine == EngineKind::Sharded).then(|| {
             crate::sharded::DagPlan::compile(
                 self.dependencies.as_deref(),
@@ -372,11 +357,11 @@ impl SimulationBuilder {
         // `Kernel::register` would hand out in this order.
         let mut dcs = Vec::with_capacity(dc_count);
         let mut dc_entities = Vec::with_capacity(dc_count);
-        for (i, mut blueprint) in self.datacenters.into_iter().enumerate() {
-            blueprint.failures.append(&mut dc_failures[i]);
+        for (i, blueprint) in self.datacenters.into_iter().enumerate() {
             let entity = crate::ids::EntityId::from_index(i);
             let mut dc = Datacenter::new(entity, DatacenterId::from_index(i), blueprint);
             dc.arm_faults(
+                std::mem::take(&mut dc_failures[i]),
                 std::mem::take(&mut dc_repairs[i]),
                 std::mem::take(&mut dc_degrades[i]),
             );
@@ -396,9 +381,6 @@ impl SimulationBuilder {
         }
         if let Some(parents) = self.dependencies {
             broker = broker.with_dependencies(parents);
-        }
-        if self.max_retries > 0 {
-            broker = broker.with_resubmission(self.max_retries);
         }
         if let Some(policy) = self.recovery {
             broker = broker.with_recovery(policy, self.rescheduler);
@@ -518,7 +500,22 @@ fn validate_dag(parents: &[Vec<crate::ids::CloudletId>], cloudlets: usize) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::RecoveryPolicy;
     use crate::characteristics::DatacenterCharacteristics;
+    use crate::faults::HostOutage;
+
+    /// A fault plan with one outage: host `host` of datacenter 0 fails at
+    /// `fail_ms` and, with `repair_ms`, comes back then.
+    fn outage(host: u32, fail_ms: f64, repair_ms: Option<f64>) -> FaultPlan {
+        let mut plan = FaultPlan::healthy();
+        plan.host_outages.push(HostOutage {
+            datacenter: DatacenterId(0),
+            host: HostId(host),
+            fail_at: SimTime::new(fail_ms),
+            repair_at: repair_ms.map(SimTime::new),
+        });
+        plan
+    }
 
     fn base_assignment(cloudlets: usize, vms: usize) -> Vec<VmId> {
         (0..cloudlets).map(|i| VmId::from_index(i % vms)).collect()
@@ -657,11 +654,43 @@ mod tests {
                 1,
                 DatacenterCharacteristics::default(),
             ))
-            .vms(vec![vm])
+            .vms(vec![vm.clone()])
             .cloudlets(vec![CloudletSpec::homogeneous_default()])
             .assignment(vec![VmId(9)])
             .run();
         assert!(matches!(err, Err(SimError::UnknownVm(_))));
+        // A datacenter without hosts.
+        let mut hostless =
+            DatacenterBlueprint::sized_for(&vm, 1, 1, DatacenterCharacteristics::default());
+        hostless.hosts.clear();
+        let err = SimulationBuilder::new()
+            .datacenter(hostless)
+            .vms(vec![vm.clone()])
+            .run();
+        assert_eq!(
+            err.unwrap_err(),
+            SimError::InvalidSpec {
+                what: "datacenter 0 has no hosts".into()
+            }
+        );
+        // An outage on a host the datacenter does not have.
+        let err = SimulationBuilder::new()
+            .datacenter(DatacenterBlueprint::sized_for(
+                &vm,
+                1,
+                1,
+                DatacenterCharacteristics::default(),
+            ))
+            .vms(vec![vm])
+            .faults(outage(7, 100.0, None))
+            .run();
+        match err {
+            Err(SimError::InvalidSpec { what }) => assert!(
+                what.starts_with("fault plan: outage 0 references host host7"),
+                "{what}"
+            ),
+            other => panic!("expected InvalidSpec, got {other:?}"),
+        }
     }
 
     #[test]
@@ -713,19 +742,20 @@ mod tests {
 
     #[test]
     fn host_failure_kills_resident_work() {
-        use crate::ids::HostId;
-        use crate::time::SimTime;
         let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
         // Two hosts, one VM each; host 0 dies mid-run.
-        let blueprint =
-            DatacenterBlueprint::sized_for(&vm, 2, 1, DatacenterCharacteristics::default())
-                .with_failure(HostId(0), SimTime::new(500.0));
         let long = CloudletSpec::new(2_000.0, 0.0, 0.0, 1); // 2s solo
         let outcome = SimulationBuilder::new()
-            .datacenter(blueprint)
+            .datacenter(DatacenterBlueprint::sized_for(
+                &vm,
+                2,
+                1,
+                DatacenterCharacteristics::default(),
+            ))
             .vms(vec![vm; 2])
             .cloudlets(vec![long; 4])
             .assignment(vec![VmId(0), VmId(1), VmId(0), VmId(1)])
+            .faults(outage(0, 500.0, None))
             .run()
             .unwrap();
         // VM0's two cloudlets die with the host; VM1's two finish.
@@ -741,69 +771,22 @@ mod tests {
     }
 
     #[test]
-    fn resubmission_recovers_from_host_failure() {
-        use crate::ids::HostId;
-        use crate::time::SimTime;
-        let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
-        // Host 0 dies at t=500 while VM0 runs its queue; with resubmission
-        // the orphans move to VM1 and everything still finishes.
-        let blueprint =
-            DatacenterBlueprint::sized_for(&vm, 2, 1, DatacenterCharacteristics::default())
-                .with_failure(HostId(0), SimTime::new(500.0));
-        let outcome = SimulationBuilder::new()
-            .datacenter(blueprint)
-            .vms(vec![vm; 2])
-            .cloudlets(vec![CloudletSpec::new(2_000.0, 0.0, 0.0, 1); 4])
-            .assignment(vec![VmId(0), VmId(1), VmId(0), VmId(1)])
-            .resubmit_failures(3)
-            .run()
-            .unwrap();
-        assert_eq!(outcome.finished_count(), 4, "resubmission saves the work");
-        assert_eq!(outcome.failed_count(), 0);
-        // Anything finishing after the failure must be on the survivor.
-        for r in &outcome.records {
-            if r.finish.unwrap() > SimTime::new(500.0) {
-                assert_eq!(r.vm, Some(VmId(1)), "rescued work runs on VM1");
-            }
-        }
-    }
-
-    #[test]
-    fn resubmission_gives_up_when_no_vm_survives() {
-        use crate::ids::HostId;
-        use crate::time::SimTime;
-        let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
-        let blueprint =
-            DatacenterBlueprint::sized_for(&vm, 1, 1, DatacenterCharacteristics::default())
-                .with_failure(HostId(0), SimTime::new(100.0));
-        let outcome = SimulationBuilder::new()
-            .datacenter(blueprint)
-            .vms(vec![vm])
-            .cloudlets(vec![CloudletSpec::new(5_000.0, 0.0, 0.0, 1); 2])
-            .assignment(vec![VmId(0); 2])
-            .resubmit_failures(5)
-            .run()
-            .unwrap();
-        assert_eq!(outcome.finished_count(), 0);
-        assert_eq!(outcome.failed_count(), 2);
-    }
-
-    #[test]
     fn failure_before_submission_fails_cloudlets_cleanly() {
-        use crate::ids::HostId;
-        use crate::time::SimTime;
         let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
         // Host dies at t=100; the cloudlet arrives at t=500, after its VM
         // is gone — it must fail, not crash the kernel.
-        let blueprint =
-            DatacenterBlueprint::sized_for(&vm, 1, 1, DatacenterCharacteristics::default())
-                .with_failure(HostId(0), SimTime::new(100.0));
         let outcome = SimulationBuilder::new()
-            .datacenter(blueprint)
+            .datacenter(DatacenterBlueprint::sized_for(
+                &vm,
+                1,
+                1,
+                DatacenterCharacteristics::default(),
+            ))
             .vms(vec![vm])
             .cloudlets(vec![CloudletSpec::new(1_000.0, 0.0, 0.0, 1)])
             .assignment(vec![VmId(0)])
             .arrivals(vec![SimTime::new(500.0)])
+            .faults(outage(0, 100.0, None))
             .run()
             .unwrap();
         assert_eq!(outcome.finished_count(), 0);
@@ -912,16 +895,18 @@ mod tests {
 
     #[test]
     fn failed_parent_cascades_to_descendants() {
-        use crate::ids::{CloudletId, HostId};
-        use crate::time::SimTime;
+        use crate::ids::CloudletId;
         let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
         // VM0's host dies while c0 runs; c1 (child, on healthy VM1) and
         // c2 (grandchild) must cascade to Failed; c3 is independent.
-        let blueprint =
-            DatacenterBlueprint::sized_for(&vm, 2, 1, DatacenterCharacteristics::default())
-                .with_failure(HostId(0), SimTime::new(500.0));
         let outcome = SimulationBuilder::new()
-            .datacenter(blueprint)
+            .datacenter(DatacenterBlueprint::sized_for(
+                &vm,
+                2,
+                1,
+                DatacenterCharacteristics::default(),
+            ))
+            .faults(outage(0, 500.0, None))
             .vms(vec![vm; 2])
             .cloudlets(vec![CloudletSpec::new(2_000.0, 0.0, 0.0, 1); 4])
             .assignment(vec![VmId(0), VmId(1), VmId(1), VmId(1)])
@@ -943,8 +928,6 @@ mod tests {
 
     #[test]
     fn sharded_runs_fault_injection_on_epoch_driver() {
-        use crate::faults::{FaultPlan, HostOutage};
-        use crate::ids::HostId;
         let vm = VmSpec::homogeneous_default();
         let base = || {
             SimulationBuilder::new()
@@ -959,35 +942,11 @@ mod tests {
                 .cloudlets(vec![CloudletSpec::homogeneous_default(); 4])
                 .assignment(base_assignment(4, 2))
         };
-        // Blueprint-level failure injection runs sharded.
-        let vm2 = VmSpec::homogeneous_default();
-        let ok = SimulationBuilder::new()
-            .engine(EngineKind::Sharded)
-            .datacenter(
-                DatacenterBlueprint::sized_for(&vm2, 2, 1, DatacenterCharacteristics::default())
-                    .with_failure(HostId(0), SimTime::new(500.0)),
-            )
-            .vms(vec![vm2; 2])
-            .cloudlets(vec![CloudletSpec::homogeneous_default(); 4])
-            .assignment(base_assignment(4, 2))
-            .run()
-            .unwrap();
-        assert_eq!(ok.engine, EngineKind::Sharded);
-        // A non-empty fault plan: same.
-        let mut plan = FaultPlan::healthy();
-        plan.host_outages.push(HostOutage {
-            datacenter: DatacenterId(0),
-            host: HostId(0),
-            fail_at: SimTime::new(500.0),
-            repair_at: None,
-        });
-        let ok = base().faults(plan).run().unwrap();
+        // A non-empty fault plan runs sharded.
+        let ok = base().faults(outage(0, 500.0, None)).run().unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
         // Recovery alone also stays on the sharded engine.
-        let ok = base()
-            .recovery(crate::broker::RecoveryPolicy::default())
-            .run()
-            .unwrap();
+        let ok = base().recovery(RecoveryPolicy::default()).run().unwrap();
         assert_eq!(ok.engine, EngineKind::Sharded);
         // An all-healthy plan injects nothing: a plain batch, an edgeless
         // plan with no control instant after placement.
@@ -1010,7 +969,7 @@ mod tests {
 
     #[test]
     fn event_guard_trips_on_every_engine_path() {
-        use crate::ids::{CloudletId, HostId};
+        use crate::ids::CloudletId;
         let vm = VmSpec::homogeneous_default();
         let base = |engine: EngineKind| {
             SimulationBuilder::new()
@@ -1025,7 +984,8 @@ mod tests {
         for engine in [EngineKind::Sequential, EngineKind::Sharded] {
             let plain = base(engine).datacenter(blueprint()).run();
             let faulted = base(engine)
-                .datacenter(blueprint().with_failure(HostId(0), SimTime::new(100.0)))
+                .datacenter(blueprint())
+                .faults(outage(0, 100.0, None))
                 .run();
             let dag = base(engine)
                 .datacenter(blueprint())
@@ -1042,7 +1002,6 @@ mod tests {
 
     #[test]
     fn healthy_fault_plan_is_byte_identical() {
-        use crate::faults::FaultPlan;
         let run = |with_plan: bool| {
             let vm = VmSpec::homogeneous_default();
             let mut b = SimulationBuilder::new()
@@ -1076,7 +1035,7 @@ mod tests {
 
     #[test]
     fn vm_degrade_slows_and_recovers() {
-        use crate::faults::{FaultPlan, VmSlowdown};
+        use crate::faults::VmSlowdown;
         let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
         let run = |until: Option<f64>| {
             let mut plan = FaultPlan::healthy();
@@ -1120,18 +1079,51 @@ mod tests {
     }
 
     #[test]
-    fn host_repair_revives_capacity_for_retries() {
-        use crate::broker::RecoveryPolicy;
-        use crate::faults::{FaultPlan, HostOutage};
-        use crate::ids::HostId;
+    fn straggler_factor_survives_host_death_and_repair() {
+        use crate::faults::VmSlowdown;
         let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
-        let mut plan = FaultPlan::healthy();
-        plan.host_outages.push(HostOutage {
-            datacenter: DatacenterId(0),
-            host: HostId(0),
-            fail_at: SimTime::new(500.0),
-            repair_at: Some(SimTime::new(1_000.0)),
+        // VM0's host is down over [500, 1000); the slowdown fires at 700,
+        // while the VM is dead, so only its rate factor is written. The
+        // repair revives the VM, and the cloudlet arriving at 1500 must
+        // run at half speed: 2000 MI at 500 MIPS -> finish at 5500 ms.
+        let mut plan = outage(0, 500.0, Some(1_000.0));
+        plan.vm_slowdowns.push(VmSlowdown {
+            vm: VmId(0),
+            from: SimTime::new(700.0),
+            factor: 0.5,
+            until: None,
         });
+        let finishes = [EngineKind::Sequential, EngineKind::Sharded].map(|engine| {
+            let outcome = SimulationBuilder::new()
+                .engine(engine)
+                .datacenter(DatacenterBlueprint::sized_for(
+                    &vm,
+                    1,
+                    1,
+                    DatacenterCharacteristics::default(),
+                ))
+                .vms(vec![vm.clone()])
+                .cloudlets(vec![CloudletSpec::new(2_000.0, 0.0, 0.0, 1)])
+                .assignment(vec![VmId(0)])
+                .arrivals(vec![SimTime::new(1_500.0)])
+                .faults(plan.clone())
+                .run()
+                .unwrap();
+            assert_eq!(outcome.engine, engine);
+            assert_eq!(outcome.finished_count(), 1, "{engine:?}");
+            let finish = outcome.records[0].finish.unwrap().as_millis();
+            assert!(
+                (finish - 5_500.0).abs() < 1e-6,
+                "{engine:?}: expected 5500, got {finish}"
+            );
+            finish.to_bits()
+        });
+        assert_eq!(finishes[0], finishes[1], "engines disagree");
+    }
+
+    #[test]
+    fn host_repair_revives_capacity_for_retries() {
+        let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
         let outcome = SimulationBuilder::new()
             .datacenter(DatacenterBlueprint::sized_for(
                 &vm,
@@ -1142,7 +1134,7 @@ mod tests {
             .vms(vec![vm])
             .cloudlets(vec![CloudletSpec::new(2_000.0, 0.0, 0.0, 1)])
             .assignment(vec![VmId(0)])
-            .faults(plan)
+            .faults(outage(0, 500.0, Some(1_000.0)))
             .recovery(RecoveryPolicy {
                 max_attempts: 3,
                 base_backoff_ms: 600.0,
@@ -1169,17 +1161,7 @@ mod tests {
 
     #[test]
     fn recovery_reschedules_onto_survivors() {
-        use crate::broker::RecoveryPolicy;
-        use crate::faults::{FaultPlan, HostOutage};
-        use crate::ids::HostId;
         let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
-        let mut plan = FaultPlan::healthy();
-        plan.host_outages.push(HostOutage {
-            datacenter: DatacenterId(0),
-            host: HostId(0),
-            fail_at: SimTime::new(500.0),
-            repair_at: None,
-        });
         let outcome = SimulationBuilder::new()
             .datacenter(DatacenterBlueprint::sized_for(
                 &vm,
@@ -1190,7 +1172,7 @@ mod tests {
             .vms(vec![vm; 2])
             .cloudlets(vec![CloudletSpec::new(2_000.0, 0.0, 0.0, 1); 4])
             .assignment(vec![VmId(0), VmId(1), VmId(0), VmId(1)])
-            .faults(plan)
+            .faults(outage(0, 500.0, None))
             .recovery(RecoveryPolicy::default())
             .run()
             .unwrap();
@@ -1209,10 +1191,8 @@ mod tests {
 
     #[test]
     fn recovery_respects_custom_rescheduler() {
-        use crate::broker::{RecoveryPolicy, Rescheduler};
-        use crate::faults::{FaultPlan, HostOutage};
-        use crate::ids::{CloudletId, HostId};
-        use crate::kernel::World;
+        use crate::broker::Rescheduler;
+        use crate::ids::CloudletId;
         // Always picks the last VM — distinguishable from the cyclic
         // fallback, which would hand the orphans to VM1 first.
         struct LastVm;
@@ -1223,13 +1203,6 @@ mod tests {
             }
         }
         let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
-        let mut plan = FaultPlan::healthy();
-        plan.host_outages.push(HostOutage {
-            datacenter: DatacenterId(0),
-            host: HostId(0),
-            fail_at: SimTime::new(500.0),
-            repair_at: None,
-        });
         let outcome = SimulationBuilder::new()
             .datacenter(DatacenterBlueprint::sized_for(
                 &vm,
@@ -1240,7 +1213,7 @@ mod tests {
             .vms(vec![vm; 3])
             .cloudlets(vec![CloudletSpec::new(2_000.0, 0.0, 0.0, 1); 3])
             .assignment(vec![VmId(0), VmId(1), VmId(2)])
-            .faults(plan)
+            .faults(outage(0, 500.0, None))
             .recovery(RecoveryPolicy::default())
             .rescheduler(Box::new(LastVm))
             .run()
@@ -1255,17 +1228,7 @@ mod tests {
 
     #[test]
     fn recovery_abandons_after_budget() {
-        use crate::broker::RecoveryPolicy;
-        use crate::faults::{FaultPlan, HostOutage};
-        use crate::ids::HostId;
         let vm = VmSpec::new(1_000.0, 100.0, 128.0, 500.0, 1);
-        let mut plan = FaultPlan::healthy();
-        plan.host_outages.push(HostOutage {
-            datacenter: DatacenterId(0),
-            host: HostId(0),
-            fail_at: SimTime::new(100.0),
-            repair_at: None,
-        });
         let outcome = SimulationBuilder::new()
             .datacenter(DatacenterBlueprint::sized_for(
                 &vm,
@@ -1276,7 +1239,7 @@ mod tests {
             .vms(vec![vm])
             .cloudlets(vec![CloudletSpec::new(5_000.0, 0.0, 0.0, 1); 2])
             .assignment(vec![VmId(0); 2])
-            .faults(plan)
+            .faults(outage(0, 100.0, None))
             .recovery(RecoveryPolicy {
                 max_attempts: 2,
                 ..RecoveryPolicy::default()
@@ -1285,30 +1248,9 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.finished_count(), 0);
         assert_eq!(outcome.failed_count(), 2);
-        assert_eq!(outcome.failed_count(), 2);
         assert_eq!(outcome.resilience.abandoned, 2);
         assert_eq!(outcome.resilience.recovered, 0);
         assert_eq!(outcome.completion_ratio(), Some(0.0));
-    }
-
-    #[test]
-    fn recovery_excludes_legacy_resubmission() {
-        use crate::broker::RecoveryPolicy;
-        let vm = VmSpec::homogeneous_default();
-        let err = SimulationBuilder::new()
-            .datacenter(DatacenterBlueprint::sized_for(
-                &vm,
-                1,
-                1,
-                DatacenterCharacteristics::default(),
-            ))
-            .vms(vec![vm])
-            .cloudlets(vec![CloudletSpec::homogeneous_default()])
-            .assignment(vec![VmId(0)])
-            .resubmit_failures(2)
-            .recovery(RecoveryPolicy::default())
-            .run();
-        assert!(matches!(err, Err(SimError::InvalidSpec { .. })));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! kernel's, along with the same end time, event count and
 //! `ResilienceCounters` — across seeds, both scheduler flavours,
 //! homogeneous and heterogeneous fleets, fault plans, recovery policies,
-//! resubmission, batched submissions under fault shaping, workflow DAGs
-//! (alone and composed with faults), both record modes and any rayon
+//! batched submissions under fault shaping, workflow DAGs (alone and
+//! composed with faults and with recovery), both record modes and any rayon
 //! thread count. Every shape runs on the epoch driver: a plain batch is
 //! an edgeless plan whose whole replay is one final flush, which commits
 //! its lanes in chunks when the fleet is wide enough.
@@ -353,15 +353,23 @@ fn workflow_dag_and_resilience_shapes_all_run_sharded() {
     assert_eq!(with_deps.finished_count(), 2);
     assert_identical(&seq_deps, &with_deps, "two-cloudlet chain");
 
-    // Resubmission stays on the sharded engine (epoch driver).
-    let with_retries = base(mk()).resubmit_failures(2).run().unwrap();
+    // Recovery stays on the sharded engine (epoch driver).
+    let with_retries = base(mk())
+        .recovery(simcloud::broker::RecoveryPolicy::default())
+        .run()
+        .unwrap();
     assert_eq!(with_retries.engine, EngineKind::Sharded);
     assert_eq!(with_retries.finished_count(), 2);
 
     // So does failure injection.
-    let with_failures = base(mk().with_failure(HostId(0), SimTime::new(1.0e9)))
-        .run()
-        .unwrap();
+    let mut plan = simcloud::faults::FaultPlan::healthy();
+    plan.host_outages.push(simcloud::faults::HostOutage {
+        datacenter: DatacenterId(0),
+        host: HostId(0),
+        fail_at: SimTime::new(1.0e9),
+        repair_at: None,
+    });
+    let with_failures = base(mk()).faults(plan).run().unwrap();
     assert_eq!(with_failures.engine, EngineKind::Sharded);
 }
 
@@ -548,15 +556,11 @@ enum Resilience {
     FaultsBatched,
     /// Broker-level retry with backoff and cyclic rebinding.
     Recovery,
-    /// Legacy resubmission (`resubmit_failures`).
-    Resubmission,
     /// Faults plus a workflow DAG — the epoch driver's DAG path under fault
     /// shaping (every release is cross, barrier-bounded).
     Workflow,
     /// Faults, a workflow DAG *and* broker-level recovery.
     WorkflowRecovery,
-    /// Faults, a workflow DAG *and* legacy resubmission.
-    WorkflowResubmission,
 }
 
 /// Builds and runs one fault-injected matrix scenario: 10 VMs on 5 hosts,
@@ -654,32 +658,25 @@ fn resilient_outcome(
     builder = match res {
         Resilience::Faults | Resilience::FaultsBatched => builder,
         Resilience::Recovery => builder.recovery(simcloud::broker::RecoveryPolicy::default()),
-        Resilience::Resubmission => builder.resubmit_failures(2),
         Resilience::Workflow => builder.dependencies(sparse_deps()),
         Resilience::WorkflowRecovery => builder
             .dependencies(sparse_deps())
             .recovery(simcloud::broker::RecoveryPolicy::default()),
-        Resilience::WorkflowResubmission => {
-            builder.dependencies(sparse_deps()).resubmit_failures(2)
-        }
     };
     builder.run().expect("matrix scenario is feasible")
 }
 
-/// The tentpole obligation: faults × recovery × resubmission × workflows,
-/// across thread counts, seeds and both record modes, every sharded run
-/// bit-identical to the sequential kernel (including the resilience
-/// counters).
+/// Faults × recovery × workflows, across thread counts, seeds and both
+/// record modes, every sharded run bit-identical to the sequential kernel
+/// (including the resilience counters).
 #[test]
 fn resilience_matrix_matches_sequential_across_threads_seeds_and_modes() {
     let variants = [
         Resilience::Faults,
         Resilience::FaultsBatched,
         Resilience::Recovery,
-        Resilience::Resubmission,
         Resilience::Workflow,
         Resilience::WorkflowRecovery,
-        Resilience::WorkflowResubmission,
     ];
     for threads in [1usize, 2, 4, 8] {
         rayon::ThreadPoolBuilder::new()
@@ -687,7 +684,6 @@ fn resilience_matrix_matches_sequential_across_threads_seeds_and_modes() {
             .build_global()
             .expect("vendored rayon accepts repeated global builds");
         for seed in [5u64, 17, 83] {
-            let mut faults_finished = None;
             for res in variants {
                 for mode in [RecordMode::Full, RecordMode::Aggregate] {
                     let label = format!("{threads} threads / seed {seed} / {res:?} / {mode:?}");
@@ -698,33 +694,11 @@ fn resilience_matrix_matches_sequential_across_threads_seeds_and_modes() {
                     // The plan must actually bite, in the way each
                     // variant is supposed to react to it.
                     match res {
-                        Resilience::Faults => {
-                            assert!(seq.finished_count() < 120, "{label}: no work lost");
-                            faults_finished = Some(seq.finished_count());
-                        }
-                        Resilience::FaultsBatched => {
+                        Resilience::Faults | Resilience::FaultsBatched | Resilience::Workflow => {
                             assert!(seq.finished_count() < 120, "{label}: no work lost");
                         }
-                        Resilience::Recovery => {
+                        Resilience::Recovery | Resilience::WorkflowRecovery => {
                             assert!(seq.resilience.retries > 0, "{label}: nothing retried");
-                        }
-                        Resilience::Resubmission => {
-                            // Rebinding rescues work the bare plan loses
-                            // (legacy resubmission counts on the broker,
-                            // not in the resilience counters).
-                            assert!(
-                                seq.finished_count() > faults_finished.expect("Faults ran first"),
-                                "{label}: resubmission rescued nothing"
-                            );
-                        }
-                        Resilience::Workflow => {
-                            assert!(seq.finished_count() < 120, "{label}: no work lost");
-                        }
-                        Resilience::WorkflowRecovery => {
-                            assert!(seq.resilience.retries > 0, "{label}: nothing retried");
-                        }
-                        Resilience::WorkflowResubmission => {
-                            assert!(seq.finished_count() > 0, "{label}: everything lost");
                         }
                     }
                     match mode {

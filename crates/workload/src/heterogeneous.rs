@@ -101,7 +101,6 @@ impl HeterogeneousScenario {
             vm_placement,
             vm_scheduler: simcloud::cloudlet_sched::SchedulerKind::TimeShared,
             arrivals: None,
-            host_failures: Vec::new(),
             dependencies: None,
             faults: None,
             recovery: None,

@@ -70,7 +70,6 @@ impl HomogeneousScenario {
             vm_placement: vec![DatacenterId(0); self.vm_count],
             vm_scheduler: simcloud::cloudlet_sched::SchedulerKind::TimeShared,
             arrivals: None,
-            host_failures: Vec::new(),
             dependencies: None,
             faults: None,
             recovery: None,

@@ -127,7 +127,7 @@ pub struct ResiliencePointResult {
     pub completion_ratio: f64,
     /// Useful execution time over total (useful + wasted) execution time.
     pub goodput: f64,
-    /// Broker resubmissions that actually went back out.
+    /// Broker retries that actually went back out.
     pub retries: u64,
     /// Cloudlets abandoned after exhausting their retry budget.
     pub abandoned: u64,

@@ -47,13 +47,12 @@ pub struct Scenario {
     /// Optional per-cloudlet arrival times (ms from t=0). `None` is the
     /// paper's batch model: everything arrives at once.
     pub arrivals: Option<Vec<f64>>,
-    /// Failure injection: `(datacenter index, host, time)` triples.
-    pub host_failures: Vec<(usize, simcloud::ids::HostId, simcloud::time::SimTime)>,
     /// Optional workflow precedence: `parents[c]` must finish before
     /// cloudlet `c` is submitted (see the `workflow` generators).
     pub dependencies: Option<Vec<Vec<simcloud::ids::CloudletId>>>,
-    /// Optional seeded chaos timeline (host outages, VM stragglers). An
-    /// all-healthy plan is trace-identical to no plan at all.
+    /// Optional chaos timeline (host outages, VM stragglers), explicit or
+    /// seeded; the only way to inject a failure. An all-healthy plan is
+    /// trace-identical to no plan at all.
     pub faults: Option<simcloud::faults::FaultPlan>,
     /// Optional broker retry/backoff policy; see
     /// [`simcloud::broker::RecoveryPolicy`]. Runs on either engine (the
@@ -114,9 +113,8 @@ impl Scenario {
     }
 
     /// Runs `assignment` on a chosen simulation engine. The sharded
-    /// engine replays every scenario shape — fault plans, recovery,
-    /// resubmission and workflow DAGs included — bit-identically to the
-    /// sequential kernel.
+    /// engine replays every scenario shape — fault plans, recovery and
+    /// workflow DAGs included — bit-identically to the sequential kernel.
     pub fn simulate_on(
         &self,
         assignment: Assignment,
@@ -168,12 +166,6 @@ impl Scenario {
                 characteristics: DatacenterCharacteristics::with_cost(dc.cost),
                 allocation: Box::new(simcloud::vm_alloc::FirstFit::default()),
                 scheduler: self.vm_scheduler,
-                failures: self
-                    .host_failures
-                    .iter()
-                    .filter(|(dc_idx, _, _)| *dc_idx == i)
-                    .map(|(_, host, time)| (*host, *time))
-                    .collect(),
             });
         }
         if let Some(arrivals) = &self.arrivals {
@@ -242,7 +234,6 @@ mod tests {
                 .collect(),
             vm_scheduler: simcloud::cloudlet_sched::SchedulerKind::TimeShared,
             arrivals: None,
-            host_failures: Vec::new(),
             dependencies: None,
             faults: None,
             recovery: None,

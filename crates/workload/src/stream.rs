@@ -36,8 +36,8 @@
 //! executed once with per-cloudlet arrival times. On the sharded engine
 //! those staggered arrivals land in the epoch-based superstep replay:
 //! wave boundaries act as arrival horizons inside the epoch stream, and
-//! in-flight execution, fault strikes, retries and resubmission
-//! interleave with the waves exactly as they do for
+//! in-flight execution, fault strikes and retries interleave with the
+//! waves exactly as they do for
 //! [`run_online`](crate::online::run_online) — bit-identically to the
 //! sequential kernel.
 

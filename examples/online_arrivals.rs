@@ -12,8 +12,6 @@
 
 use biosched::prelude::*;
 use biosched::workload::online::{run_online, WavePlan};
-use simcloud::ids::HostId;
-use simcloud::time::SimTime;
 
 fn main() {
     let scenario = HeterogeneousScenario {
@@ -64,10 +62,16 @@ fn main() {
 
     // Part 2: inject a host failure and watch the loss accounting.
     let mut faulty = scenario.clone();
-    // Datacenter 0, host 0 dies 20 simulated seconds in.
-    faulty
-        .host_failures
-        .push((0, HostId(0), SimTime::from_secs(20.0)));
+    // Datacenter 0, host 0 dies 20 simulated seconds in and stays down.
+    faulty.faults = Some(FaultPlan {
+        host_outages: vec![HostOutage {
+            datacenter: DatacenterId(0),
+            host: HostId(0),
+            fail_at: SimTime::from_secs(20.0),
+            repair_at: None,
+        }],
+        vm_slowdowns: Vec::new(),
+    });
     let mut scheduler = AlgorithmKind::BaseTest.build(31);
     let assignment = scheduler.schedule(&faulty.problem());
     let outcome = faulty.simulate(assignment).expect("feasible scenario");

@@ -57,7 +57,6 @@ fn main() {
         vm_placement: vec![DatacenterId(0); 32],
         vm_scheduler: SchedulerKind::TimeShared,
         arrivals: None,
-        host_failures: Vec::new(),
         dependencies: None,
         faults: None,
         recovery: None,
@@ -74,7 +73,6 @@ fn main() {
         vm_placement: vec![DatacenterId(0); 32],
         vm_scheduler: SchedulerKind::TimeShared,
         arrivals: None,
-        host_failures: Vec::new(),
         dependencies: None,
         faults: None,
         recovery: None,
@@ -91,7 +89,6 @@ fn main() {
         vm_placement: vec![DatacenterId(0); 32],
         vm_scheduler: SchedulerKind::TimeShared,
         arrivals: None,
-        host_failures: Vec::new(),
         dependencies: None,
         faults: None,
         recovery: None,

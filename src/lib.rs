@@ -42,9 +42,9 @@
 //!
 //! ## Beyond the paper's batch model
 //!
-//! The simulator also supports workflow DAGs, staggered arrivals, host
-//! failures with optional resubmission, SLA deadlines and energy
-//! accounting:
+//! The simulator also supports workflow DAGs, staggered arrivals, seeded
+//! host outages and stragglers with retry/backoff recovery, SLA deadlines
+//! and energy accounting:
 //!
 //! ```
 //! use biosched::core::workflow::heft;
