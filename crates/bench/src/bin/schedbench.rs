@@ -14,9 +14,10 @@
 //!   on homogeneous fleets the quality cost of the k-candidate
 //!   restriction stays in the noise (heterogeneous fleets pay more,
 //!   which is why the paper profile keeps full rows; see EXPERIMENTS.md);
-//! * at 1k the candidate-list ACO must not be slower at 4 threads than
-//!   at 1 thread beyond a 1.5× margin — the colony fan-out gate admits
-//!   only forks whose work pays for the pool's fork/join;
+//! * at 1k neither the full-row nor the candidate-list ACO may be slower
+//!   at 4 threads than at 1 thread beyond a 1.5× margin — the colony
+//!   fan-out gate admits only forks whose work pays for the pool's
+//!   fork/join;
 //! * every algorithm must produce byte-identical plans at every thread
 //!   count (scheduling is seed-deterministic, threads only change speed);
 //! * the incremental τ^α snapshot feeding the candidate-list path
@@ -53,6 +54,10 @@ use biosched_workload::homogeneous::HomogeneousScenario;
 /// (1 000 VMs / 10 000 cloudlets) is the quality-gate point; "1m" is the
 /// full paper-scale headline.
 const SCALES: &[(&str, usize)] = &[("1k", 1_000), ("10k", 100), ("100k", 10), ("1m", 1)];
+
+/// The 1k rows whose 4-thread time may not exceed 1.5× their 1-thread
+/// time: the full-row and the candidate-list ACO.
+const PARITY_GATED: [&str; 2] = ["AntColony", "AntColony(topk)"];
 
 /// Cloudlet count from which the reduced large-scale roster runs.
 const LARGE_SCALE_CLOUDLETS: usize = 50_000;
@@ -267,8 +272,8 @@ fn main() {
     // First-seen plan per (algorithm, scale): all later thread counts
     // must reproduce it byte for byte.
     let mut plans: HashMap<(String, String), Assignment> = HashMap::new();
-    // Candidate-list ACO wall time per (scale, threads) for the parity gate.
-    let mut aco_times: HashMap<(String, usize), f64> = HashMap::new();
+    // ACO wall time per (algorithm, scale, threads) for the parity gate.
+    let mut aco_times: HashMap<(String, String, usize), f64> = HashMap::new();
     let largest_scale = SCALES
         .iter()
         .rfind(|(l, _)| scales.iter().any(|s| s == l))
@@ -364,8 +369,8 @@ fn main() {
                             "{name} plan changed with thread count at scale {label}"
                         );
                     }
-                    if name == "AntColony(topk)" {
-                        aco_times.insert((label.to_string(), threads), ms);
+                    if PARITY_GATED.contains(&name.as_str()) {
+                        aco_times.insert((name.clone(), label.to_string(), threads), ms);
                     }
                     let est = a.estimated_makespan_ms(&problem);
                     eprintln!("  {threads}t {name}: {ms:.1} ms (est makespan {est:.0} ms)");
@@ -397,19 +402,19 @@ fn main() {
             });
         }
 
-        // Parity gate: at 1k the candidate-list ACO's colony fan-out must
-        // pay for itself, so extra threads may not cost more than
-        // measurement noise.
+        // Parity gate: at 1k each ACO regime's fan-out must pay for
+        // itself, so extra threads may not cost more than measurement
+        // noise.
         if *label == "1k" {
-            if let (Some(&t1), Some(&t4)) = (
-                aco_times.get(&(label.to_string(), 1)),
-                aco_times.get(&(label.to_string(), 4)),
-            ) {
-                assert!(
-                    t4 <= t1 * 1.5,
-                    "1k ACO regressed under threads: {t4:.1} ms at 4t vs {t1:.1} ms at 1t"
-                );
-                eprintln!("  thread parity: 1t {t1:.1} ms, 4t {t4:.1} ms");
+            for name in PARITY_GATED {
+                let time = |threads| aco_times.get(&(name.to_string(), label.to_string(), threads));
+                if let (Some(&t1), Some(&t4)) = (time(1), time(4)) {
+                    assert!(
+                        t4 <= t1 * 1.5,
+                        "1k {name} regressed under threads: {t4:.1} ms at 4t vs {t1:.1} ms at 1t"
+                    );
+                    eprintln!("  {name} thread parity: 1t {t1:.1} ms, 4t {t4:.1} ms");
+                }
             }
         }
     }

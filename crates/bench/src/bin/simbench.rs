@@ -10,7 +10,9 @@
 //!
 //! Each point runs in a child process (this binary re-invoked as
 //! `simbench child`) so peak-RSS figures are per-point rather than
-//! cumulative.
+//! cumulative. Children run in a pool of `--threads` workers, by default
+//! one per core, so a sequential point is never timed inside a pool
+//! larger than the machine.
 
 use std::time::Instant;
 
@@ -119,7 +121,7 @@ fn main() {
         Ok((
             a.get("--out", "BENCH_simulator.json".to_string())?,
             a.switch("--full-scale"),
-            a.get("--threads", 8)?,
+            a.get("--threads", harness::machine_cores())?,
         ))
     });
 

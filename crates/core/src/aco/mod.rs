@@ -33,12 +33,20 @@
 //! weight row per slot. The snapshot powers only the colony's own lanes
 //! (`0..slots`); the lanes a warm prior carries beyond them stay stale
 //! until something touches them, so a small wave replanned on a matrix
-//! grown by a large one pays for its own slots only. Each full-row draw
-//! is one allocation-free pass over that row ([`full_row::pick`]) with
-//! tabu entries masked in place by generation stamps (`TourScratch`),
-//! so tour construction allocates nothing but the returned tour. The
-//! pre-overhaul loop survives verbatim in [`reference`](mod@reference)
-//! as the equivalence baseline.
+//! grown by a large one pays for its own slots only; the fused rows are
+//! clipped (non-finite → 0) once, when they are filled.
+//!
+//! Every ant of an iteration reads the same row at a given slot; only
+//! its tabu set and its RNG differ. So full-row tours are built in
+//! groups of up to four ants in lockstep, slot by slot: one
+//! allocation-free [`full_row::pick_group`] pass over the slot's row
+//! carries each ant's in-order mass and spin chains side by side. An
+//! ant's tabu set is one bit of a per-VM lane mask, cleared once per
+//! group, and each ant draws from its own RNG exactly what the reference
+//! draws for it, so plans stay byte-identical by construction. The ant
+//! fan-out hands each worker a whole group. The pre-overhaul loop
+//! survives verbatim in [`reference`](mod@reference) as the equivalence
+//! baseline.
 //!
 //! # Sampling regimes
 //!
@@ -93,10 +101,12 @@ use crate::scheduler::Scheduler;
 /// Measured against the persistent `vendor/rayon` pool on a 2-vCPU
 /// Xeon guest (2.0 GHz): a stage of 8–50 items breaks even at ~20 µs of
 /// total work, gains 1.5–1.7× at ~100–160 µs and 1.9–2.0× from ~1 ms.
-/// Tour construction costs 5–12 ns per nominal read on the full row
-/// (paper profile, 100 down to 10 VMs) and ~4 ns on k = 24 candidate
-/// rows, so 2¹⁵ reads is ≥ ~130 µs of work: every fork this admits gains
-/// ≥ 1.5×, and the racer's ACO member (~0.6 ms per fig6 step) qualifies.
+/// A whole paper-profile call costs 1.9–7.2 ns per nominal read on the
+/// full row at one thread (fig6 points, 100 down to 10 VMs, ants built
+/// in lockstep groups of four) and tour construction ~4 ns on k = 24
+/// candidate rows, so 2¹⁵ reads is ≥ ~60 µs of work: three times the
+/// break-even, so every fork this admits gains, and the racer's ACO
+/// member (~0.6 ms per fig6 step) qualifies.
 const PAR_MIN_WORK: u64 = 1 << 15;
 
 /// Tabu rejection-sampling budget of the candidate-list regime: draw
@@ -306,7 +316,8 @@ enum FanOut {
     /// Whole colonies in parallel.
     Colonies,
     /// Too few colonies to fill the pool: each colony iteration fans its
-    /// ants out instead (full-row regime only).
+    /// lockstep ant groups out instead, one group per task (full-row
+    /// regime only).
     Ants,
 }
 
@@ -326,20 +337,20 @@ struct ColonyState {
     slots: Range<usize>,
     pheromone: PheromoneMatrix,
     best: Option<(Vec<u32>, f64)>,
-    scratch: TourScratch,
     engine: ColonyEngine,
 }
 
 /// The two sampling regimes, fixed by the candidate-list width k.
 enum ColonyEngine {
     /// k ≥ #VMs: the linear Eq. 5 roulette over every non-tabu VM, bit
-    /// for bit what [`reference`] draws. Holds the batch's full-fleet η^β
-    /// block and the fused τ^α·η^β weight table of the same shape
-    /// (slot-major), refreshed from the pheromone snapshot each
-    /// iteration; `None` when the block would out-cost the lookups it
-    /// replaces (→ inline fallback).
+    /// for bit what [`reference`] draws, for [`GROUP`] ants at a time.
+    /// Holds the batch's full-fleet η^β block and the fused, clipped
+    /// τ^α·η^β weight table of the same shape (slot-major), refreshed
+    /// from the pheromone snapshot each iteration; `None` when the block
+    /// would out-cost the lookups it replaces (→ inline fallback).
     FullRow {
         tables: Option<(Vec<f64>, Vec<f64>)>,
+        scratch: GroupScratch,
     },
     /// k < #VMs: the per-batch top-η [`CandidateBlock`] with prefix-sum
     /// draws over its per-iteration weight rows. Makes no bitwise claim
@@ -348,6 +359,7 @@ enum ColonyEngine {
     CandidateList {
         block: CandidateBlock,
         rows: CandidateRows,
+        scratch: TourScratch,
     },
 }
 
@@ -366,7 +378,11 @@ impl ColonyState {
         let engine = if k < v {
             let block = cache.candidate_block(slots.clone(), k, params.beta);
             let rows = CandidateRows::new(slots.len(), block.k());
-            ColonyEngine::CandidateList { block, rows }
+            ColonyEngine::CandidateList {
+                block,
+                rows,
+                scratch: TourScratch::new(v),
+            }
         } else {
             let expected_lookups = params
                 .ants
@@ -379,7 +395,10 @@ impl ColonyState {
                     let weights = vec![0.0; eta.len()];
                     (eta, weights)
                 });
-            ColonyEngine::FullRow { tables }
+            ColonyEngine::FullRow {
+                tables,
+                scratch: GroupScratch::new(v),
+            }
         };
         ColonyState {
             pheromone: match prior {
@@ -387,7 +406,6 @@ impl ColonyState {
                 None => PheromoneMatrix::new(params.initial_pheromone),
             },
             best: None,
-            scratch: TourScratch::new(v),
             slots,
             engine,
         }
@@ -406,7 +424,7 @@ impl ColonyState {
         let v = cache.vm_count();
         let slots = self.slots.clone();
         let tours: Vec<(Vec<u32>, f64)> = match &mut self.engine {
-            ColonyEngine::FullRow { tables } => {
+            ColonyEngine::FullRow { tables, scratch } => {
                 self.pheromone.prepare_pow(params.alpha, slots.len());
                 if let Some((eta, weights)) = tables.as_mut() {
                     for s in 0..slots.len() {
@@ -419,32 +437,41 @@ impl ColonyState {
                 }
                 let weights = tables.as_ref().map(|(_, w)| w.as_slice());
                 let pheromone = &self.pheromone;
-                let tour = |seed, scratch: &mut TourScratch| {
-                    construct_tour(
+                let group = |seeds: &[u64], scratch: &mut GroupScratch| {
+                    construct_group(
                         cache,
                         slots.clone(),
                         pheromone,
                         params,
-                        seed,
+                        seeds,
                         weights,
                         scratch,
                     )
                 };
                 if ants_parallel {
-                    eval::par_map(iter_seeds, |&seed| tour(seed, &mut TourScratch::new(v)))
+                    let groups: Vec<&[u64]> = iter_seeds.chunks(GROUP).collect();
+                    eval::par_map(&groups, |seeds| group(seeds, &mut GroupScratch::new(v)))
+                        .into_iter()
+                        .flatten()
+                        .collect()
                 } else {
-                    let scratch = &mut self.scratch;
-                    iter_seeds.iter().map(|&seed| tour(seed, scratch)).collect()
+                    iter_seeds
+                        .chunks(GROUP)
+                        .flat_map(|seeds| group(seeds, scratch))
+                        .collect()
                 }
             }
-            ColonyEngine::CandidateList { block, rows } => {
+            ColonyEngine::CandidateList {
+                block,
+                rows,
+                scratch,
+            } => {
                 // Incremental τ^α refresh: evaporation's uniform rescale
                 // becomes one scalar multiply per clean entry, and only
                 // deposited-this-iteration edges pay a powf.
                 self.pheromone
                     .prepare_pow_incremental(params.alpha, slots.len());
                 rows.refresh(&self.pheromone, block);
-                let scratch = &mut self.scratch;
                 iter_seeds
                     .iter()
                     .map(|&seed| {
@@ -785,17 +812,14 @@ fn construct_tour_topk(
     (tour, length)
 }
 
-/// Reusable per-colony buffers for tour construction. Tabu membership is
-/// a generation-stamped array (`stamp[j] == gen` means "tabu"), so
-/// clearing the set between ants is a counter bump instead of an O(v)
-/// wipe or a fresh allocation.
+/// Reusable per-colony buffers for candidate-list tour construction.
+/// Tabu membership is a generation-stamped array (`stamp[j] == gen`
+/// means "tabu"), so clearing the set between ants is a counter bump
+/// instead of an O(v) wipe or a fresh allocation.
 struct TourScratch {
     tabu_stamp: Vec<u32>,
     tabu_gen: u32,
-    /// The full-row regime's inline weight row, filled per slot when the
-    /// fused weight table was declined.
-    row: Vec<f64>,
-    /// The candidate-list fallback's non-tabu candidates and weights.
+    /// The fallback's non-tabu candidates and weights.
     candidates: Vec<u32>,
     weights: Vec<f64>,
 }
@@ -805,7 +829,6 @@ impl TourScratch {
         TourScratch {
             tabu_stamp: vec![0; v],
             tabu_gen: 0,
-            row: Vec::new(),
             candidates: Vec::new(),
             weights: Vec::new(),
         }
@@ -837,58 +860,94 @@ impl TourScratch {
     }
 }
 
-/// One ant's tour in the full-row regime: for each slot, pick a VM by the
-/// Eq. 5 draw over every non-tabu VM ([`full_row::pick`]). RNG draws,
-/// weight values and accumulation order replicate [`reference`] exactly,
-/// so picks are byte-identical to the pre-overhaul loop.
-fn construct_tour(
+/// Ants built in lockstep per full-row group. Four lanes fill two SSE2
+/// vectors per row chain, eight measured no faster on a kernel probe,
+/// and a 50-ant iteration still splits into the 13 tasks an ant fan-out
+/// needs ([`eval::MIN_PAR_ITEMS`] is 8).
+const GROUP: usize = 4;
+
+/// Reusable buffers for one full-row group: the lanes' tabu bitmasks,
+/// their RNGs and the inline weight row.
+struct GroupScratch {
+    /// Bit `l` of `tabu[j]` is set iff VM `j` is tabu for lane `l`.
+    tabu: Vec<u8>,
+    rngs: Vec<StdRng>,
+    /// The inline weight row, filled per slot when the fused weight table
+    /// was declined.
+    row: Vec<f64>,
+}
+
+impl GroupScratch {
+    fn new(v: usize) -> Self {
+        GroupScratch {
+            tabu: vec![0; v],
+            rngs: Vec::with_capacity(GROUP),
+            row: Vec::new(),
+        }
+    }
+}
+
+/// One group's tours in the full-row regime: up to [`GROUP`] ants, each
+/// seeded from its entry of `seeds`, built slot by slot in lockstep. Per
+/// slot one [`full_row::pick_group`] pass over the slot's weight row
+/// serves every lane, and each lane draws from its own RNG exactly what
+/// [`reference`] draws for that ant, so every tour is byte-identical to
+/// the pre-overhaul loop's. Returns the tours in seed order.
+fn construct_group(
     cache: &EvalCache,
     slots: Range<usize>,
     pheromone: &PheromoneMatrix,
     params: &AcoParams,
-    seed: u64,
+    seeds: &[u64],
     weight_block: Option<&[f64]>,
-    scratch: &mut TourScratch,
-) -> (Vec<u32>, f64) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    scratch: &mut GroupScratch,
+) -> Vec<(Vec<u32>, f64)> {
     let v = cache.vm_count();
     let b = slots.len();
     debug_assert!(b <= v, "batch must be clamped to the VM count");
+    debug_assert!((1..=GROUP).contains(&seeds.len()));
 
-    scratch.begin_ant();
-    let mut tour = Vec::with_capacity(b);
-    let mut length = 0.0;
+    scratch.tabu.fill(0);
+    scratch.rngs.clear();
+    scratch
+        .rngs
+        .extend(seeds.iter().map(|&seed| StdRng::seed_from_u64(seed)));
+    let every_lane = u8::MAX >> (8 - seeds.len());
+    let mut tours: Vec<(Vec<u32>, f64)> =
+        seeds.iter().map(|_| (Vec::with_capacity(b), 0.0)).collect();
 
     for (slot_idx, c) in slots.enumerate() {
         // Eq. 5: p(j) ∝ τ(i,j)^α · η(i,j)^β — the slot's row of the fused
-        // weight table, or, where the table was declined, the cached-τ^α ×
-        // inline-η^β products of the non-tabu VMs (identical bits either
-        // way; tabu entries are masked by the pick).
+        // weight table, or, where the table was declined, the clipped
+        // cached-τ^α × inline-η^β products, filled once for the group
+        // (identical bits either way). VMs tabu for every lane are left
+        // at 0: the kernel masks them for each lane anyway.
         let row = match weight_block {
             Some(block) => &block[slot_idx * v..(slot_idx + 1) * v],
             None => {
                 scratch.row.resize(v, 0.0);
-                for j in 0..v {
-                    scratch.row[j] = if scratch.is_tabu(j as u32) {
+                for (j, (w, &m)) in scratch.row.iter_mut().zip(&scratch.tabu).enumerate() {
+                    *w = if m == every_lane {
                         0.0
                     } else {
-                        pheromone.get_pow(slot_idx as u32, j as u32)
-                            * cache.heuristic(c, j).powf(params.beta)
+                        full_row::clip(
+                            pheromone.get_pow(slot_idx as u32, j as u32)
+                                * cache.heuristic(c, j).powf(params.beta),
+                        )
                     };
                 }
                 &scratch.row[..]
             }
         };
-        let tabu = full_row::Tabu {
-            stamps: &scratch.tabu_stamp,
-            gen: scratch.tabu_gen,
-        };
-        let j = full_row::pick(&mut rng, row, tabu, params.q0) as u32;
-        scratch.make_tabu(j);
-        tour.push(j);
-        length += cache.exec_ms(c, j as usize);
+        let picks =
+            full_row::pick_group::<GROUP, _>(&mut scratch.rngs, row, &scratch.tabu, params.q0);
+        for (l, ((tour, length), &j)) in tours.iter_mut().zip(&picks).enumerate() {
+            scratch.tabu[j] |= 1 << l;
+            tour.push(j as u32);
+            *length += cache.exec_ms(c, j);
+        }
     }
-    (tour, length)
+    tours
 }
 
 /// Roulette-wheel selection; degenerates to uniform if all weights vanish.
@@ -1299,6 +1358,51 @@ mod tests {
             let new = AntColony::new(AcoParams::fast(), seed).schedule(&p);
             let old = reference::schedule_reference(&AcoParams::fast(), seed, &p);
             assert_eq!(new, old, "seed {seed} diverged from the reference");
+        }
+    }
+
+    #[test]
+    fn inline_rows_match_the_fused_table() {
+        // The scheduler declines the η^β block only for one-ant,
+        // one-iteration runs or huge fleets, so drive both row sources
+        // directly, for a full group and a short one, over a matrix with
+        // deposits.
+        let p = hetero_problem(20, 10);
+        let cache = EvalCache::new(&p);
+        let v = cache.vm_count();
+        let params = AcoParams {
+            candidates: None,
+            ..AcoParams::paper()
+        };
+        let slots = 0..10;
+        let mut pheromone = PheromoneMatrix::new(params.initial_pheromone);
+        for s in 0..10u32 {
+            pheromone.deposit(s, (3 * s) % 20, 0.5 + f64::from(s));
+        }
+        pheromone.evaporate(params.rho);
+        pheromone.prepare_pow(params.alpha, slots.len());
+        let eta = cache
+            .eta_pow_block(slots.clone(), params.beta, usize::MAX)
+            .expect("small block materializes");
+        let mut table = vec![0.0; eta.len()];
+        for s in 0..slots.len() {
+            let row = s * v..(s + 1) * v;
+            pheromone.fill_weight_row(s, &eta[row.clone()], &mut table[row]);
+        }
+        for seeds in [&[1u64, 2, 3, 4][..], &[5, 6, 7]] {
+            let group = |block| {
+                let scratch = &mut GroupScratch::new(v);
+                construct_group(
+                    &cache,
+                    slots.clone(),
+                    &pheromone,
+                    &params,
+                    seeds,
+                    block,
+                    scratch,
+                )
+            };
+            assert_eq!(group(Some(&table)), group(None));
         }
     }
 

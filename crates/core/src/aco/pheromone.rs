@@ -27,6 +27,8 @@
 //! and every deposit, which we implement with a global scale factor instead
 //! of touching every entry.
 
+use super::full_row::clip;
+
 /// Floor below which pheromone cannot decay, keeping probabilities sane.
 const MIN_PHEROMONE: f64 = 1e-12;
 
@@ -166,24 +168,25 @@ impl PheromoneMatrix {
         }
     }
 
-    /// Writes one slot's dense Eq. 5 weight row into `out`:
-    /// `out[j] = τ(slot, j)^α · η^β(j)`, with `eta_row[j]` holding the
-    /// η^β factor. Every product is the same two-factor multiply the
-    /// per-candidate expression evaluates, so the row is bit-identical to
-    /// computing `get_pow(slot, j) * eta_row[j]` — but the never-deposited
-    /// majority of columns becomes one vectorized scalar-times-slice pass,
-    /// and the tour hot loop shrinks to a single indexed read. Must be
-    /// called after [`Self::prepare_pow`].
+    /// Writes one slot's dense, clipped Eq. 5 weight row into `out`:
+    /// `out[j] = clip(τ(slot, j)^α · η^β(j))`, with `eta_row[j]` holding
+    /// the η^β factor and [`clip`] taking a non-finite product to 0 as the
+    /// reference's roulette does. Every product is the same two-factor
+    /// multiply the per-candidate expression evaluates, so the row is
+    /// bit-identical to `clip(get_pow(slot, j) * eta_row[j])` — but the
+    /// never-deposited majority of columns becomes one vectorized
+    /// scalar-times-slice pass, and the tour hot loop reads each weight
+    /// as stored. Must be called after [`Self::prepare_pow`].
     pub fn fill_weight_row(&self, slot: usize, eta_row: &[f64], out: &mut [f64]) {
         debug_assert!(!self.base_pow.is_nan(), "prepare_pow must run first");
         debug_assert_eq!(eta_row.len(), out.len());
         for (o, &e) in out.iter_mut().zip(eta_row) {
-            *o = self.base_pow * e;
+            *o = clip(self.base_pow * e);
         }
         if let Some(lane) = self.lanes.get(slot) {
             debug_assert!(!lane.stale, "lane {slot} is outside the live snapshot");
             for (i, &vm) in lane.vms.iter().enumerate() {
-                out[vm as usize] = lane.pow[i] * eta_row[vm as usize];
+                out[vm as usize] = clip(lane.pow[i] * eta_row[vm as usize]);
             }
         }
     }
@@ -467,7 +470,7 @@ mod tests {
         for slot in 0..4u32 {
             m.fill_weight_row(slot as usize, &eta_row, &mut out);
             for vm in 0..8u32 {
-                let expected = m.get_pow(slot, vm) * eta_row[vm as usize];
+                let expected = clip(m.get_pow(slot, vm) * eta_row[vm as usize]);
                 assert_eq!(
                     out[vm as usize].to_bits(),
                     expected.to_bits(),

@@ -1,31 +1,38 @@
-//! The full-row Eq. 5 kernel against the materialised oracle.
+//! The full-row Eq. 5 group kernel against the materialised oracle,
+//! lane by lane.
 //!
-//! `aco::full_row` picks over a slot's dense weight row with tabu entries
-//! masked in place. The frozen reference instead pushes every non-tabu
-//! VM and its clipped weight into two lists and draws from those: the ACS
-//! `max_by` argmax with probability q0, else the linear roulette, else a
-//! uniform list index. These tests rebuild that oracle and check that the
-//! kernel returns the same VM from the same RNG state, and leaves the RNG
-//! in the same state, over generated rows with zero, non-finite and
-//! overflowing weights, all-zero rows, tied maxima and tabu masks that
-//! leave as few as one free VM.
+//! `aco::full_row` builds a group of ants (lanes) in lockstep over a
+//! slot's dense, pre-clipped weight row, with each lane's tabu set as one
+//! bit of a per-VM mask. The frozen reference instead builds one ant at a
+//! time: it pushes every non-tabu VM and its clipped weight into two
+//! lists and draws from those: the ACS `max_by` argmax with probability
+//! q0, else the linear roulette, else a uniform list index. These tests
+//! rebuild that oracle for each lane and check that the kernel returns
+//! the lane's VM from the lane's RNG state, and leaves that RNG in the
+//! same state, over generated rows with zero, non-finite and overflowing
+//! weights, all-zero rows, tied maxima, lanes with different tabu masks
+//! that leave as few as one free VM, and group sizes 1 to 8 at widths 4
+//! (the scheduler's) and 8 (the mask's).
 
-use biosched_core::aco::full_row::{self, Tabu};
+use biosched_core::aco::full_row::{self, clip};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The current ant's tabu generation in these tests; free entries carry
-/// other (stale) stamps.
-const GEN: u32 = 7;
+/// Whether `mask` makes the VM tabu for `lane`.
+fn is_tabu(mask: u8, lane: usize) -> bool {
+    mask >> lane & 1 == 1
+}
 
-/// The materialised oracle: the non-tabu VMs and their clipped weights,
-/// in index order, as the reference's tour loop builds them.
-fn materialise(row: &[f64], stamps: &[u32]) -> (Vec<usize>, Vec<f64>) {
+/// The materialised oracle for one lane: its non-tabu VMs and their
+/// clipped weights, in index order, as the reference's tour loop builds
+/// them from the raw row.
+fn materialise(row: &[f64], tabu: &[u8], lane: usize) -> (Vec<usize>, Vec<f64>) {
     let mut candidates = Vec::new();
     let mut weights = Vec::new();
-    for (j, (&w, &s)) in row.iter().zip(stamps).enumerate() {
-        if s == GEN {
+    for (j, (&w, &m)) in row.iter().zip(tabu).enumerate() {
+        if is_tabu(m, lane) {
             continue;
         }
         candidates.push(j);
@@ -45,28 +52,34 @@ fn oracle_spin(weights: &[f64], mut spin: f64) -> usize {
     weights.len() - 1
 }
 
-/// The reference's whole per-slot draw: q0 exploitation, roulette,
-/// uniform fallback.
-fn oracle_pick(rng: &mut StdRng, row: &[f64], stamps: &[u32], q0: f64) -> usize {
-    let (candidates, weights) = materialise(row, stamps);
-    let total: f64 = weights.iter().fold(0.0, |acc, w| acc + w);
+/// The reference's in-order total.
+fn oracle_total(weights: &[f64]) -> f64 {
+    weights.iter().fold(0.0, |acc, w| acc + w)
+}
+
+/// The reference's argmax: `max_by`, so the last maximum wins.
+fn oracle_argmax(weights: &[f64]) -> usize {
+    weights
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(i, _)| i)
+        .expect("candidates are non-empty")
+}
+
+/// The reference's whole per-slot draw for one lane: q0 exploitation,
+/// roulette, uniform fallback.
+fn oracle_pick(rng: &mut StdRng, row: &[f64], tabu: &[u8], lane: usize, q0: f64) -> usize {
+    let (candidates, weights) = materialise(row, tabu, lane);
+    let total = oracle_total(&weights);
     let pick = if q0 > 0.0 && rng.gen_range(0.0..1.0) < q0 {
-        weights
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .expect("candidates are non-empty")
+        oracle_argmax(&weights)
     } else if !(total.is_finite() && total > 0.0) {
         rng.gen_range(0..weights.len())
     } else {
         oracle_spin(&weights, rng.gen_range(0.0..total))
     };
     candidates[pick]
-}
-
-fn tabu(stamps: &[u32]) -> Tabu<'_> {
-    Tabu { stamps, gen: GEN }
 }
 
 /// One weight: zero, non-finite, huge (sums overflow), a small integer
@@ -83,39 +96,44 @@ fn weight() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// A weight row with a tabu stamp per entry, at least one entry free.
+/// A raw weight row, one lane mask per entry and a group size; every
+/// lane of the group has at least one free entry.
 #[derive(Debug, Clone)]
 struct Case {
     row: Vec<f64>,
-    stamps: Vec<u32>,
+    tabu: Vec<u8>,
+    lanes: usize,
+}
+
+impl Case {
+    /// The row as the scheduler hands it to the kernel: clipped once.
+    fn clipped(&self) -> Vec<f64> {
+        self.row.iter().map(|&w| clip(w)).collect()
+    }
 }
 
 fn case() -> impl Strategy<Value = Case> {
+    // Rows up to 40 VMs span several spin chunks.
     (
-        prop::collection::vec((weight(), 0u32..=GEN, prop::bool::ANY), 1..24),
-        any::<usize>(),
+        prop::collection::vec((weight(), any::<u8>()), 1..40),
+        prop::collection::vec(any::<usize>(), 8..9),
+        1usize..=8,
         prop::bool::ANY,
     )
-        .prop_map(|(cells, free_at, all_zero)| {
-            let free_at = free_at % cells.len();
+        .prop_map(|(cells, free_at, lanes, all_zero)| {
             let row = cells
                 .iter()
-                .map(|&(w, _, _)| if all_zero { 0.0 } else { w })
+                .map(|&(w, _)| if all_zero { 0.0 } else { w })
                 .collect();
-            // About half the entries tabu; `free_at` always free, so the
-            // mask holds up to v − 1 tabu entries.
-            let stamps = cells
-                .iter()
-                .enumerate()
-                .map(
-                    |(j, &(_, stamp, is_tabu))| match (is_tabu && j != free_at, stamp) {
-                        (true, _) => GEN,
-                        (false, GEN) => 0,
-                        (false, s) => s,
-                    },
-                )
-                .collect();
-            Case { row, stamps }
+            // About half of each lane's entries tabu, bits of lanes beyond
+            // the group included: the kernel must ignore them. One entry
+            // per lane is forced free, so a mask holds up to v − 1 tabu
+            // entries.
+            let mut tabu: Vec<u8> = cells.iter().map(|&(_, mask)| mask).collect();
+            for (lane, at) in free_at.iter().enumerate() {
+                tabu[at % cells.len()] &= !(1 << lane);
+            }
+            Case { row, tabu, lanes }
         })
 }
 
@@ -123,56 +141,86 @@ fn q0() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.0), Just(0.5), Just(1.0)]
 }
 
+/// Same RNG state in, same VM out, same RNG state after, for every lane
+/// of a `W`-wide group.
+fn check_group<const W: usize>(c: &Case, q0: f64, seed: u64) -> Result<(), TestCaseError> {
+    let lanes = c.lanes.min(W);
+    let lane_seed = |lane: usize| seed.wrapping_add(lane as u64);
+    let mut rngs: Vec<StdRng> = (0..lanes)
+        .map(|l| StdRng::seed_from_u64(lane_seed(l)))
+        .collect();
+    let picks = full_row::pick_group::<W, _>(&mut rngs, &c.clipped(), &c.tabu, q0);
+    for (lane, rng) in rngs.iter_mut().enumerate() {
+        let mut oracle_rng = StdRng::seed_from_u64(lane_seed(lane));
+        let want = oracle_pick(&mut oracle_rng, &c.row, &c.tabu, lane, q0);
+        prop_assert_eq!(picks[lane], want, "lane {} of {} (W = {})", lane, lanes, W);
+        prop_assert_eq!(
+            rng.gen::<u64>(),
+            oracle_rng.gen::<u64>(),
+            "lane {} RNG",
+            lane
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Same RNG state in, same VM out, same RNG state after.
     #[test]
-    fn pick_matches_materialised_oracle(c in case(), q0 in q0(), seed in any::<u64>()) {
-        let mut kernel_rng = StdRng::seed_from_u64(seed);
-        let mut oracle_rng = StdRng::seed_from_u64(seed);
-        let got = full_row::pick(&mut kernel_rng, &c.row, tabu(&c.stamps), q0);
-        let want = oracle_pick(&mut oracle_rng, &c.row, &c.stamps, q0);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(kernel_rng.gen::<u64>(), oracle_rng.gen::<u64>());
+    fn group_pick_matches_oracle_lane_by_lane(c in case(), q0 in q0(), seed in any::<u64>()) {
+        check_group::<4>(&c, q0, seed)?;
+        check_group::<8>(&c, q0, seed)?;
     }
 
-    /// The total is the materialised in-order sum bit for bit, and every
-    /// pure draw agrees with the oracle: the argmax, each uniform index,
-    /// and the roulette at spins of 0, at each partial sum (the ≤ 0
-    /// boundary) and at a fraction of the total.
+    /// Each lane's total is its materialised in-order sum bit for bit,
+    /// and every pure draw agrees with the oracle per lane: the argmax,
+    /// each uniform index, and the roulette at spins of 0, at each partial
+    /// sum (the ≤ 0 boundary) and at a fraction of the total.
     #[test]
-    fn draws_match_oracle_per_spin_and_index(c in case(), u in 0.0f64..1.0) {
-        let (candidates, weights) = materialise(&c.row, &c.stamps);
-        let t = tabu(&c.stamps);
-        let want_total = weights.iter().fold(0.0, |acc: f64, w| acc + w);
-        let (total, free) = full_row::mass(&c.row, t);
-        prop_assert_eq!(total.to_bits(), want_total.to_bits());
-        prop_assert_eq!(free, candidates.len());
-
-        let argmax = weights
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| candidates[i]);
-        prop_assert_eq!(Some(full_row::argmax_pick(&c.row, t)), argmax);
-
-        for (n, &j) in candidates.iter().enumerate() {
-            prop_assert_eq!(full_row::nth_free(t, n), j);
+    fn draws_match_oracle_per_lane_spin_and_index(c in case(), u in 0.0f64..1.0) {
+        const W: usize = 8;
+        let row = c.clipped();
+        let lanes = u8::MAX >> (8 - c.lanes);
+        let totals = full_row::masses::<W>(&row, &c.tabu);
+        let argmax = full_row::argmax_picks::<W>(&row, &c.tabu, lanes);
+        let mut spins: Vec<Vec<f64>> = Vec::new();
+        let mut want: Vec<Vec<usize>> = Vec::new();
+        for lane in 0..c.lanes {
+            let (candidates, weights) = materialise(&c.row, &c.tabu, lane);
+            let total = oracle_total(&weights);
+            prop_assert_eq!(totals[lane].to_bits(), total.to_bits(), "lane {} total", lane);
+            prop_assert_eq!(argmax[lane], candidates[oracle_argmax(&weights)], "lane {}", lane);
+            for (n, &j) in candidates.iter().enumerate() {
+                prop_assert_eq!(full_row::nth_free(&c.tabu, lane, n), j);
+            }
+            let mut lane_spins = vec![0.0, u * total];
+            let mut partial = 0.0;
+            for w in &weights {
+                partial += w;
+                lane_spins.push(partial);
+            }
+            lane_spins.retain(|s| s.is_finite());
+            want.push(lane_spins.iter().map(|&s| candidates[oracle_spin(&weights, s)]).collect());
+            spins.push(lane_spins);
         }
-
-        let mut spins = vec![0.0, u * total];
-        let mut partial = 0.0;
-        for w in &weights {
-            partial += w;
-            spins.push(partial);
-        }
-        for spin in spins.into_iter().filter(|s| s.is_finite()) {
-            prop_assert_eq!(
-                full_row::spin_pick(&c.row, t, spin),
-                candidates[oracle_spin(&weights, spin)],
-                "spin {}", spin
-            );
+        // Round i spins every lane that still has an i-th spin at once.
+        let rounds = spins.iter().map(Vec::len).max().unwrap_or(0);
+        for i in 0..rounds {
+            let mut spin = [0.0; W];
+            let mut spinning = 0u8;
+            for (lane, lane_spins) in spins.iter().enumerate() {
+                if let Some(&s) = lane_spins.get(i) {
+                    spin[lane] = s;
+                    spinning |= 1 << lane;
+                }
+            }
+            let got = full_row::spin_picks::<W>(&row, &c.tabu, spin, spinning);
+            for (lane, lane_want) in want.iter().enumerate() {
+                if let Some(&j) = lane_want.get(i) {
+                    prop_assert_eq!(got[lane], j, "lane {} spin {}", lane, spin[lane]);
+                }
+            }
         }
     }
 }
@@ -180,32 +228,47 @@ proptest! {
 #[test]
 fn zero_spin_lands_on_first_free_entry() {
     // A spin of exactly 0 is ≤ 0 after the first subtraction, whatever
-    // the weight. The leading tabu entry must be passed over (the
+    // the weight. A leading tabu entry must be passed over (the
     // materialised list never holds it), and the next free entry is taken
-    // even with weight 0.
+    // even with weight 0. Lane 0 has entry 0 tabu; lane 1 has none.
     let row = [5.0, 0.0, 3.0];
-    let stamps = [GEN, 0, 0];
-    assert_eq!(full_row::spin_pick(&row, tabu(&stamps), 0.0), 1);
-
-    // A free leading zero-weight entry is the pick at spin 0.
-    let stamps = [0, 0, 0];
-    assert_eq!(full_row::spin_pick(&row[1..], tabu(&stamps[1..]), 0.0), 0);
+    let tabu = [0b01, 0, 0];
+    assert_eq!(
+        full_row::spin_picks::<2>(&row, &tabu, [0.0, 0.0], 0b11),
+        [1, 0]
+    );
 
     // Tabu entries subtract nothing: spin 5 lands on entry 0 (5 − 5 = 0),
     // and spin 5.5 passes the tabu entry 1 without subtracting its 9 and
     // lands on entry 2.
     let row = [5.0, 9.0, 3.0];
-    let stamps = [0, GEN, 0];
-    assert_eq!(full_row::spin_pick(&row, tabu(&stamps), 5.0), 0);
-    assert_eq!(full_row::spin_pick(&row, tabu(&stamps), 5.5), 2);
+    let tabu = [0, 0b11, 0];
+    assert_eq!(
+        full_row::spin_picks::<2>(&row, &tabu, [5.0, 5.5], 0b11),
+        [0, 2]
+    );
 }
 
 #[test]
-fn argmax_takes_the_last_tie_and_clips_non_finite() {
-    // +inf clips to 0, the tabu 9.0 is skipped, and of the two tied 4.0
-    // the later one wins, as `max_by` does.
-    let row = [1.0, 4.0, f64::INFINITY, 4.0, 9.0];
-    let stamps = [0, 0, 0, 0, GEN];
-    assert_eq!(full_row::argmax_pick(&row, tabu(&stamps)), 3);
-    assert_eq!(full_row::mass(&row, tabu(&stamps)), (9.0, 4));
+fn spin_crossing_before_a_tabu_run_lands_chunks_later() {
+    // Spin 0 is ≤ 0 from the start, but lane 0's first 19 entries are
+    // tabu, so it lands on entry 19, two chunks on; lane 1 lands on 0.
+    // Lane 2's spin outlasts the row and takes its last free entry, 18.
+    let row = vec![1.0; 20];
+    let mut tabu = vec![0b001u8; 20];
+    tabu[19] = 0b100;
+    assert_eq!(
+        full_row::spin_picks::<4>(&row, &tabu, [0.0, 0.0, 100.0, 0.0], 0b111)[..3],
+        [19, 0, 18]
+    );
+}
+
+#[test]
+fn argmax_takes_the_last_tie_per_lane() {
+    // Of the two tied 4.0 the later one wins, as `max_by` does; the 9.0
+    // is tabu for lane 0 only, and a clipped +inf counts as 0.
+    let row = [1.0, 4.0, clip(f64::INFINITY), 4.0, 9.0];
+    let tabu = [0, 0, 0, 0, 0b01];
+    assert_eq!(full_row::argmax_picks::<2>(&row, &tabu, 0b11), [3, 4]);
+    assert_eq!(full_row::masses::<2>(&row, &tabu), [9.0, 18.0]);
 }

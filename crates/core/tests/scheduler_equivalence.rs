@@ -261,3 +261,51 @@ fn fig6_sized_colony_fan_out_matches_reference_and_stepping() {
     }
     set_threads(0);
 }
+
+#[test]
+fn lockstep_ant_groups_match_reference() {
+    // Full-row tours are built a few ants at a time in lockstep, each ant
+    // with its own RNG and tabu bit. Ant counts the group width does not
+    // divide leave a short last group; q0 = 0.9 sends most lanes of a
+    // group to the argmax while the rest spin; one ant for one iteration
+    // makes the η^β block unprofitable, so rows are filled inline; and a
+    // single 32-slot colony of 50 ants over 64 VMs (102 400 reads per
+    // iteration, over the fan-out gate) fans its groups out instead of
+    // colonies. Every plan must equal the frozen reference at 1 and 4
+    // threads.
+    let problems = [
+        build_problem(Shape::Heterogeneous, 5),
+        build_sized(Shape::Heterogeneous, 5, 64, 32),
+    ];
+    let full_row = |ants, iterations, q0| AcoParams {
+        ants,
+        iterations,
+        q0,
+        candidates: None,
+        ..AcoParams::fast()
+    };
+    let mut cases = vec![full_row(1, 1, 0.0), full_row(1, 1, 0.9)];
+    for ants in [7, 12, 50] {
+        for q0 in [0.0, 0.9] {
+            cases.push(full_row(ants, 4, q0));
+        }
+    }
+    for problem in &problems {
+        for params in &cases {
+            let expected = reference::schedule_reference(params, 21, problem);
+            for threads in [1, 4] {
+                set_threads(threads);
+                let got = AntColony::new(params.clone(), 21).schedule(problem);
+                assert_eq!(
+                    expected,
+                    got,
+                    "{} ants, q0 {}, {} VMs diverged at {threads} threads",
+                    params.ants,
+                    params.q0,
+                    problem.vm_count()
+                );
+            }
+        }
+    }
+    set_threads(0);
+}
