@@ -12,7 +12,11 @@
 //! 3. in full mode, the sharded engine beats the kernel by ≥ 1.3× on the
 //!    largest point (a colocated pipeline ensemble where every release
 //!    resolves inside a replay lane — the shape the epoch driver is
-//!    built for).
+//!    built for),
+//! 4. in full mode, more threads are never slower: the sharded engine at
+//!    4 threads takes at most 1.1× its 1-thread time on the paper-scale
+//!    layered DAG (the 10 % covers the run-to-run drift of a 2-vCPU
+//!    host).
 //!
 //! Everything emitted except the `"wall"` block is computed inside the
 //! simulation, so the JSON is byte-identical no matter how many rayon
@@ -271,7 +275,7 @@ fn main() {
         let (seq, seq_wall) = run_shape(&wf, 1, big_vms, EngineKind::Sequential);
         eprintln!("  sequential: {seq_wall:.0} ms");
         wall.push(paper_row(EngineKind::Sequential.name(), seq_wall));
-        for pool in [1usize, 4] {
+        let pool_walls = [1usize, 4].map(|pool| {
             let (shd, shd_wall) =
                 with_threads(pool, || run_shape(&wf, 1, big_vms, EngineKind::Sharded));
             assert_aggregates_match(&seq, &shd, &format!("layered 1M, {pool} threads"));
@@ -280,7 +284,14 @@ fn main() {
                 &format!("{}-{pool}t", EngineKind::Sharded.name()),
                 shd_wall,
             ));
-        }
+            shd_wall
+        });
+        let [one, four] = pool_walls;
+        assert!(
+            four <= 1.1 * one,
+            "the sharded engine must not slow down with threads on the paper-scale layered \
+             DAG: 4 threads took {four:.0} ms against {one:.0} ms at 1 thread"
+        );
 
         // The largest point: a colocated pipeline ensemble (10-stage
         // jobs pinned to one VM each) — every release resolves inside a

@@ -18,22 +18,25 @@
 //! a plain batch (no dependencies, no faults) has no control instant after
 //! placement, so its whole replay is one final flush. A flush replays and
 //! commits its due lanes in ascending-`VmId` chunks, so its memory is
-//! bounded by a chunk's records rather than the fleet's. Determinism
+//! bounded by a chunk's records rather than the fleet's; a chunk replays
+//! on the worker pool only when its staged events pay for the fork, and
+//! on the driver thread otherwise, through the same functions. Determinism
 //! holds because the event queue's `(time, seq)` order already sorts
 //! every control event against everything staged before it, cross-VM
 //! effects only originate at control instants or barrier deliveries, and
 //! each lane reproduces the queue's tick-coalescing rules with a one-slot
 //! `armed` deadline. See DESIGN.md §"The epoch driver" for the horizon
-//! rule, the barrier soundness argument and the chunked flush's memory
-//! measurement.
+//! rule, the barrier soundness argument, the chunked flush's memory
+//! measurement, the fork cutover and one known gap: cross completions
+//! that tie at one instant on different lanes reach the broker in `VmId`
+//! order, where the kernel uses the order their ticks were armed.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use rayon::prelude::*;
 
 use crate::broker::Broker;
-use crate::characteristics::CostModel;
 use crate::cloudlet::{Cloudlet, CloudletStatus};
 use crate::cloudlet_sched::{CloudletScheduler, RunningCloudlet};
 use crate::cost::cloudlet_cost;
@@ -51,6 +54,23 @@ use crate::vm::Vm;
 /// 512-lane chunks, 94.0–95.8 MB with 4 096-lane chunks and 118.6–118.9
 /// MB unchunked.
 const FLUSH_CHUNK_LANES: usize = 512;
+
+/// Staged events (see [`Lane::staged`]) a flush chunk of two or more
+/// lanes must hold before it replays on the worker pool; a smaller chunk
+/// replays serially on the driver thread.
+///
+/// Measured on a 2-vCPU host (seed 42, chunks alternating between a fork
+/// and a serial replay within one run): serial replay costs ~0.42 µs per
+/// staged event. A forked chunk of `dag-chaos`'s release rounds, about
+/// one event per lane, took 4.4× the serial time at 2–7 staged events,
+/// 1.4× at 64–95, 1.2× at 128–191 and still 1.13–1.17× at 256–447, but
+/// Fig. 6's 500-event replays over 10–100 lanes forked at 0.82–0.88× and
+/// `scale-batch`'s 512-lane chunks of ~5 000 events at 0.61×. The
+/// break-even lies near 100–200 µs of serial work, 250–450 events:
+/// lane replay is allocation- and cache-bound, so a fork pays an order
+/// of magnitude later than the ~20 µs of a compute-bound ACO stage
+/// (`PAR_MIN_WORK` in `biosched_core::aco`).
+const FORK_MIN_STAGED: usize = 256;
 
 /// A completion notification produced by a lane replay, pending
 /// delivery to the real broker at an epoch boundary.
@@ -84,7 +104,6 @@ impl Ord for PendingReturn {
 struct FinishedCl {
     id: CloudletId,
     finish: SimTime,
-    cost: f64,
     return_at: SimTime,
 }
 
@@ -297,19 +316,50 @@ impl Lane {
     fn has_content(&self) -> bool {
         self.next_time().is_some()
     }
+
+    /// Staged submissions: queue-staged ones (a batch counted by its
+    /// cloudlets) and locally released ones.
+    fn staged_subs(&self) -> usize {
+        let queued: usize = self.subs[self.head..]
+            .iter()
+            .map(|(_, s)| s.cloudlets().len())
+            .sum();
+        queued + self.local_subs.len()
+    }
+
+    /// Events staged for replay: the staged submissions, pending local
+    /// release notifications, and the settle tick if one is armed
+    /// (`armed`, the queue's slot) or popped.
+    fn staged(&self, armed: Option<SimTime>) -> usize {
+        self.staged_subs()
+            + self.local_rets.len()
+            + usize::from(armed.or(self.popped_tick).is_some())
+    }
 }
 
-/// Input to one lane's parallel replay.
+/// Input to one lane's replay.
 struct LaneSeg {
     vm: VmId,
     dc: usize,
     lane: Lane,
     armed_before: Option<SimTime>,
     sched: Box<dyn CloudletScheduler>,
-    cost: CostModel,
     /// Broker→datacenter latency for this lane's datacenter (release
     /// arithmetic input).
     latency: SimTime,
+}
+
+/// The per-cloudlet records of one lane replay. A flush's serial branch
+/// recycles one set across its lanes, so a one-event round allocates no
+/// record vectors.
+#[derive(Default)]
+struct Records {
+    queued: Vec<CloudletId>,
+    started: Vec<(CloudletId, SimTime)>,
+    finished: Vec<FinishedCl>,
+    /// Locally released children and their submit times (committed to the
+    /// world exactly as `Broker::submit_one` would set them).
+    released: Vec<(CloudletId, SimTime)>,
 }
 
 /// Everything a lane replay reports back for the sequential commit.
@@ -320,12 +370,7 @@ struct LaneOut {
     /// The lane, with consumed entries removed and any still-pending
     /// local content retained for later rounds.
     lane: Lane,
-    queued: Vec<CloudletId>,
-    started: Vec<(CloudletId, SimTime)>,
-    finished: Vec<FinishedCl>,
-    /// Locally released children and their submit times (committed to the
-    /// world exactly as `Broker::submit_one` would set them).
-    released: Vec<(CloudletId, SimTime)>,
+    rec: Records,
     sub_events: u64,
     ticks: u64,
     last_event: SimTime,
@@ -356,6 +401,8 @@ struct Driver {
     /// `has_cross` (empty for an edgeless plan).
     in_flight: Vec<bool>,
     broker_id: EntityId,
+    /// Emptied records for the next serially replayed lane.
+    spare: Records,
 }
 
 /// Runs any scenario on the sharded engine: plain batch, fault-shaped,
@@ -405,19 +452,7 @@ pub(crate) fn run_epochs(
         });
     }
     lanes.resize_with(vm_count, Lane::default);
-    let mut driver = Driver {
-        queue: EventQueue::new(),
-        clock: SimTime::ZERO,
-        processed: 0,
-        lanes,
-        dirty: BinaryHeap::new(),
-        returns: BinaryHeap::new(),
-        rel_ats: BinaryHeap::new(),
-        return_ord: 0,
-        rel_inflight: 0,
-        in_flight: vec![false; plan.has_cross.len()],
-        broker_id,
-    };
+    let mut driver = Driver::new(lanes, plan.has_cross.len(), broker_id);
     // Start every entity at t=0 in registration order, as the kernel does.
     for i in 0..=dcs.len() {
         let id = EntityId::from_index(i);
@@ -516,6 +551,25 @@ pub(crate) fn run_epochs(
 }
 
 impl Driver {
+    /// A driver over `lanes` with an empty queue, tracking `cloudlets`
+    /// in-flight flags (zero for an edgeless plan).
+    fn new(lanes: Vec<Lane>, cloudlets: usize, broker_id: EntityId) -> Driver {
+        Driver {
+            queue: EventQueue::new(),
+            clock: SimTime::ZERO,
+            processed: 0,
+            lanes,
+            dirty: BinaryHeap::new(),
+            returns: BinaryHeap::new(),
+            rel_ats: BinaryHeap::new(),
+            return_ord: 0,
+            rel_inflight: 0,
+            in_flight: vec![false; cloudlets],
+            broker_id,
+            spare: Records::default(),
+        }
+    }
+
     /// The release barrier: the earliest instant at which a cross release
     /// can still be injected. `None` when no cross release is pending or
     /// in flight anywhere.
@@ -584,7 +638,11 @@ impl Driver {
     /// Due lanes replay and commit in ascending-`VmId` chunks, each chunk
     /// committed before the next is built, so a flush holds one chunk's
     /// replay records rather than the whole fleet's (a plain batch is a
-    /// single flush of every lane). Chunking cannot change the trace: a
+    /// single flush of every lane). A chunk whose staged work pays for a
+    /// fork ([`Driver::forks`]) replays on the worker pool; any other
+    /// replays and commits lane by lane on the driver thread, through the
+    /// same [`Driver::segment`], [`replay_lane`] and [`Driver::commit`].
+    /// Neither chunking nor the serial interleave can change the trace: a
     /// lane's replay reads only its own VM, scheduler, armed tick and
     /// cloudlets, which no other lane's commit writes, and commit order
     /// stays ascending `VmId`.
@@ -608,24 +666,46 @@ impl Driver {
         }
         due.sort_unstable_by_key(|v| v.index());
         for vms in due.chunks(FLUSH_CHUNK_LANES) {
-            let segs: Vec<LaneSeg> = vms
-                .iter()
-                .map(|&vm| self.segment(world, dcs, vm, plan))
-                .collect();
-            let (vms, cloudlets) = (&world.vms, &world.cloudlets);
-            let outs: Vec<LaneOut> = if segs.len() > 1 {
-                segs.into_par_iter()
-                    .map(|s| replay_lane(s, vms, cloudlets, plan, bound))
-                    .collect()
+            if self.forks(vms) {
+                let segs: Vec<LaneSeg> = vms
+                    .iter()
+                    .map(|&vm| self.segment(world, dcs, vm, plan))
+                    .collect();
+                let (vms, cloudlets) = (&world.vms, &world.cloudlets);
+                let outs: Vec<LaneOut> = segs
+                    .into_par_iter()
+                    .map(|s| replay_lane(s, vms, cloudlets, plan, bound, Records::default()))
+                    .collect();
+                for out in outs {
+                    self.commit(world, dcs, out, plan);
+                }
             } else {
-                segs.into_iter()
-                    .map(|s| replay_lane(s, vms, cloudlets, plan, bound))
-                    .collect()
-            };
-            for out in outs {
-                self.commit(world, dcs, out, plan);
+                for &vm in vms {
+                    let seg = self.segment(world, dcs, vm, plan);
+                    let rec = std::mem::take(&mut self.spare);
+                    let out = replay_lane(seg, &world.vms, &world.cloudlets, plan, bound, rec);
+                    self.spare = self.commit(world, dcs, out, plan);
+                }
             }
         }
+    }
+
+    /// Whether a chunk of due lanes replays on the worker pool: it must
+    /// hold two or more lanes and at least [`FORK_MIN_STAGED`] staged
+    /// events. Keyed on the staged work, not on the lane count: most
+    /// release rounds of a layered DAG carry one or two events in all.
+    fn forks(&self, vms: &[VmId]) -> bool {
+        if vms.len() < 2 {
+            return false;
+        }
+        let mut staged = 0;
+        for &vm in vms {
+            staged += self.lanes[vm.index()].staged(self.queue.armed_tick(vm));
+            if staged >= FORK_MIN_STAGED {
+                return true;
+            }
+        }
+        false
     }
 
     /// Moves a due lane and its VM's scheduler out for replay.
@@ -652,13 +732,20 @@ impl Driver {
             lane,
             armed_before: self.queue.armed_tick(vm),
             sched,
-            cost: dcs[dc].characteristics().cost,
             latency: plan.topology.latency_to(DatacenterId::from_index(dc)),
         }
     }
 
-    /// Applies one lane replay to the world, the entities and the queue.
-    fn commit(&mut self, world: &mut World, dcs: &mut [Datacenter], out: LaneOut, plan: &DagPlan) {
+    /// Applies one lane replay to the world, the entities and the queue,
+    /// and hands back its records emptied.
+    fn commit(
+        &mut self,
+        world: &mut World,
+        dcs: &mut [Datacenter],
+        out: LaneOut,
+        plan: &DagPlan,
+    ) -> Records {
+        let mut rec = out.rec;
         self.processed += out.ticks + out.sub_events;
         self.clock = self.clock.max(out.last_event);
         let dc_id = EntityId::from_index(out.dc);
@@ -670,26 +757,34 @@ impl Driver {
                     .push_vm_tick(out.last_now, dc_id, dc_id, out.vm, t);
             }
         }
-        for &c in &out.queued {
+        for &c in &rec.queued {
             let cl = world.cloudlet_mut(c);
             cl.status = CloudletStatus::Queued;
             cl.vm = Some(out.vm);
         }
-        for &(c, t) in &out.released {
+        for &(c, t) in &rec.released {
             world.cloudlet_mut(c).submit_time = Some(t);
         }
-        for &(c, t) in &out.started {
+        for &(c, t) in &rec.started {
             let cl = world.cloudlet_mut(c);
             if cl.start_time.is_none() {
                 cl.start_time = Some(t);
             }
             cl.status = CloudletStatus::Running;
         }
-        for f in out.finished {
-            let cl = world.cloudlet_mut(f.id);
+        let cost = dcs[out.dc].characteristics().cost;
+        let vm_spec = &world.vms[out.vm.index()].spec;
+        for f in rec.finished.drain(..) {
+            let cl = &mut world.cloudlets[f.id.index()];
+            // The effective start is the earliest recorded one: an earlier
+            // epoch's, else this replay's first, committed just above.
+            // Cost follows the execution span.
+            let cpu_seconds = cl
+                .start_time
+                .map_or(0.0, |s| f.finish.saturating_sub(s).as_secs());
+            cl.cost = cloudlet_cost(&cost, vm_spec, &cl.spec, cpu_seconds);
             cl.finish_time = Some(f.finish);
             cl.status = CloudletStatus::Finished;
-            cl.cost = f.cost;
             self.settle(f.id);
             if plan.crosses(f.id) {
                 self.rel_ats.push(Reverse(f.return_at));
@@ -703,6 +798,10 @@ impl Driver {
         }
         self.lanes[out.vm.index()] = out.lane;
         self.mark_dirty(out.vm);
+        rec.queued.clear();
+        rec.started.clear();
+        rec.released.clear();
+        rec
     }
 
     /// Delivers matured completions to the real broker in (time,
@@ -711,6 +810,10 @@ impl Driver {
     /// submits freed children. Without dependencies it only folds
     /// counters, so delivering at epoch granularity instead of
     /// interleaved with bulk ticks is unobservable.
+    ///
+    /// The final drain (`bound == None`) delivers every pending return,
+    /// so it sorts the heap's buffer once in place instead of popping it
+    /// entry by entry (`scale-batch`: 200 000 returns).
     fn deliver_returns(
         &mut self,
         world: &mut World,
@@ -719,36 +822,52 @@ impl Driver {
         inclusive: bool,
         plan: &DagPlan,
     ) {
+        let Some(h) = bound else {
+            let mut all = std::mem::take(&mut self.returns).into_vec();
+            // (at, ord) keys are unique, so an unstable sort is exact.
+            all.sort_unstable_by(|Reverse(a), Reverse(b)| a.cmp(b));
+            for Reverse(r) in all {
+                self.deliver(world, broker, r, plan);
+            }
+            return;
+        };
         while let Some(Reverse(head)) = self.returns.peek() {
-            let due = match bound {
-                None => true,
-                Some(h) if inclusive => head.at <= h,
-                Some(h) => head.at < h,
-            };
+            let due = if inclusive { head.at <= h } else { head.at < h };
             if !due {
                 break;
             }
             let Reverse(r) = self.returns.pop().expect("peeked entry pops");
-            if plan.crosses(r.cloudlet) {
-                let Some(Reverse(t)) = self.rel_ats.pop() else {
-                    unreachable!("cross return delivered without barrier entry");
-                };
-                debug_assert_eq!(t, r.at, "barrier mirror out of sync");
-            }
-            self.processed += 1;
-            self.clock = self.clock.max(r.at);
-            let ev = ScheduledEvent {
-                time: r.at,
-                seq: 0,
-                dest: self.broker_id,
-                src: self.broker_id,
-                event: Event::CloudletReturn {
-                    cloudlet: r.cloudlet,
-                },
-            };
-            let mut ctx = Context::attach(r.at, self.broker_id, &mut self.queue);
-            broker.handle(world, &mut ctx, ev);
+            self.deliver(world, broker, r, plan);
         }
+    }
+
+    /// Hands one completion to the real broker as a `CloudletReturn`.
+    fn deliver(
+        &mut self,
+        world: &mut World,
+        broker: &mut Broker,
+        r: PendingReturn,
+        plan: &DagPlan,
+    ) {
+        if plan.crosses(r.cloudlet) {
+            let Some(Reverse(t)) = self.rel_ats.pop() else {
+                unreachable!("cross return delivered without barrier entry");
+            };
+            debug_assert_eq!(t, r.at, "barrier mirror out of sync");
+        }
+        self.processed += 1;
+        self.clock = self.clock.max(r.at);
+        let ev = ScheduledEvent {
+            time: r.at,
+            seq: 0,
+            dest: self.broker_id,
+            src: self.broker_id,
+            event: Event::CloudletReturn {
+                cloudlet: r.cloudlet,
+            },
+        };
+        let mut ctx = Context::attach(r.at, self.broker_id, &mut self.queue);
+        broker.handle(world, &mut ctx, ev);
     }
 }
 
@@ -763,6 +882,7 @@ fn replay_lane(
     cloudlets: &[Cloudlet],
     plan: &DagPlan,
     bound: Bound,
+    mut rec: Records,
 ) -> LaneOut {
     let LaneSeg {
         vm,
@@ -770,7 +890,6 @@ fn replay_lane(
         mut lane,
         armed_before,
         mut sched,
-        cost,
         latency,
     } = seg;
     let vm_spec = &vms[vm.index()].spec;
@@ -778,10 +897,13 @@ fn replay_lane(
         let spec = &cloudlets[c.index()].spec;
         RunningCloudlet::new(c, spec.length_mi, spec.pes)
     };
-    let mut queued = Vec::new();
-    let mut started = Vec::new();
-    let mut finished = Vec::new();
-    let mut released = Vec::new();
+    // Sized from the staged submissions, each queued once here and most
+    // started and finished here too: a hint, not a bound (cloudlets
+    // queued in earlier epochs may also start or finish).
+    let subs = lane.staged_subs();
+    rec.queued.reserve(subs);
+    rec.started.reserve(subs);
+    rec.finished.reserve(subs);
     let (mut sub_events, mut ticks) = (0u64, 0u64);
     let (mut last_event, mut last_now) = (SimTime::ZERO, SimTime::ZERO);
     // The armed deadline: either the slot still in the queue or the tick
@@ -793,7 +915,6 @@ fn replay_lane(
         "popped and armed tick cannot coexist"
     );
     let mut armed = armed_before.or(popped_tick);
-    let mut local_starts: HashMap<CloudletId, SimTime> = HashMap::new();
     // Event classes, in tie-break order at equal times:
     //   0 = local release notification (commutes with the submissions it
     //       does not create; processing it first means a same-instant
@@ -876,7 +997,7 @@ fn replay_lane(
                         .as_ref()
                         .map(|a| a[c.index()].saturating_sub(at))
                         .unwrap_or(SimTime::ZERO);
-                    released.push((c, at + wait));
+                    rec.released.push((c, at + wait));
                     lane.local_subs.push(Reverse((
                         at + wait + latency + in_delay,
                         lane.sub_ord,
@@ -894,7 +1015,7 @@ fn replay_lane(
                 let sub = &lane.subs[lane.head].1;
                 lane.head += 1;
                 sub_events += 1;
-                queued.extend_from_slice(sub.cloudlets());
+                rec.queued.extend_from_slice(sub.cloudlets());
                 match sub {
                     Sub::One(c) => sched.submit(now, running(*c)),
                     Sub::Batch(cs) => {
@@ -907,7 +1028,7 @@ fn replay_lane(
                     unreachable!("peeked entry pops");
                 };
                 sub_events += 1;
-                queued.push(c);
+                rec.queued.push(c);
                 sched.submit(now, running(c))
             }
             _ => {
@@ -916,20 +1037,11 @@ fn replay_lane(
                 sched.advance(now)
             }
         };
-        for &c in &tick.started {
-            local_starts.entry(c).or_insert(now);
-            started.push((c, now));
-        }
+        rec.started.extend(tick.started.iter().map(|&c| (c, now)));
         for &c in &tick.finished {
             let cl = &cloudlets[c.index()];
-            // The effective start is the earliest recorded one (world from
-            // earlier epochs, else this replay); cost from the execution
-            // span, completion notified after the output transfer.
-            let start = cl.start_time.or_else(|| local_starts.get(&c).copied());
-            let cpu_seconds = start
-                .map(|s| now.saturating_sub(s).as_secs())
-                .unwrap_or(0.0);
-            let cl_cost = cloudlet_cost(&cost, vm_spec, &cl.spec, cpu_seconds);
+            // Completion is notified after the output transfer; the cost
+            // is settled at commit, once the start is recorded.
             let out_delay = transfer_time(cl.spec.output_size_mb, vm_spec.bw_mbps);
             let return_at = now + out_delay;
             last_event = last_event.max(return_at);
@@ -937,10 +1049,9 @@ fn replay_lane(
                 lane.local_rets.push(Reverse((return_at, lane.ret_ord, c)));
                 lane.ret_ord += 1;
             }
-            finished.push(FinishedCl {
+            rec.finished.push(FinishedCl {
                 id: c,
                 finish: now,
-                cost: cl_cost,
                 return_at,
             });
         }
@@ -966,15 +1077,64 @@ fn replay_lane(
         dc,
         sched,
         lane,
-        queued,
-        started,
-        finished,
-        released,
+        rec,
         sub_events,
         ticks,
         last_event,
         last_now,
         armed_before,
         armed_after: armed,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Three lanes on a driver with an empty queue.
+    fn driver() -> Driver {
+        let lanes = (0..3).map(|_| Lane::default()).collect();
+        Driver::new(lanes, 0, EntityId(0))
+    }
+
+    #[test]
+    fn a_chunk_forks_only_once_its_staged_events_reach_the_cutover() {
+        let t = SimTime::ZERO;
+        let mut d = driver();
+        let batch = vec![CloudletId(0); FORK_MIN_STAGED - 4].into_boxed_slice();
+        d.lanes[0].subs.push((t, Sub::Batch(batch)));
+        d.lanes[1].subs.push((t, Sub::One(CloudletId(1))));
+        d.lanes[1].popped_tick = Some(t);
+        d.lanes[2].local_subs.push(Reverse((t, 0, CloudletId(2))));
+        let all = [VmId(0), VmId(1), VmId(2)];
+        assert_eq!(d.lanes[0].staged(None), FORK_MIN_STAGED - 4);
+        assert_eq!(d.lanes[1].staged(None), 2);
+        assert_eq!(d.lanes[2].staged(None), 1);
+        assert!(!d.forks(&all), "one event below the cutover");
+
+        // A queue-armed settle tick is one more staged event.
+        d.queue
+            .push_vm_tick(t, EntityId(0), EntityId(0), VmId(2), t);
+        assert_eq!(d.lanes[2].staged(d.queue.armed_tick(VmId(2))), 2);
+        assert!(d.forks(&all), "at the cutover");
+        assert!(!d.forks(&all[..2]), "below it without lane 2");
+
+        // Pending local release notifications count too.
+        for c in [3, 4] {
+            d.lanes[1]
+                .local_rets
+                .push(Reverse((t, u64::from(c), CloudletId(c))));
+        }
+        assert_eq!(d.lanes[1].staged(None), 4);
+        assert!(d.forks(&all[..2]), "at the cutover again");
+
+        // Consumed submissions do not count.
+        d.lanes[0].head = 1;
+        assert_eq!(d.lanes[0].staged(None), 0);
+        assert!(!d.forks(&all), "far below once lane 0 is consumed");
+
+        // A lone lane never forks, however much it holds.
+        d.lanes[0].head = 0;
+        assert!(!d.forks(&all[..1]));
     }
 }

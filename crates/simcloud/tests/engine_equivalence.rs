@@ -392,6 +392,25 @@ enum DagShape {
     /// 12 independent 6-stage chains, each pinned to one VM: every
     /// release is local, whole chains replay without a single barrier.
     PipelineEnsemble,
+    /// Three layers on 320 VMs whose release rounds exceed the epoch
+    /// driver's fork cutover, so they replay on the worker pool:
+    ///
+    /// * layer 0 puts one equal-length task on each VM, submitted at one
+    ///   instant in `VmId` order, so all complete at one instant in that
+    ///   order: one round of 320 settle ticks;
+    /// * layer 1's 320 tasks each wait on two layer-0 tasks and crowd onto
+    ///   16 VMs. They are all released at that instant and carry no
+    ///   files, so they all arrive at once: one round of 320 submissions,
+    ///   whose queue order on each VM follows the order in which the
+    ///   broker received the completions;
+    /// * layer 2's 320 tasks each wait on one or two random layer-1 tasks
+    ///   and spread over the fleet again.
+    ///
+    /// Layers 1 and 2 draw continuous lengths like every other shape.
+    /// Discrete ones would also tie completions whose ticks were armed at
+    /// different instants, which the epoch driver does not yet order as
+    /// the kernel does (DESIGN.md, "The epoch driver", known gap).
+    Lockstep,
 }
 
 /// Builds and runs one DAG scenario on `engine`.
@@ -402,7 +421,10 @@ fn dag_outcome(
     mode: RecordMode,
 ) -> SimulationOutcome {
     let mut rng = simcloud::rng::stream(seed, "dag-equivalence");
-    let vm_count = 8usize;
+    let vm_count = match shape {
+        DagShape::Lockstep => 320usize,
+        _ => 8,
+    };
     let vm = VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 2);
     let task = |rng: &mut rand::rngs::StdRng| {
         CloudletSpec::new(
@@ -468,6 +490,32 @@ fn dag_outcome(
                 let cloudlets = (0..n).map(|_| task(&mut rng)).collect();
                 (parents, assignment, cloudlets)
             }
+            DagShape::Lockstep => {
+                let (width, crowd) = (vm_count, 16usize);
+                let mut parents: Vec<Vec<CloudletId>> = vec![vec![]; 3 * width];
+                let mut assignment: Vec<VmId> = (0..width).map(VmId::from_index).collect();
+                let mut cloudlets = vec![CloudletSpec::new(10_000.0, 0.0, 0.0, 1); width];
+                for j in 0..width {
+                    parents[width + j] = vec![
+                        CloudletId::from_index(j),
+                        CloudletId::from_index((j + 1) % width),
+                    ];
+                    assignment.push(VmId::from_index(j % crowd));
+                    let len = rng.gen_range(1_000.0..30_000.0);
+                    cloudlets.push(CloudletSpec::new(len, 0.0, 0.0, 1));
+                }
+                for j in 0..width {
+                    let mut ps: Vec<CloudletId> = (0..rng.gen_range(1..=2usize))
+                        .map(|_| CloudletId::from_index(width + rng.gen_range(0..width)))
+                        .collect();
+                    ps.sort_unstable();
+                    ps.dedup();
+                    parents[2 * width + j] = ps;
+                    assignment.push(VmId::from_index(rng.gen_range(0..vm_count)));
+                    cloudlets.push(task(&mut rng));
+                }
+                (parents, assignment, cloudlets)
+            }
             DagShape::PipelineEnsemble => {
                 let (jobs, stages) = (12usize, 6usize);
                 let n = jobs * stages;
@@ -516,6 +564,7 @@ fn dag_shape_matrix_matches_sequential_across_threads_seeds_and_modes() {
         DagShape::ForkJoin,
         DagShape::LayeredRandom,
         DagShape::PipelineEnsemble,
+        DagShape::Lockstep,
     ];
     for threads in [1usize, 2, 4, 8] {
         rayon::ThreadPoolBuilder::new()
@@ -563,18 +612,25 @@ enum Resilience {
     WorkflowRecovery,
 }
 
-/// Builds and runs one fault-injected matrix scenario: 10 VMs on 5 hosts,
-/// 120 mixed cloudlets, two host outages (one repaired), two slowdowns
-/// (one bounded).
+/// `(VMs, cloudlets)` of the resilience matrix. At the small size each
+/// lane holds about a dozen cloudlets, so every flush replays below the
+/// epoch driver's fork cutover; at the wide size the first control flush
+/// (or, under a DAG, release round) holds about 600 staged submissions
+/// over 40 lanes, so it replays on the worker pool.
+const SIZES: [(usize, usize); 2] = [(10, 120), (40, 600)];
+
+/// Builds and runs one fault-injected scenario of `size` `(VMs,
+/// cloudlets)`: two VMs per host, mixed cloudlets, two host outages (one
+/// repaired), two slowdowns (one bounded).
 fn resilient_outcome(
     seed: u64,
     res: Resilience,
     engine: EngineKind,
     mode: RecordMode,
+    (vm_count, cloudlet_count): (usize, usize),
 ) -> SimulationOutcome {
     use simcloud::faults::{FaultPlan, HostOutage, VmSlowdown};
     let mut rng = simcloud::rng::stream(seed, "resilience-equivalence");
-    let (vm_count, cloudlet_count) = (10usize, 120usize);
     let vm = VmSpec::new(1_000.0, 10_000.0, 512.0, 1_000.0, 2);
     let mut cloudlets: Vec<CloudletSpec> = (0..cloudlet_count)
         .map(|_| {
@@ -684,26 +740,32 @@ fn resilience_matrix_matches_sequential_across_threads_seeds_and_modes() {
             .build_global()
             .expect("vendored rayon accepts repeated global builds");
         for seed in [5u64, 17, 83] {
-            for res in variants {
-                for mode in [RecordMode::Full, RecordMode::Aggregate] {
-                    let label = format!("{threads} threads / seed {seed} / {res:?} / {mode:?}");
-                    let seq = resilient_outcome(seed, res, EngineKind::Sequential, mode);
-                    let shd = resilient_outcome(seed, res, EngineKind::Sharded, mode);
-                    assert_eq!(seq.engine, EngineKind::Sequential);
-                    assert_eq!(shd.engine, EngineKind::Sharded, "{label}");
-                    // The plan must actually bite, in the way each
-                    // variant is supposed to react to it.
-                    match res {
-                        Resilience::Faults | Resilience::FaultsBatched | Resilience::Workflow => {
-                            assert!(seq.finished_count() < 120, "{label}: no work lost");
+            for size in SIZES {
+                for res in variants {
+                    for mode in [RecordMode::Full, RecordMode::Aggregate] {
+                        let label = format!(
+                            "{threads} threads / seed {seed} / {size:?} / {res:?} / {mode:?}"
+                        );
+                        let seq = resilient_outcome(seed, res, EngineKind::Sequential, mode, size);
+                        let shd = resilient_outcome(seed, res, EngineKind::Sharded, mode, size);
+                        assert_eq!(seq.engine, EngineKind::Sequential);
+                        assert_eq!(shd.engine, EngineKind::Sharded, "{label}");
+                        // The plan must actually bite, in the way each
+                        // variant is supposed to react to it.
+                        match res {
+                            Resilience::Faults
+                            | Resilience::FaultsBatched
+                            | Resilience::Workflow => {
+                                assert!(seq.finished_count() < size.1, "{label}: no work lost");
+                            }
+                            Resilience::Recovery | Resilience::WorkflowRecovery => {
+                                assert!(seq.resilience.retries > 0, "{label}: nothing retried");
+                            }
                         }
-                        Resilience::Recovery | Resilience::WorkflowRecovery => {
-                            assert!(seq.resilience.retries > 0, "{label}: nothing retried");
+                        match mode {
+                            RecordMode::Full => assert_identical(&seq, &shd, &label),
+                            RecordMode::Aggregate => assert_aggregate_identical(&seq, &shd, &label),
                         }
-                    }
-                    match mode {
-                        RecordMode::Full => assert_identical(&seq, &shd, &label),
-                        RecordMode::Aggregate => assert_aggregate_identical(&seq, &shd, &label),
                     }
                 }
             }
