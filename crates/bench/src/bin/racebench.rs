@@ -34,7 +34,7 @@ use biosched_core::racing::{standalone_scores, RaceParams, RacingScheduler};
 use biosched_core::scheduler::{AlgorithmKind, Scheduler};
 use biosched_workload::heterogeneous::HeterogeneousScenario;
 use biosched_workload::scenario::Scenario;
-use biosched_workload::sweep::run_point_on;
+use biosched_workload::sweep::run_point;
 use simcloud::simulation::EngineKind;
 
 /// Headline-tier size and whether the decision-time gate runs.
@@ -124,8 +124,8 @@ fn main() {
     // Through the sweep layer on both engines: every simulated
     // metric and the provenance columns must agree bit for bit.
     let kind = AlgorithmKind::Racing(Objective::Makespan);
-    let seq = run_point_on(&s, kind, seed, EngineKind::Sequential);
-    let sh = run_point_on(&s, kind, seed, EngineKind::Sharded);
+    let seq = run_point(&s, kind, seed, EngineKind::Sequential);
+    let sh = run_point(&s, kind, seed, EngineKind::Sharded);
     assert_eq!(
         seq.simulation_time_ms.to_bits(),
         sh.simulation_time_ms.to_bits(),

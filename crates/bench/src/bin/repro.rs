@@ -36,7 +36,8 @@ use std::path::PathBuf;
 use biosched_bench::convergence::{convergence_figure, ConvergenceConfig};
 use biosched_bench::extended::{extended_comparison, ExtendedConfig};
 use biosched_bench::figures::{
-    figure_from_results, heterogeneous_sweep_on, homogeneous_sweep_on, Metric,
+    figure_from_results, heterogeneous_sweep, heterogeneous_sweep_repeated, homogeneous_sweep,
+    Metric,
 };
 use biosched_bench::harness::{self, Args, Flag, SEED};
 use biosched_bench::tables::all_tables;
@@ -140,7 +141,7 @@ fn homogeneous(points: Vec<usize>, figs: &[(Metric, &str, &str)], opts: &Options
         opts.scale,
         opts.seed
     );
-    let results = homogeneous_sweep_on(&points, opts.scale, opts.seed, opts.engine);
+    let results = homogeneous_sweep(&points, opts.scale, opts.seed, opts.engine);
     sanity_check(&results);
     for (metric, title, slug) in figs {
         let fig = figure_from_results(title, &points, &results, *metric);
@@ -156,7 +157,7 @@ fn heterogeneous(metrics: &[(Metric, &str, &str)], opts: &Options) {
         opts.hetero_cloudlets,
         opts.seed
     );
-    let results = heterogeneous_sweep_on(&points, opts.hetero_cloudlets, opts.seed, opts.engine);
+    let results = heterogeneous_sweep(&points, opts.hetero_cloudlets, opts.seed, opts.engine);
     sanity_check(&results);
     for (metric, title, slug) in metrics {
         let fig = figure_from_results(title, &points, &results, *metric);
@@ -383,7 +384,6 @@ fn main() {
         "fig6d" => heterogeneous(&fig6_all[3..4], &opts),
         "tables" => print_tables(&opts),
         "fig6-stats" => {
-            use biosched_bench::figures::heterogeneous_sweep_repeated_on;
             let points = fig6_vm_points();
             let reps = 5usize;
             println!(
@@ -393,7 +393,7 @@ fn main() {
                 reps,
                 opts.hetero_cloudlets
             );
-            let results = heterogeneous_sweep_repeated_on(
+            let results = heterogeneous_sweep_repeated(
                 &points,
                 opts.hetero_cloudlets,
                 opts.seed,

@@ -21,6 +21,7 @@ use biosched_core::scheduler::AlgorithmKind;
 use biosched_workload::heterogeneous::HeterogeneousScenario;
 use biosched_workload::homogeneous::HomogeneousScenario;
 use simcloud::simulation::EngineKind;
+use simcloud::stats::RecordMode;
 
 /// (label, divisor into the paper's 100k-VM / 1M-cloudlet point).
 const SCALES: &[(&str, usize)] = &[("1k", 1_000), ("10k", 100), ("100k", 10)];
@@ -62,7 +63,7 @@ fn run_point(hetero: bool, vms: usize, cloudlets: usize, engine: EngineKind) {
         .schedule(&scenario.problem());
     let started = Instant::now();
     let outcome = scenario
-        .simulate_on(assignment, engine)
+        .simulate_mode(assignment, engine, RecordMode::Full)
         .expect("simulation must complete");
     let wall = started.elapsed().as_secs_f64() * 1_000.0;
     assert_eq!(outcome.finished_count(), cloudlets, "all cloudlets finish");

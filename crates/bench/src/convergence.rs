@@ -105,15 +105,6 @@ pub fn convergence_figure(config: ConvergenceConfig) -> FigureSeries {
     fig
 }
 
-/// Iterations needed to reach `target` (fraction of the initial score).
-/// `None` if the trace never gets there.
-pub fn iterations_to_reach(trace: &[f64], target: f64) -> Option<usize> {
-    normalize(trace)
-        .iter()
-        .position(|v| *v <= target)
-        .map(|i| i + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,14 +126,6 @@ mod tests {
                 "{name} must be non-increasing"
             );
         }
-    }
-
-    #[test]
-    fn iterations_to_reach_positions() {
-        let trace = vec![100.0, 90.0, 80.0, 79.0];
-        assert_eq!(iterations_to_reach(&trace, 0.9), Some(2));
-        assert_eq!(iterations_to_reach(&trace, 0.5), None);
-        assert_eq!(iterations_to_reach(&trace, 1.0), Some(1));
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! | [`homogeneous_sweep`] (small axis) | Fig. 4a + Fig. 5a | simulation & scheduling time |
 //! | [`homogeneous_sweep`] (large axis) | Fig. 4b + Fig. 5b | simulation & scheduling time |
 //! | [`heterogeneous_sweep`] | Fig. 6a–6d | all four metrics |
+//! | [`heterogeneous_sweep_repeated`] | Fig. 6 with error bars | all four metrics, mean ± CI95 |
 
 use biosched_core::scheduler::AlgorithmKind;
 use biosched_metrics::series::FigureSeries;
-use biosched_workload::heterogeneous::HeterogeneousScenario;
+use biosched_workload::heterogeneous::{HeterogeneousScenario, DEFAULT_DATACENTERS};
 use biosched_workload::homogeneous::HomogeneousScenario;
-use biosched_workload::sweep::{sweep_on, PointResult};
+use biosched_workload::scenario::Scenario;
+use biosched_workload::sweep::{sweep, sweep_repeated, PointResult, RepeatedPointResult};
 use simcloud::simulation::EngineKind;
 
 /// Which metric of a [`PointResult`] a figure plots.
@@ -32,7 +34,7 @@ pub enum Metric {
 
 impl Metric {
     /// Extracts this metric from a point result.
-    pub fn of(self, r: &PointResult) -> f64 {
+    fn of(self, r: &PointResult) -> f64 {
         match self {
             Metric::SimulationTime => r.simulation_time_ms,
             Metric::SchedulingTime => r.scheduling_time_ms,
@@ -42,7 +44,7 @@ impl Metric {
     }
 
     /// Axis label.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             Metric::SimulationTime => "Simulation Time of Cloudlets (ms)",
             Metric::SchedulingTime => "Scheduling Time (wall ms)",
@@ -76,88 +78,66 @@ pub fn figure_from_results(
     fig
 }
 
-/// Runs the homogeneous sweep behind Figs. 4 and 5.
+/// Runs the homogeneous sweep behind Figs. 4 and 5, simulating every
+/// point on `engine`.
 ///
 /// `scale` divides the paper's sizes (see
 /// [`HomogeneousScenario::scaled`]); 1 reproduces the paper exactly.
 /// Returns the raw results for the given VM-count points.
-pub fn homogeneous_sweep(points: &[usize], scale: usize, seed: u64) -> Vec<Vec<PointResult>> {
-    homogeneous_sweep_on(points, scale, seed, EngineKind::Sequential)
-}
-
-/// [`homogeneous_sweep`] simulated on a chosen engine.
-pub fn homogeneous_sweep_on(
+pub fn homogeneous_sweep(
     points: &[usize],
     scale: usize,
     seed: u64,
     engine: EngineKind,
 ) -> Vec<Vec<PointResult>> {
-    sweep_on(points, &AlgorithmKind::PAPER_SET, seed, engine, |vms| {
+    sweep(points, &AlgorithmKind::PAPER_SET, seed, engine, |vms| {
         HomogeneousScenario::scaled(vms, scale).build()
     })
 }
 
-/// Runs the heterogeneous sweep behind Figs. 6a–6d.
-pub fn heterogeneous_sweep(points: &[usize], cloudlets: usize, seed: u64) -> Vec<Vec<PointResult>> {
-    heterogeneous_sweep_on(points, cloudlets, seed, EngineKind::Sequential)
-}
-
-/// [`heterogeneous_sweep`] simulated on a chosen engine.
-pub fn heterogeneous_sweep_on(
+/// Runs the heterogeneous sweep behind Figs. 6a–6d, simulating every
+/// point on `engine`.
+pub fn heterogeneous_sweep(
     points: &[usize],
     cloudlets: usize,
     seed: u64,
     engine: EngineKind,
 ) -> Vec<Vec<PointResult>> {
-    sweep_on(points, &AlgorithmKind::PAPER_SET, seed, engine, |vms| {
-        HeterogeneousScenario {
-            vm_count: vms,
-            cloudlet_count: cloudlets,
-            datacenter_count: biosched_workload::heterogeneous::DEFAULT_DATACENTERS,
-            seed,
-        }
-        .build()
+    sweep(points, &AlgorithmKind::PAPER_SET, seed, engine, |vms| {
+        hetero_scenario(vms, cloudlets, seed)
     })
 }
 
 /// Fig. 6 with error bars: every point aggregated over `reps` seeds
-/// (workload *and* scheduler seed vary together). Returns, per VM point,
-/// one [`RepeatedPointResult`](biosched_workload::sweep::RepeatedPointResult)
-/// per paper algorithm.
+/// (workload *and* scheduler seed vary together), each repetition
+/// simulated on `engine`. Returns, per VM point, one
+/// [`RepeatedPointResult`] per paper algorithm.
 pub fn heterogeneous_sweep_repeated(
     points: &[usize],
     cloudlets: usize,
     base_seed: u64,
     reps: usize,
-) -> Vec<Vec<biosched_workload::sweep::RepeatedPointResult>> {
-    heterogeneous_sweep_repeated_on(points, cloudlets, base_seed, reps, EngineKind::Sequential)
-}
-
-/// [`heterogeneous_sweep_repeated`] with every repetition simulated on a
-/// chosen engine.
-pub fn heterogeneous_sweep_repeated_on(
-    points: &[usize],
-    cloudlets: usize,
-    base_seed: u64,
-    reps: usize,
     engine: EngineKind,
-) -> Vec<Vec<biosched_workload::sweep::RepeatedPointResult>> {
-    biosched_workload::sweep::sweep_repeated_on(
+) -> Vec<Vec<RepeatedPointResult>> {
+    sweep_repeated(
         points,
         &AlgorithmKind::PAPER_SET,
         base_seed,
         reps,
         engine,
-        |vms, seed| {
-            HeterogeneousScenario {
-                vm_count: vms,
-                cloudlet_count: cloudlets,
-                datacenter_count: biosched_workload::heterogeneous::DEFAULT_DATACENTERS,
-                seed,
-            }
-            .build()
-        },
+        |vms, seed| hetero_scenario(vms, cloudlets, seed),
     )
+}
+
+/// The Fig. 6 scenario at one VM count.
+fn hetero_scenario(vm_count: usize, cloudlet_count: usize, seed: u64) -> Scenario {
+    HeterogeneousScenario {
+        vm_count,
+        cloudlet_count,
+        datacenter_count: DEFAULT_DATACENTERS,
+        seed,
+    }
+    .build()
 }
 
 #[cfg(test)]
@@ -167,7 +147,7 @@ mod tests {
     #[test]
     fn figure_extraction_orders_series_like_algorithms() {
         let points = [4usize, 8];
-        let results = homogeneous_sweep(&points, 1_000, 0);
+        let results = homogeneous_sweep(&points, 1_000, 0, EngineKind::Sequential);
         let fig = figure_from_results("t", &points, &results, Metric::SimulationTime);
         assert_eq!(fig.series.len(), 4);
         assert_eq!(fig.series[0].0, "AntColony");
@@ -178,7 +158,7 @@ mod tests {
     #[test]
     fn metrics_extract_expected_fields() {
         let points = [6usize];
-        let results = heterogeneous_sweep(&points, 30, 1);
+        let results = heterogeneous_sweep(&points, 30, 1, EngineKind::Sequential);
         let r = &results[0][0];
         assert_eq!(Metric::SimulationTime.of(r), r.simulation_time_ms);
         assert_eq!(Metric::SchedulingTime.of(r), r.scheduling_time_ms);

@@ -48,7 +48,7 @@ pub const OUT: Flag = Flag::value("--out", "FILE");
 /// Base RNG seed.
 pub const SEED: Flag = Flag::value("--seed", "N");
 /// First argument of a child process's command line.
-pub const CHILD: &str = "child";
+const CHILD: &str = "child";
 
 /// `usage: <bin> [--flag VALUE] [--switch] …`
 pub fn usage(bin: &str, flags: &[Flag]) -> String {
@@ -158,7 +158,7 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     out
 }
 
-/// The arguments after [`CHILD`] when `argv` starts child mode.
+/// The arguments after the `child` marker when `argv` starts child mode.
 pub fn child_args(argv: &[String]) -> Option<&[String]> {
     argv.split_first()
         .and_then(|(first, rest)| (first == CHILD).then_some(rest))
@@ -214,12 +214,6 @@ pub fn spawn_self(args: &[String]) -> Result<ChildReport, String> {
         return Err(format!("child {args:?} failed with {}", out.status));
     }
     Ok(ChildReport::parse(&String::from_utf8_lossy(&out.stdout)))
-}
-
-/// Full round-trip float (`{:?}`), so equal values serialize to equal
-/// bytes.
-pub fn f64_json(x: f64) -> String {
-    format!("{x:?}")
 }
 
 /// `{:?}` of the value (round-trip for floats), or `null`.
@@ -344,7 +338,6 @@ mod tests {
 
     #[test]
     fn json_scalars() {
-        assert_eq!(f64_json(1.0), "1.0");
         assert_eq!(opt_json(Some(0.1)), "0.1");
         assert_eq!(opt_json::<f64>(None), "null");
         assert_eq!(opt_json(Some(4_568u64)), "4568");

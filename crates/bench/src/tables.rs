@@ -10,7 +10,7 @@ use simcloud::cloudlet::CloudletSpec;
 use simcloud::vm::VmSpec;
 
 /// Table I — HBO symbol glossary.
-pub fn table_i() -> Table {
+fn table_i() -> Table {
     let mut t = Table::new(vec!["Parameter", "Meaning"]);
     for (p, m) in [
         ("TCLj", "The cLength of the Cloudlet j"),
@@ -30,7 +30,7 @@ pub fn table_i() -> Table {
 }
 
 /// Table II — ACO parameters, read from [`AcoParams::paper`].
-pub fn table_ii() -> Table {
+fn table_ii() -> Table {
     let p = AcoParams::paper();
     let mut t = Table::new(vec!["ACO Parameter", "Value"]);
     t.push_row(vec!["Ants".to_string(), p.ants.to_string()]);
@@ -42,7 +42,7 @@ pub fn table_ii() -> Table {
 }
 
 /// Table III — homogeneous VM characteristics.
-pub fn table_iii() -> Table {
+fn table_iii() -> Table {
     let v = VmSpec::homogeneous_default();
     let mut t = Table::new(vec!["VM characteristic", "Value"]);
     t.push_row(vec!["vmMips".to_string(), v.mips.to_string()]);
@@ -54,7 +54,7 @@ pub fn table_iii() -> Table {
 }
 
 /// Table IV — homogeneous cloudlet parameters.
-pub fn table_iv() -> Table {
+fn table_iv() -> Table {
     let c = CloudletSpec::homogeneous_default();
     let mut t = Table::new(vec!["Cloudlet characteristic", "Value"]);
     t.push_row(vec!["cLength".to_string(), c.length_mi.to_string()]);
@@ -68,7 +68,7 @@ pub fn table_iv() -> Table {
 }
 
 /// Table V — heterogeneous VM characteristic ranges.
-pub fn table_v() -> Table {
+fn table_v() -> Table {
     let mut t = Table::new(vec!["Heterogeneous VM characteristic", "Value"]);
     t.push_row(vec!["vmMips", "500-4000"]);
     t.push_row(vec!["vmSize", "5000"]);
@@ -79,7 +79,7 @@ pub fn table_v() -> Table {
 }
 
 /// Table VI — heterogeneous cloudlet parameter ranges.
-pub fn table_vi() -> Table {
+fn table_vi() -> Table {
     let mut t = Table::new(vec!["Heterogeneous Cloudlet characteristic", "Value"]);
     t.push_row(vec!["cLength", "1000-20000"]);
     t.push_row(vec!["cFileSize", "300"]);
@@ -89,7 +89,7 @@ pub fn table_vi() -> Table {
 }
 
 /// Table VII — heterogeneous datacenter cost ranges.
-pub fn table_vii() -> Table {
+fn table_vii() -> Table {
     let mut t = Table::new(vec!["Datacenter characteristic", "Value"]);
     t.push_row(vec!["CostPerMemory", "0.01-0.05"]);
     t.push_row(vec!["CostPerStorage", "0.001-0.004"]);

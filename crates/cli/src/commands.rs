@@ -7,11 +7,11 @@ use biosched_core::workflow::heft;
 use biosched_metrics::distribution::percentile;
 use biosched_metrics::report::{fmt_value, Table};
 use biosched_workload::scenario::Scenario;
-use biosched_workload::sweep::sweep_on;
+use biosched_workload::sweep::sweep;
 use biosched_workload::workflow;
 use simcloud::energy::{estimate_energy, PowerModel};
 use simcloud::simulation::EngineKind;
-use simcloud::stats::SimulationOutcome;
+use simcloud::stats::{RecordMode, SimulationOutcome};
 
 use crate::args::{
     parse_algorithm, parse_algorithm_list, parse_common, parse_usize_list, CommonOpts,
@@ -108,14 +108,9 @@ fn run_one(
         // Fault-armed scenario: the same scheduler instance re-plans
         // every retry batch over the surviving fleet.
         let rescheduler = biosched_workload::resilience::CacheRescheduler::new(scheduler, problem);
-        scenario.simulate_resilient(
-            assignment,
-            engine,
-            simcloud::stats::RecordMode::Full,
-            Box::new(rescheduler),
-        )
+        scenario.simulate_resilient(assignment, engine, RecordMode::Full, Box::new(rescheduler))
     } else {
-        scenario.simulate_on(assignment, engine)
+        scenario.simulate_mode(assignment, engine, RecordMode::Full)
     }
     .map_err(|e| format!("simulation failed: {e}"))?;
     Ok(RunResult {
@@ -180,13 +175,12 @@ fn metrics_table(results: &[RunResult], vm_count: usize) -> Table {
         "energy (Wh)",
     ]);
     for r in results {
-        let mut turnarounds: Vec<f64> = r
+        let turnarounds: Vec<f64> = r
             .outcome
             .records
             .iter()
             .filter_map(|rec| Some(rec.finish?.saturating_sub(rec.submit?).as_millis()))
             .collect();
-        turnarounds.sort_by(f64::total_cmp);
         let p99 = percentile(&turnarounds, 0.99).unwrap_or(0.0);
         let energy = estimate_energy(&r.outcome, vm_count, &PowerModel::commodity_server());
         table.push_row(vec![
@@ -220,7 +214,7 @@ fn emit_table(table: &Table, csv: Option<&str>) -> Result<(), String> {
 }
 
 /// `biosched run`.
-pub fn cmd_run(args: &[String]) -> Result<(), String> {
+fn cmd_run(args: &[String]) -> Result<(), String> {
     let (opts, rest) = parse_common(args)?;
     opts.apply_thread_limit()?;
     let mut algorithm = AlgorithmKind::AntColony;
@@ -257,7 +251,7 @@ pub fn cmd_run(args: &[String]) -> Result<(), String> {
 }
 
 /// `biosched compare`.
-pub fn cmd_compare(args: &[String]) -> Result<(), String> {
+fn cmd_compare(args: &[String]) -> Result<(), String> {
     let (opts, rest) = parse_common(args)?;
     opts.apply_thread_limit()?;
     let mut algorithms = vec![
@@ -289,7 +283,7 @@ pub fn cmd_compare(args: &[String]) -> Result<(), String> {
 }
 
 /// `biosched sweep`.
-pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
+fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let (opts, rest) = parse_common(args)?;
     opts.apply_thread_limit()?;
     let mut points = vec![50usize, 150, 250, 350, 450];
@@ -311,7 +305,7 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
         opts.cloudlets
     );
     let base = opts.clone();
-    let results = sweep_on(&points, &algorithms, opts.seed, opts.engine, move |vms| {
+    let results = sweep(&points, &algorithms, opts.seed, opts.engine, move |vms| {
         build_scenario(&CommonOpts {
             vms,
             ..base.clone()
@@ -341,7 +335,7 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
 }
 
 /// `biosched workflow`.
-pub fn cmd_workflow(args: &[String]) -> Result<(), String> {
+fn cmd_workflow(args: &[String]) -> Result<(), String> {
     let (opts, rest) = parse_common(args)?;
     opts.apply_thread_limit()?;
     let mut shape = "fork-join".to_string();
@@ -413,7 +407,7 @@ pub fn cmd_workflow(args: &[String]) -> Result<(), String> {
             .schedule(&problem)
     };
     let outcome = scenario
-        .simulate_on(plan, opts.engine)
+        .simulate_mode(plan, opts.engine, RecordMode::Full)
         .map_err(|e| format!("simulation failed: {e}"))?;
     let span = outcome
         .records
@@ -431,7 +425,7 @@ pub fn cmd_workflow(args: &[String]) -> Result<(), String> {
 }
 
 /// `biosched online`.
-pub fn cmd_online(args: &[String]) -> Result<(), String> {
+fn cmd_online(args: &[String]) -> Result<(), String> {
     use biosched_workload::online::{run_online, WavePlan};
     let (opts, rest) = parse_common(args)?;
     opts.apply_thread_limit()?;
@@ -500,7 +494,7 @@ pub fn cmd_online(args: &[String]) -> Result<(), String> {
 }
 
 /// `biosched stream`.
-pub fn cmd_stream(args: &[String]) -> Result<(), String> {
+fn cmd_stream(args: &[String]) -> Result<(), String> {
     use biosched_workload::online::WavePlan;
     use biosched_workload::stream::{run_stream_with, ReplanMode, StreamConfig};
     let (opts, rest) = parse_common(args)?;
@@ -615,7 +609,7 @@ pub fn cmd_stream(args: &[String]) -> Result<(), String> {
 }
 
 /// `biosched describe`.
-pub fn cmd_describe(args: &[String]) -> Result<(), String> {
+fn cmd_describe(args: &[String]) -> Result<(), String> {
     let (opts, rest) = parse_common(args)?;
     opts.apply_thread_limit()?;
     if !rest.is_empty() {

@@ -1,6 +1,7 @@
 //! # biosched-cli — the `biosched` command-line tool
 //!
-//! Subcommands: `run`, `compare`, `sweep`, `workflow`, `describe`.
+//! Subcommands: `run`, `compare`, `sweep`, `workflow`, `online`,
+//! `stream`, `describe`.
 //! See [`commands::usage`] or run `biosched help`.
 
 #![warn(missing_docs)]

@@ -8,7 +8,7 @@ use biosched_workload::traces::attach_deadlines;
 use crate::args::CommonOpts;
 
 /// Reference MIPS for SLA deadline attachment (mid Table V).
-pub const SLA_REFERENCE_MIPS: f64 = 2_000.0;
+const SLA_REFERENCE_MIPS: f64 = 2_000.0;
 
 /// Materializes the scenario the options describe.
 pub fn build_scenario(opts: &CommonOpts) -> Scenario {

@@ -85,22 +85,6 @@ impl CsosParams {
         }
     }
 
-    /// Iteration-count scaling law: the standard profile up to
-    /// [`crate::aco::AcoParams::SCALE_CUTOVER`] cloudlets, a reduced
-    /// profile above it (organisms are cloudlet-length gene vectors, so
-    /// ecosystem × iterations is what must shrink at 10⁶ scale).
-    pub fn for_scale(cloudlets: usize) -> Self {
-        if cloudlets > crate::aco::AcoParams::SCALE_CUTOVER {
-            CsosParams {
-                population: 8,
-                iterations: 6,
-                ..Self::standard()
-            }
-        } else {
-            Self::standard()
-        }
-    }
-
     /// Validates parameter sanity.
     pub fn validate(&self) -> Result<(), String> {
         if self.population < 2 {
@@ -434,15 +418,6 @@ mod tests {
         .validate()
         .is_err());
         assert!(CsosParams::standard().validate().is_ok());
-    }
-
-    #[test]
-    fn for_scale_reduces_effort_above_cutover() {
-        assert_eq!(CsosParams::for_scale(10_000), CsosParams::standard());
-        let big = CsosParams::for_scale(1_000_000);
-        assert!(big.population < CsosParams::standard().population);
-        assert!(big.iterations < CsosParams::standard().iterations);
-        assert!(big.validate().is_ok());
     }
 
     #[test]

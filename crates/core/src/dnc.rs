@@ -27,7 +27,7 @@ use simcloud::ids::VmId;
 use crate::assignment::Assignment;
 use crate::eval;
 use crate::problem::SchedulingProblem;
-use crate::scheduler::{AlgorithmKind, Scheduler};
+use crate::scheduler::Scheduler;
 
 /// How [`DivideAndConquer`] partitions the VM fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,15 +70,6 @@ impl DivideAndConquer {
             round: 0,
             builder,
         })
-    }
-
-    /// Wraps one of the stock algorithm kinds.
-    pub fn of_kind(kind: AlgorithmKind, spec: ShardSpec, seed: u64) -> Result<Self, String> {
-        Self::new(
-            spec,
-            seed,
-            Box::new(move |shard_seed| kind.build(shard_seed)),
-        )
     }
 
     /// VM index groups for `problem` under the spec. Every group is
@@ -224,10 +215,20 @@ impl Scheduler for DivideAndConquer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::AlgorithmKind;
     use simcloud::characteristics::CostModel;
     use simcloud::cloudlet::CloudletSpec;
     use simcloud::ids::DatacenterId;
     use simcloud::vm::VmSpec;
+
+    /// The wrapper around one stock algorithm kind.
+    fn of_kind(
+        kind: AlgorithmKind,
+        spec: ShardSpec,
+        seed: u64,
+    ) -> Result<DivideAndConquer, String> {
+        DivideAndConquer::new(spec, seed, Box::new(move |s| kind.build(s)))
+    }
 
     fn problem(vms: usize, cloudlets: usize) -> SchedulingProblem {
         let vm_specs: Vec<VmSpec> = (0..vms)
@@ -263,8 +264,7 @@ mod tests {
     #[test]
     fn merges_into_a_complete_valid_assignment() {
         let p = problem(16, 100);
-        let mut dnc =
-            DivideAndConquer::of_kind(AlgorithmKind::AntColony, ShardSpec::Count(4), 42).unwrap();
+        let mut dnc = of_kind(AlgorithmKind::AntColony, ShardSpec::Count(4), 42).unwrap();
         let a = dnc.schedule(&p);
         assert!(a.validate(&p).is_ok());
         assert_eq!(a.len(), 100);
@@ -273,15 +273,12 @@ mod tests {
     #[test]
     fn deterministic_per_seed_and_advances_per_round() {
         let p = problem(16, 60);
-        let mut a1 =
-            DivideAndConquer::of_kind(AlgorithmKind::AntColony, ShardSpec::Count(4), 7).unwrap();
-        let mut a2 =
-            DivideAndConquer::of_kind(AlgorithmKind::AntColony, ShardSpec::Count(4), 7).unwrap();
+        let mut a1 = of_kind(AlgorithmKind::AntColony, ShardSpec::Count(4), 7).unwrap();
+        let mut a2 = of_kind(AlgorithmKind::AntColony, ShardSpec::Count(4), 7).unwrap();
         let first = a1.schedule(&p);
         assert_eq!(first, a2.schedule(&p), "same seed, same plan");
         assert_ne!(first, a1.schedule(&p), "rounds draw fresh shard seeds");
-        let mut b =
-            DivideAndConquer::of_kind(AlgorithmKind::AntColony, ShardSpec::Count(4), 8).unwrap();
+        let mut b = of_kind(AlgorithmKind::AntColony, ShardSpec::Count(4), 8).unwrap();
         assert_ne!(first, b.schedule(&p), "different seed, different plan");
     }
 
@@ -290,8 +287,7 @@ mod tests {
         // 16 VMs in 4 shards of 4: a cloudlet routed to shard s must land
         // on a VM in [4s, 4s+4).
         let p = problem(16, 80);
-        let mut dnc =
-            DivideAndConquer::of_kind(AlgorithmKind::BaseTest, ShardSpec::Count(4), 1).unwrap();
+        let mut dnc = of_kind(AlgorithmKind::BaseTest, ShardSpec::Count(4), 1).unwrap();
         let a = dnc.schedule(&p);
         // Every VM range receives some work under a balanced split.
         let counts = a.counts_per_vm(16);
@@ -304,9 +300,7 @@ mod tests {
     #[test]
     fn by_datacenter_keeps_cloudlets_inside_their_shard_dc() {
         let p = two_dc_problem();
-        let mut dnc =
-            DivideAndConquer::of_kind(AlgorithmKind::AntColony, ShardSpec::ByDatacenter, 3)
-                .unwrap();
+        let mut dnc = of_kind(AlgorithmKind::AntColony, ShardSpec::ByDatacenter, 3).unwrap();
         let a = dnc.schedule(&p);
         assert!(a.validate(&p).is_ok());
         // Both DCs host VMs, so both receive work (2/3 vs 1/3 capacity).
@@ -334,8 +328,7 @@ mod tests {
             vec![CloudletSpec::new(5_000.0, 0.0, 0.0, 1); 80],
             CostModel::default(),
         );
-        let mut dnc =
-            DivideAndConquer::of_kind(AlgorithmKind::BaseTest, ShardSpec::Count(2), 5).unwrap();
+        let mut dnc = of_kind(AlgorithmKind::BaseTest, ShardSpec::Count(2), 5).unwrap();
         let a = dnc.schedule(&p);
         let counts = a.counts_per_vm(4);
         let big: usize = counts[..2].iter().sum();
@@ -347,8 +340,7 @@ mod tests {
     #[test]
     fn single_shard_degenerates_to_inner_scheduler() {
         let p = problem(8, 30);
-        let mut dnc =
-            DivideAndConquer::of_kind(AlgorithmKind::AntColony, ShardSpec::Count(1), 9).unwrap();
+        let mut dnc = of_kind(AlgorithmKind::AntColony, ShardSpec::Count(1), 9).unwrap();
         let a = dnc.schedule(&p);
         assert!(a.validate(&p).is_ok());
     }
@@ -356,17 +348,14 @@ mod tests {
     #[test]
     fn shard_count_clamps_to_fleet() {
         let p = problem(3, 12);
-        let mut dnc =
-            DivideAndConquer::of_kind(AlgorithmKind::BaseTest, ShardSpec::Count(64), 2).unwrap();
+        let mut dnc = of_kind(AlgorithmKind::BaseTest, ShardSpec::Count(64), 2).unwrap();
         let a = dnc.schedule(&p);
         assert!(a.validate(&p).is_ok());
     }
 
     #[test]
     fn zero_shards_is_a_validation_error() {
-        assert!(
-            DivideAndConquer::of_kind(AlgorithmKind::BaseTest, ShardSpec::Count(0), 1).is_err()
-        );
+        assert!(of_kind(AlgorithmKind::BaseTest, ShardSpec::Count(0), 1).is_err());
         assert!(ShardSpec::Count(0).validate().is_err());
         assert!(ShardSpec::ByDatacenter.validate().is_ok());
     }

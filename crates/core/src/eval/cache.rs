@@ -18,13 +18,13 @@ use crate::problem::SchedulingProblem;
 /// 2–2.6 × 10⁵ and 1.23–1.32 at 1.1 × 10⁶ (2 000 VMs × 555 cloudlets).
 /// Recomputing `d(c, v)` from the per-VM and per-cloudlet factors gives
 /// the same bits, so the cap only moves time.
-pub const DENSE_ETC_MAX_ENTRIES: usize = 1 << 17;
+const DENSE_ETC_MAX_ENTRIES: usize = 1 << 17;
 
 /// Largest `batch × vms` product for which [`EvalCache::eta_pow_block`]
 /// materializes the η^β block — 2²² entries, 32 MB of `f64` per colony.
 /// Colonies run in parallel, so this scratch is per-thread; above the cap
 /// ACO falls back to computing η^β per candidate (identical values).
-pub const ETA_POW_MAX_ENTRIES: usize = 1 << 22;
+const ETA_POW_MAX_ENTRIES: usize = 1 << 22;
 
 /// The one table rule (DESIGN.md "Evaluation kernel"): a `rows × cols`
 /// table pays for its fill only when the reads expected of it exceed its
@@ -219,7 +219,7 @@ impl EvalCache {
     /// the evaluation-unit ledger every anytime family keeps (one unit
     /// scores one plan: `cloudlet_count` Eq. 6 reads), and materializes
     /// the dense ETC matrix if the table rule says those reads pay for it
-    /// ([`DENSE_ETC_MAX_ENTRIES`] is its cap). Changes no value
+    /// (`DENSE_ETC_MAX_ENTRIES` is its cap). Changes no value
     /// [`Self::exec_ms`] returns.
     pub fn expect_evaluations(&self, units: u64) {
         let (rows, cols) = (self.cloudlet_count(), self.vm_count());
@@ -327,7 +327,7 @@ impl EvalCache {
     /// precomputed block is bit-identical to the inline expression.
     ///
     /// Returns `None` unless the table rule says the `expected_lookups`
-    /// pay for the block ([`ETA_POW_MAX_ENTRIES`] is its cap); callers
+    /// pay for the block (`ETA_POW_MAX_ENTRIES` is its cap); callers
     /// then fall back to the inline per-candidate expression.
     pub fn eta_pow_block(
         &self,

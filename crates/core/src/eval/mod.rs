@@ -32,7 +32,7 @@ mod cache;
 mod population;
 mod tracker;
 
-pub use cache::{CandidateBlock, EvalCache, DENSE_ETC_MAX_ENTRIES, ETA_POW_MAX_ENTRIES};
+pub use cache::{CandidateBlock, EvalCache};
 pub use population::{
     evaluate_population, par_map, par_map_if, par_map_mut_if, Genome, MIN_PAR_ITEMS,
 };

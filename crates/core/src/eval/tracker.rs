@@ -146,11 +146,6 @@ impl LoadTracker {
         &self.load
     }
 
-    /// Number of currently assigned cloudlets.
-    pub fn assigned_count(&self) -> usize {
-        self.assigned
-    }
-
     /// Estimated makespan — the largest per-VM load (O(1)).
     pub fn makespan(&self) -> f64 {
         self.loads_ms
@@ -220,13 +215,6 @@ impl LoadTracker {
         ms_remove(&mut self.loads_ms, new_bits);
         ms_insert(&mut self.loads_ms, old_bits);
         score
-    }
-
-    /// Score change of binding unassigned cloudlet `c` to VM `v`:
-    /// `score_if(c, v) − score()`. Negative deltas are improvements.
-    pub fn delta(&mut self, cache: &EvalCache, c: usize, v: usize, objective: Objective) -> f64 {
-        let before = self.score(objective);
-        self.score_if(cache, c, v, objective) - before
     }
 }
 
@@ -331,7 +319,7 @@ mod tests {
                 "{objective:?} diverged"
             );
         }
-        assert_eq!(tracker.assigned_count(), p.cloudlet_count());
+        assert_eq!(tracker.assigned, p.cloudlet_count());
     }
 
     #[test]
@@ -375,7 +363,6 @@ mod tests {
             for objective in Objective::ALL {
                 let speculative = tracker.score_if(&cache, 0, v, objective);
                 assert!(speculative.is_finite());
-                let _ = tracker.delta(&cache, 0, v, objective);
             }
         }
         let loads_after: Vec<u64> = tracker.loads().iter().map(|l| l.to_bits()).collect();

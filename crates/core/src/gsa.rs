@@ -80,22 +80,6 @@ impl GsaParams {
         }
     }
 
-    /// Iteration-count scaling law: the standard profile up to
-    /// [`crate::aco::AcoParams::SCALE_CUTOVER`] cloudlets, a reduced
-    /// profile above it (the force loop is O(population² · cloudlets)
-    /// per iteration, so both knobs must shrink at 10⁶ scale).
-    pub fn for_scale(cloudlets: usize) -> Self {
-        if cloudlets > crate::aco::AcoParams::SCALE_CUTOVER {
-            GsaParams {
-                population: 8,
-                iterations: 6,
-                ..Self::standard()
-            }
-        } else {
-            Self::standard()
-        }
-    }
-
     /// Validates parameter sanity.
     pub fn validate(&self) -> Result<(), String> {
         if self.population < 2 {
@@ -462,15 +446,6 @@ mod tests {
         .validate()
         .is_err());
         assert!(GsaParams::standard().validate().is_ok());
-    }
-
-    #[test]
-    fn for_scale_reduces_effort_above_cutover() {
-        assert_eq!(GsaParams::for_scale(10_000), GsaParams::standard());
-        let big = GsaParams::for_scale(1_000_000);
-        assert!(big.population < GsaParams::standard().population);
-        assert!(big.iterations < GsaParams::standard().iterations);
-        assert!(big.validate().is_ok());
     }
 
     #[test]

@@ -18,26 +18,8 @@
 //! lowest cost (equivalently, the highest fitness = 1/cost).
 
 use simcloud::characteristics::CostModel;
-use simcloud::cloudlet::CloudletSpec;
-use simcloud::cost::{resource_rate, LENGTH_NORM_MI};
+use simcloud::cost::resource_rate;
 use simcloud::vm::VmSpec;
-
-/// Eq. 1 — the cost of running cloudlet `cl` on VM `vm` in a datacenter
-/// priced by `cost`. Length is normalized like the simulator's cost model
-/// so HBO optimizes exactly the metric Fig. 6d reports.
-pub fn dc_cost(cost: &CostModel, vm: &VmSpec, cl: &CloudletSpec) -> f64 {
-    resource_rate(cost, vm) * (cl.length_mi / LENGTH_NORM_MI)
-}
-
-/// Fitness = inverse cost; higher is better. Infinite for free DCs.
-pub fn fitness(cost: &CostModel, vm: &VmSpec, cl: &CloudletSpec) -> f64 {
-    let c = dc_cost(cost, vm, cl);
-    if c <= 0.0 {
-        f64::INFINITY
-    } else {
-        1.0 / c
-    }
-}
 
 /// The cheapest Eq. 1 rate a datacenter can offer across a set of VM
 /// specs (used to rank datacenters once per scheduling round, since the
@@ -50,34 +32,6 @@ pub fn best_rate_in_dc<'a>(cost: &CostModel, vms: impl Iterator<Item = &'a VmSpe
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn eq1_composition() {
-        let cost = CostModel::new(0.05, 0.004, 0.05, 3.0);
-        let vm = VmSpec::new(1_000.0, 5_000.0, 512.0, 500.0, 1);
-        let cl = CloudletSpec::new(2_000.0, 300.0, 300.0, 1);
-        // rate = 0.004*5000 + 0.05*512 + 0.05*500 = 70.6; × (2000/1000) = 141.2
-        assert!((dc_cost(&cost, &vm, &cl) - 141.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fitness_is_inverse_cost() {
-        let cost = CostModel::new(0.01, 0.001, 0.01, 3.0);
-        let vm = VmSpec::default();
-        let cl = CloudletSpec::default();
-        let f = fitness(&cost, &vm, &cl);
-        assert!((f * dc_cost(&cost, &vm, &cl) - 1.0).abs() < 1e-12);
-        assert_eq!(fitness(&CostModel::free(), &vm, &cl), f64::INFINITY);
-    }
-
-    #[test]
-    fn cheaper_dc_has_higher_fitness() {
-        let cheap = CostModel::new(0.01, 0.001, 0.01, 3.0);
-        let dear = CostModel::new(0.05, 0.004, 0.05, 3.0);
-        let vm = VmSpec::default();
-        let cl = CloudletSpec::default();
-        assert!(fitness(&cheap, &vm, &cl) > fitness(&dear, &vm, &cl));
-    }
 
     #[test]
     fn best_rate_scans_vm_specs() {

@@ -43,7 +43,7 @@
 //! ```
 mod fitness;
 
-pub use fitness::{best_rate_in_dc, dc_cost, fitness};
+pub use fitness::best_rate_in_dc;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -111,11 +111,6 @@ impl HoneyBee {
             params,
             rng: stream(seed, "hbo"),
         }
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &HboParams {
-        &self.params
     }
 
     fn run(&mut self, problem: &SchedulingProblem, cache: &EvalCache) -> Assignment {

@@ -84,7 +84,7 @@ pub mod prelude {
     pub use crate::portfolio::Portfolio;
     pub use crate::problem::{DatacenterView, SchedulingProblem};
     pub use crate::pso::{ParticleSwarm, PsoParams};
-    pub use crate::racing::{RaceBook, RaceParams, RacingScheduler};
+    pub use crate::racing::{RaceParams, RacingScheduler};
     pub use crate::rbs::{RandomBiasedSampling, RbsParams};
     pub use crate::round_robin::RoundRobin;
     pub use crate::scheduler::{AlgorithmKind, Scheduler};

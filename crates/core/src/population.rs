@@ -112,11 +112,6 @@ impl<R: PopulationRun> Stepped<R> {
         }
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &R::Params {
-        &self.params
-    }
-
     /// Like [`Scheduler::schedule`], but also returns the best objective
     /// score after every iteration: the family's convergence curve.
     pub fn schedule_traced(&mut self, problem: &SchedulingProblem) -> (Assignment, Vec<f64>) {

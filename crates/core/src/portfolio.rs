@@ -25,7 +25,7 @@
 //! let mut portfolio = Portfolio::paper_set(Objective::Makespan, 42);
 //! let plan = portfolio.schedule(&problem);
 //! assert!(plan.validate(&problem).is_ok());
-//! assert!(portfolio.last_winner_name().is_some());
+//! assert!(portfolio.last_meta().is_some());
 //! ```
 use crate::assignment::Assignment;
 use crate::eval::EvalCache;
@@ -65,11 +65,6 @@ impl Portfolio {
             objective,
         )
         .expect("the paper set is non-empty")
-    }
-
-    /// Name of the candidate that produced the last returned assignment.
-    pub fn last_winner_name(&self) -> Option<&'static str> {
-        self.last_winner.map(|i| self.candidates[i].name())
     }
 
     /// The objective candidates compete on.
@@ -181,10 +176,10 @@ mod tests {
     fn reports_the_winner() {
         let p = problem();
         let mut portfolio = fast_portfolio(Objective::Makespan);
-        assert!(portfolio.last_winner_name().is_none());
+        assert!(portfolio.last_meta().is_none());
         let _ = portfolio.schedule(&p);
-        let winner = portfolio.last_winner_name().expect("a round was run");
-        assert!(["base-test", "ant-colony", "honey-bee"].contains(&winner));
+        let winner = portfolio.last_meta().expect("a round was run").winner;
+        assert!(["base-test", "ant-colony", "honey-bee"].contains(&winner.as_str()));
     }
 
     #[test]
@@ -194,7 +189,8 @@ mod tests {
         let p = problem();
         let mut portfolio = fast_portfolio(Objective::Makespan);
         let _ = portfolio.schedule(&p);
-        assert_ne!(portfolio.last_winner_name(), Some("base-test"));
+        let winner = portfolio.last_meta().expect("a round was run").winner;
+        assert_ne!(winner, "base-test");
         assert_eq!(portfolio.objective(), Objective::Makespan);
     }
 

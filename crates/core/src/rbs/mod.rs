@@ -102,11 +102,6 @@ impl RandomBiasedSampling {
         }
     }
 
-    /// The parameters in use.
-    pub fn params(&self) -> &RbsParams {
-        &self.params
-    }
-
     fn build_groups(&self, vm_count: usize) -> Vec<Group> {
         let size = self.params.group_size.min(vm_count).max(1);
         let mut groups = Vec::with_capacity(vm_count.div_ceil(size));

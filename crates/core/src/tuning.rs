@@ -29,7 +29,7 @@
 
 use crate::aco::{AcoParams, AntColony};
 use crate::cuckoo_sos::{CsosParams, CuckooSos};
-use crate::dnc::{DivideAndConquer, ShardSpec};
+use crate::dnc::{DivideAndConquer, ShardSchedulerBuilder, ShardSpec};
 use crate::gsa::{Gsa, GsaParams};
 use crate::racing::{RaceParams, RacingScheduler};
 use crate::scheduler::{AlgorithmKind, Scheduler};
@@ -136,7 +136,7 @@ impl SchedTuning {
     }
 
     /// Applies the ACO overrides on top of `base` and validates the result.
-    pub fn apply_aco(&self, base: AcoParams) -> Result<AcoParams, String> {
+    fn apply_aco(&self, base: AcoParams) -> Result<AcoParams, String> {
         let mut p = base;
         if let Some(c) = self.candidates {
             p.candidates = c;
@@ -184,7 +184,7 @@ impl SchedTuning {
         if self.touches_racing() && !matches!(kind, AlgorithmKind::Racing(_)) {
             return Err(format!("budget/quantum only apply to Racing, not {kind}"));
         }
-        let inner: ShardBuilder = match kind {
+        let inner: ShardSchedulerBuilder = match kind {
             AlgorithmKind::AntColony => {
                 let params = self.apply_aco(AcoParams::paper())?;
                 Box::new(move |s| Box::new(AntColony::new(params.clone(), s)))
@@ -229,8 +229,6 @@ impl SchedTuning {
         }
     }
 }
-
-type ShardBuilder = Box<dyn Fn(u64) -> Box<dyn Scheduler> + Send + Sync>;
 
 #[cfg(test)]
 mod tests {

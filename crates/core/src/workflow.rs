@@ -38,11 +38,11 @@ use crate::problem::SchedulingProblem;
 /// task's mean expected execution time across the fleet. Higher rank =
 /// closer to the critical path's head.
 pub fn upward_ranks(problem: &SchedulingProblem, parents: &[Vec<CloudletId>]) -> Vec<f64> {
-    upward_ranks_with(&EvalCache::new(problem), parents)
+    ranks(&EvalCache::new(problem), parents)
 }
 
-/// [`upward_ranks`] over a prebuilt cache (shared-artifact pipelines).
-pub fn upward_ranks_with(cache: &EvalCache, parents: &[Vec<CloudletId>]) -> Vec<f64> {
+/// [`upward_ranks`] over a built cache.
+fn ranks(cache: &EvalCache, parents: &[Vec<CloudletId>]) -> Vec<f64> {
     let n = cache.cloudlet_count();
     assert_eq!(parents.len(), n, "parents must cover every cloudlet");
     let v = cache.vm_count();
@@ -88,14 +88,22 @@ pub fn upward_ranks_with(cache: &EvalCache, parents: &[Vec<CloudletId>]) -> Vec<
 /// the simulator's space-shared queue), so `EFT(c, v) = max(ready[v],
 /// latest parent finish) + d(c, v)`.
 pub fn heft(problem: &SchedulingProblem, parents: &[Vec<CloudletId>]) -> Assignment {
-    heft_with(&EvalCache::new(problem), parents)
+    list_schedule(&EvalCache::new(problem), parents).0
 }
 
-/// [`heft`] over a prebuilt cache (shared-artifact pipelines).
-pub fn heft_with(cache: &EvalCache, parents: &[Vec<CloudletId>]) -> Assignment {
+/// HEFT's own makespan estimate for a plan it produced — the largest
+/// predicted finish time. Useful for quick comparisons without running
+/// the simulator.
+pub fn heft_estimate_ms(problem: &SchedulingProblem, parents: &[Vec<CloudletId>]) -> f64 {
+    list_schedule(&EvalCache::new(problem), parents).1
+}
+
+/// HEFT's list schedule over a built cache: the plan and its largest
+/// predicted finish time.
+fn list_schedule(cache: &EvalCache, parents: &[Vec<CloudletId>]) -> (Assignment, f64) {
     let n = cache.cloudlet_count();
     let v = cache.vm_count();
-    let ranks = upward_ranks_with(cache, parents);
+    let ranks = ranks(cache, parents);
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|a, b| ranks[*b].total_cmp(&ranks[*a]));
 
@@ -120,43 +128,8 @@ pub fn heft_with(cache: &EvalCache, parents: &[Vec<CloudletId>]) -> Assignment {
         vm_ready[vm] = eft;
         map[c] = VmId::from_index(vm);
     }
-    Assignment::new(map)
-}
-
-/// HEFT's own makespan estimate for a plan it produced — the largest
-/// predicted finish time. Useful for quick comparisons without running
-/// the simulator.
-pub fn heft_estimate_ms(problem: &SchedulingProblem, parents: &[Vec<CloudletId>]) -> f64 {
-    heft_estimate_ms_with(&EvalCache::new(problem), parents)
-}
-
-/// [`heft_estimate_ms`] over a prebuilt cache (shared-artifact pipelines).
-pub fn heft_estimate_ms_with(cache: &EvalCache, parents: &[Vec<CloudletId>]) -> f64 {
-    let n = cache.cloudlet_count();
-    let ranks = upward_ranks_with(cache, parents);
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|a, b| ranks[*b].total_cmp(&ranks[*a]));
-    let v = cache.vm_count();
-    let mut vm_ready = vec![0.0f64; v];
-    let mut finish = vec![0.0f64; n];
-    for c in order {
-        let parents_done = parents[c]
-            .iter()
-            .map(|p| finish[p.index()])
-            .fold(0.0f64, f64::max);
-        let mut best = f64::INFINITY;
-        let mut best_vm = 0usize;
-        for (vm, ready) in vm_ready.iter().enumerate() {
-            let eft = ready.max(parents_done) + cache.exec_ms(c, vm);
-            if eft < best {
-                best = eft;
-                best_vm = vm;
-            }
-        }
-        finish[c] = best;
-        vm_ready[best_vm] = best;
-    }
-    finish.into_iter().fold(0.0, f64::max)
+    let makespan = finish.into_iter().fold(0.0, f64::max);
+    (Assignment::new(map), makespan)
 }
 
 #[cfg(test)]

@@ -1,9 +1,8 @@
-//! Distribution views: percentiles, histograms, inequality.
+//! Distribution views: percentiles.
 //!
-//! The paper reports only extremes-over-mean (Eq. 13); these utilities
-//! expose the full shape of execution-time and load distributions —
-//! tail latency (p95/p99), histograms for terminal display, and the Gini
-//! coefficient as a sharper load-inequality measure than Eq. 13.
+//! The paper reports only extremes-over-mean (Eq. 13); percentiles
+//! expose the tail of execution-time and turnaround distributions
+//! (p95/p99).
 
 /// Percentile of a sample using nearest-rank on a sorted copy.
 ///
@@ -20,83 +19,6 @@ pub fn percentile(values: &[f64], q: f64) -> Option<f64> {
     sorted.sort_by(f64::total_cmp);
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     Some(sorted[rank - 1])
-}
-
-/// Gini coefficient of a non-negative sample: 0 = perfectly equal,
-/// →1 = all mass on one element. `None` for empty or all-zero samples.
-pub fn gini(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        return None;
-    }
-    debug_assert!(values.iter().all(|v| *v >= 0.0), "gini needs non-negatives");
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let n = sorted.len() as f64;
-    let total: f64 = sorted.iter().sum();
-    if total == 0.0 {
-        return None;
-    }
-    let weighted: f64 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (i as f64 + 1.0) * v)
-        .sum();
-    Some((2.0 * weighted) / (n * total) - (n + 1.0) / n)
-}
-
-/// A fixed-width histogram over a sample.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    /// Inclusive lower edge of the first bin.
-    pub min: f64,
-    /// Exclusive upper edge of the last bin (max value lands in it).
-    pub max: f64,
-    /// Counts per bin.
-    pub bins: Vec<usize>,
-}
-
-impl Histogram {
-    /// Builds a histogram with `bin_count` equal-width bins spanning the
-    /// sample's range. `None` on an empty sample.
-    pub fn of(values: &[f64], bin_count: usize) -> Option<Self> {
-        assert!(bin_count > 0, "need at least one bin");
-        if values.is_empty() {
-            return None;
-        }
-        let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let mut bins = vec![0usize; bin_count];
-        let width = (max - min) / bin_count as f64;
-        for v in values {
-            let idx = if width == 0.0 {
-                0
-            } else {
-                (((v - min) / width) as usize).min(bin_count - 1)
-            };
-            bins[idx] += 1;
-        }
-        Some(Histogram { min, max, bins })
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> usize {
-        self.bins.iter().sum()
-    }
-
-    /// Renders the histogram as horizontal ASCII bars.
-    pub fn render_ascii(&self, width: usize) -> String {
-        let width = width.max(8);
-        let peak = self.bins.iter().copied().max().unwrap_or(0).max(1);
-        let bin_width = (self.max - self.min) / self.bins.len() as f64;
-        let mut out = String::new();
-        for (i, count) in self.bins.iter().enumerate() {
-            let lo = self.min + bin_width * i as f64;
-            let hi = lo + bin_width;
-            let bar = "█".repeat(count * width / peak);
-            out.push_str(&format!("{lo:>12.1}–{hi:<12.1} │{bar} {count}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -117,48 +39,5 @@ mod tests {
     #[should_panic(expected = "quantile")]
     fn percentile_rejects_bad_q() {
         let _ = percentile(&[1.0], 1.5);
-    }
-
-    #[test]
-    fn gini_extremes() {
-        // Perfect equality.
-        assert!(gini(&[5.0, 5.0, 5.0, 5.0]).unwrap() < 1e-12);
-        // Total inequality approaches (n-1)/n.
-        let g = gini(&[0.0, 0.0, 0.0, 100.0]).unwrap();
-        assert!((g - 0.75).abs() < 1e-12);
-        // Monotone in skew.
-        let mild = gini(&[4.0, 5.0, 6.0]).unwrap();
-        let harsh = gini(&[1.0, 5.0, 9.0]).unwrap();
-        assert!(harsh > mild);
-        assert_eq!(gini(&[]), None);
-        assert_eq!(gini(&[0.0, 0.0]), None);
-    }
-
-    #[test]
-    fn histogram_bins_cover_range() {
-        let v = vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 9.9, 10.0];
-        let h = Histogram::of(&v, 5).unwrap();
-        assert_eq!(h.count(), 8);
-        assert_eq!(h.bins.len(), 5);
-        // The max value lands in the last bin, not out of range.
-        assert!(h.bins[4] >= 1);
-        assert_eq!(h.min, 0.0);
-        assert_eq!(h.max, 10.0);
-    }
-
-    #[test]
-    fn histogram_degenerate_single_value() {
-        let h = Histogram::of(&[3.0, 3.0, 3.0], 4).unwrap();
-        assert_eq!(h.bins[0], 3);
-        assert_eq!(h.count(), 3);
-        assert!(Histogram::of(&[], 4).is_none());
-    }
-
-    #[test]
-    fn ascii_render_shows_counts() {
-        let h = Histogram::of(&[1.0, 1.0, 2.0, 9.0], 2).unwrap();
-        let art = h.render_ascii(20);
-        assert!(art.contains('█'));
-        assert!(art.contains(" 3\n"), "first bin holds three values: {art}");
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Utilities shared by the benchmark harness and examples:
 //!
-//! * [`summary`] — descriptive statistics (mean/σ/CI) over repetitions.
 //! * [`series`] — figure data ([`series::FigureSeries`]) with CSV export
 //!   and an ASCII line-chart renderer.
 //! * [`report`] — aligned terminal tables and CSV files.
+//! * [`distribution`] — nearest-rank percentiles.
 //!
 //! The paper's metric *definitions* (Eq. 12 simulation time, Eq. 13 time
 //! imbalance, processing cost) live on
@@ -16,16 +16,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod distribution;
-pub mod markdown;
 pub mod report;
 pub mod series;
-pub mod summary;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::distribution::{gini, percentile, Histogram};
-    pub use crate::markdown::{figure_to_markdown, table_to_markdown};
+    pub use crate::distribution::percentile;
     pub use crate::report::{fmt_value, Table};
     pub use crate::series::{csv_escape, FigureSeries};
-    pub use crate::summary::Summary;
 }

@@ -600,29 +600,9 @@ impl Entity for Broker {
     }
 }
 
-/// Delay before execution for a cloudlet: broker→DC latency + input staging.
-///
-/// Exposed for analytical tests that want to predict event times.
-pub fn submission_delay(
-    topology: &Topology,
-    dc: DatacenterId,
-    file_size_mb: f64,
-    vm_bw: f64,
-) -> SimTime {
-    topology.latency_to(dc) + transfer_time(file_size_mb, vm_bw)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn submission_delay_combines_latency_and_staging() {
-        let topo = Topology::with_latencies(vec![10.0]);
-        let d = submission_delay(&topo, DatacenterId(0), 300.0, 500.0);
-        // 10ms latency + 4.8s staging.
-        assert!((d.as_millis() - 4_810.0).abs() < 1e-9);
-    }
 
     #[test]
     #[should_panic(expected = "unknown datacenter")]

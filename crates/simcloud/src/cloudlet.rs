@@ -154,7 +154,7 @@ impl Cloudlet {
     }
 
     /// Total turnaround: finish − submit.
-    pub fn turnaround_time(&self) -> Option<SimTime> {
+    fn turnaround_time(&self) -> Option<SimTime> {
         match (self.submit_time, self.finish_time) {
             (Some(s), Some(f)) => Some(f.saturating_sub(s)),
             _ => None,

@@ -146,7 +146,7 @@ impl SpaceShared {
     }
 
     /// Enables backfilling.
-    pub fn with_backfill(mut self) -> Self {
+    fn with_backfill(mut self) -> Self {
         self.backfill = true;
         self
     }

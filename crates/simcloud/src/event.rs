@@ -333,9 +333,9 @@ impl EventQueue {
 
     /// Time of the earliest *deliverable* event.
     ///
-    /// Unlike [`EventQueue::peek_time`], the returned time is exactly what
-    /// a subsequent [`EventQueue::pop`] would deliver: stale coalesced
-    /// `VmTick`s at the head are dropped in place rather than reported.
+    /// The returned time is exactly what a subsequent [`EventQueue::pop`]
+    /// would deliver: stale coalesced `VmTick`s at the head are dropped in
+    /// place rather than reported.
     /// (A stale head cannot simply be peeked around — pop would skip it
     /// and return a later event, so a plain peek could understate the next
     /// delivery time.) The epoch drivers ([`crate::sharded`]) use this to
@@ -437,26 +437,6 @@ impl EventQueue {
         true
     }
 
-    /// Time of the earliest pending event (including not-yet-dropped stale
-    /// ticks — this is a diagnostic view of the raw queue).
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(Reverse(ev)) = self.early.peek() {
-            return Some(ev.time);
-        }
-        if let Some(ev) = self.buckets[0].get(self.cursor) {
-            return Some(ev.time);
-        }
-        self.buckets[1..]
-            .iter()
-            .find(|b| !b.is_empty())
-            .and_then(|b| b.iter().map(|ev| ev.time).min())
-    }
-
-    /// Number of pending events (including not-yet-dropped stale ticks).
-    pub fn len(&self) -> usize {
-        self.pending
-    }
-
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.pending == 0
@@ -522,19 +502,19 @@ mod tests {
         assert!(q.is_empty());
         ev(&mut q, 1.0);
         ev(&mut q, 2.0);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::new(1.0)));
+        assert_eq!(q.pending, 2);
+        assert_eq!(q.peek_deliverable_time(), Some(SimTime::new(1.0)));
         q.pop();
         assert_eq!(q.total_pushed(), 2);
         assert_eq!(q.total_popped(), 1);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pending, 1);
     }
 
     #[test]
     fn empty_pop_is_none() {
         let mut q = EventQueue::new();
         assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
+        assert!(q.peek_deliverable_time().is_none());
         assert_eq!(q.total_popped(), 0);
     }
 
@@ -596,7 +576,7 @@ mod tests {
         // one, and must not enqueue a duplicate at all.
         tick(&mut q, 0.0, 0, 8.0);
         tick(&mut q, 0.0, 0, 5.0);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pending, 1);
         assert_eq!(q.pop().unwrap().time, SimTime::new(5.0));
         assert!(q.pop().is_none());
     }
@@ -806,7 +786,7 @@ mod tests {
                         }
                     }
                 }
-                prop_assert_eq!(q.len(), oracle.pending.len());
+                prop_assert_eq!(q.pending, oracle.pending.len());
                 prop_assert_eq!(q.total_pushed(), oracle.pushed);
                 prop_assert_eq!(q.total_popped(), oracle.popped);
                 prop_assert_eq!(q.total_coalesced(), oracle.coalesced);

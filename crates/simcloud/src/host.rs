@@ -5,7 +5,7 @@
 //! `Host.isSuitableForVm` + `vmCreate` contract.
 
 use crate::ids::{HostId, VmId};
-use crate::pe::{pool_stats, Pe, PePoolStats};
+use crate::pe::Pe;
 use crate::provisioner::Provisioner;
 use crate::vm::VmSpec;
 
@@ -95,34 +95,14 @@ impl Host {
         &self.spec
     }
 
-    /// PE pool statistics.
-    pub fn pe_stats(&self) -> PePoolStats {
-        pool_stats(&self.pes)
-    }
-
     /// Number of free PEs.
-    pub fn free_pes(&self) -> usize {
+    fn free_pes(&self) -> usize {
         self.pes.iter().filter(|p| p.is_free()).count()
     }
 
     /// Number of VMs currently placed here.
     pub fn vm_count(&self) -> usize {
         self.vms.len()
-    }
-
-    /// Free RAM in MB.
-    pub fn available_ram(&self) -> f64 {
-        self.ram.available()
-    }
-
-    /// Free bandwidth in Mbps.
-    pub fn available_bw(&self) -> f64 {
-        self.bw.available()
-    }
-
-    /// Free storage in MB.
-    pub fn available_storage(&self) -> f64 {
-        self.storage.available()
     }
 
     /// True if `vm` fits in every resource dimension right now.
@@ -163,31 +143,6 @@ impl Host {
         debug_assert_eq!(granted, vm.pes, "is_suitable_for guaranteed free PEs");
         self.vms.push((vm_id, granted));
         true
-    }
-
-    /// Releases everything `vm_id` holds on this host.
-    pub fn release_vm(&mut self, vm_id: VmId) {
-        self.ram.release(vm_id);
-        self.bw.release(vm_id);
-        self.storage.release(vm_id);
-        if let Some(pos) = self.vms.iter().position(|(v, _)| *v == vm_id) {
-            let (_, pes_held) = self.vms.swap_remove(pos);
-            let mut to_free = pes_held;
-            for pe in self.pes.iter_mut() {
-                if to_free == 0 {
-                    break;
-                }
-                if !pe.is_free() {
-                    pe.release();
-                    to_free -= 1;
-                }
-            }
-        }
-    }
-
-    /// Ids of VMs placed on this host.
-    pub fn vm_ids(&self) -> impl Iterator<Item = VmId> + '_ {
-        self.vms.iter().map(|(v, _)| *v)
     }
 
     /// Takes the host offline: all PEs fail, all VM placements are wiped,
@@ -242,7 +197,7 @@ mod tests {
         assert!(h.allocate_vm(VmId(0), &vm));
         assert_eq!(h.vm_count(), 1);
         assert_eq!(h.free_pes(), 3);
-        assert_eq!(h.available_ram(), 1_536.0);
+        assert_eq!(h.ram.available(), 1_536.0);
     }
 
     #[test]
@@ -259,32 +214,6 @@ mod tests {
         assert!(h.allocate_vm(VmId(0), &vm));
         assert!(h.allocate_vm(VmId(1), &vm));
         assert!(!h.allocate_vm(VmId(2), &vm), "storage is now full");
-    }
-
-    #[test]
-    fn release_restores_capacity() {
-        let mut h = host();
-        let vm = VmSpec::new(1_000.0, 5_000.0, 512.0, 500.0, 2);
-        assert!(h.allocate_vm(VmId(0), &vm));
-        assert_eq!(h.free_pes(), 2);
-        h.release_vm(VmId(0));
-        assert_eq!(h.free_pes(), 4);
-        assert_eq!(h.vm_count(), 0);
-        assert_eq!(h.available_ram(), 2_048.0);
-        assert_eq!(h.available_storage(), 20_000.0);
-        // Can place again.
-        assert!(h.allocate_vm(VmId(1), &vm));
-    }
-
-    #[test]
-    fn pe_stats_reflect_allocations() {
-        let mut h = host();
-        let vm = VmSpec::new(1_000.0, 100.0, 100.0, 100.0, 3);
-        assert!(h.allocate_vm(VmId(0), &vm));
-        let s = h.pe_stats();
-        assert_eq!(s.busy, 3);
-        assert_eq!(s.free, 1);
-        assert_eq!(s.usable_mips, 4_000.0);
     }
 
     #[test]
@@ -311,7 +240,7 @@ mod tests {
         h.repair();
         assert!(!h.is_failed());
         assert_eq!(h.free_pes(), 4, "repair frees every PE");
-        assert_eq!(h.available_ram(), 2_048.0, "fail released all provisions");
+        assert_eq!(h.ram.available(), 2_048.0, "fail released all provisions");
         assert!(h.allocate_vm(VmId(1), &vm), "repaired host admits again");
     }
 
@@ -324,6 +253,6 @@ mod tests {
             assert!(h.allocate_vm(VmId(i), &vm), "vm {i} must fit");
         }
         assert!(!h.allocate_vm(VmId(3), &vm));
-        assert_eq!(h.vm_ids().count(), 3);
+        assert_eq!(h.vm_count(), 3);
     }
 }

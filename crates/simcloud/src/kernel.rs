@@ -179,12 +179,12 @@ impl Kernel {
 
     /// Reserves the entity id the next registered entity will receive.
     /// Entities usually need their own id at construction time.
-    pub fn next_entity_id(&self) -> EntityId {
+    fn next_entity_id(&self) -> EntityId {
         EntityId::from_index(self.entities.len())
     }
 
-    /// Registers an entity; its [`Entity::id`] must equal the id returned
-    /// by [`Kernel::next_entity_id`] before the call.
+    /// Registers an entity; its [`Entity::id`] must equal the number of
+    /// entities registered before it.
     pub fn register(&mut self, entity: Box<dyn Entity>) -> EntityId {
         let id = entity.id();
         assert_eq!(
@@ -194,16 +194,6 @@ impl Kernel {
         );
         self.entities.push(Some(entity));
         id
-    }
-
-    /// Current simulated time.
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    /// Pending event count (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Delivers `Start` to every entity at t=0 and runs to completion.
@@ -307,7 +297,7 @@ mod tests {
         // 2 Start events + 1 forwarded on B's start (B forwards only while
         // it has hops; A has no peer so forwards nothing).
         assert_eq!(stats.events_processed, 3);
-        assert_eq!(kernel.clock(), SimTime::new(1.0));
+        assert_eq!(stats.end_time, SimTime::new(1.0));
     }
 
     #[test]

@@ -73,7 +73,5 @@ pub mod prelude {
     };
     pub use crate::time::SimTime;
     pub use crate::vm::{Vm, VmSpec, VmStatus};
-    pub use crate::vm_alloc::{
-        BestFit, Consolidate, FirstFit, LeastLoaded, RoundRobinHosts, VmAllocationPolicy,
-    };
+    pub use crate::vm_alloc::{FirstFit, VmAllocationPolicy};
 }

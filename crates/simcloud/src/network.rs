@@ -56,16 +56,6 @@ impl Topology {
         let ms = self.latencies_ms.get(dc.index()).copied().unwrap_or(0.0);
         SimTime::new(ms)
     }
-
-    /// Number of datacenters this topology knows about.
-    pub fn len(&self) -> usize {
-        self.latencies_ms.len()
-    }
-
-    /// True if the topology covers no datacenters.
-    pub fn is_empty(&self) -> bool {
-        self.latencies_ms.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -93,8 +83,6 @@ mod tests {
     #[test]
     fn flat_topology_is_zero_latency() {
         let t = Topology::flat(3);
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
         assert_eq!(t.latency_to(DatacenterId(2)), SimTime::ZERO);
         // Out-of-range datacenters default to zero rather than panicking,
         // matching CloudSim's forgiving default topology.

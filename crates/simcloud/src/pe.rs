@@ -65,13 +65,6 @@ impl Pe {
         }
     }
 
-    /// Releases a busy PE back to the free pool.
-    pub fn release(&mut self) {
-        if self.status == PeStatus::Busy {
-            self.status = PeStatus::Free;
-        }
-    }
-
     /// Fails the PE (it can no longer be allocated until repaired).
     pub fn fail(&mut self) {
         self.status = PeStatus::Failed;
@@ -85,56 +78,17 @@ impl Pe {
     }
 }
 
-/// Summary of the PE pool of a host.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PePoolStats {
-    /// Total PEs regardless of state.
-    pub total: usize,
-    /// PEs currently free.
-    pub free: usize,
-    /// PEs currently allocated.
-    pub busy: usize,
-    /// PEs offline.
-    pub failed: usize,
-    /// Aggregate MIPS across non-failed PEs.
-    pub usable_mips: f64,
-}
-
-/// Computes pool statistics over a PE slice.
-pub fn pool_stats(pes: &[Pe]) -> PePoolStats {
-    let mut stats = PePoolStats {
-        total: pes.len(),
-        free: 0,
-        busy: 0,
-        failed: 0,
-        usable_mips: 0.0,
-    };
-    for pe in pes {
-        match pe.status() {
-            PeStatus::Free => stats.free += 1,
-            PeStatus::Busy => stats.busy += 1,
-            PeStatus::Failed => stats.failed += 1,
-        }
-        if pe.status() != PeStatus::Failed {
-            stats.usable_mips += pe.mips();
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn allocate_release_cycle() {
+    fn allocation_is_exclusive() {
         let mut pe = Pe::new(1000.0);
         assert!(pe.is_free());
         assert!(pe.allocate());
         assert!(!pe.allocate(), "double allocation must fail");
         assert_eq!(pe.status(), PeStatus::Busy);
-        pe.release();
-        assert!(pe.is_free());
     }
 
     #[test]
@@ -142,7 +96,6 @@ mod tests {
         let mut pe = Pe::new(500.0);
         pe.fail();
         assert!(!pe.allocate());
-        pe.release(); // no-op on failed
         assert_eq!(pe.status(), PeStatus::Failed);
         pe.repair();
         assert!(pe.allocate());
@@ -152,18 +105,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_mips_rejected() {
         let _ = Pe::new(0.0);
-    }
-
-    #[test]
-    fn pool_stats_counts() {
-        let mut pes = vec![Pe::new(100.0), Pe::new(200.0), Pe::new(300.0)];
-        pes[0].allocate();
-        pes[2].fail();
-        let s = pool_stats(&pes);
-        assert_eq!(s.total, 3);
-        assert_eq!(s.free, 1);
-        assert_eq!(s.busy, 1);
-        assert_eq!(s.failed, 1);
-        assert_eq!(s.usable_mips, 300.0);
     }
 }

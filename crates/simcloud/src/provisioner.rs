@@ -33,31 +33,10 @@ impl Provisioner {
         }
     }
 
-    /// Total capacity.
-    #[inline]
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
-    /// Currently allocated amount.
-    #[inline]
-    pub fn allocated(&self) -> f64 {
-        self.allocated
-    }
-
     /// Remaining free amount.
     #[inline]
     pub fn available(&self) -> f64 {
         self.capacity - self.allocated
-    }
-
-    /// Utilization in `[0, 1]` (0 for zero-capacity provisioners).
-    pub fn utilization(&self) -> f64 {
-        if self.capacity == 0.0 {
-            0.0
-        } else {
-            self.allocated / self.capacity
-        }
     }
 
     /// Attempts to allocate `amount` for `vm`. A VM may hold at most one
@@ -92,16 +71,6 @@ impl Provisioner {
             0.0
         }
     }
-
-    /// Amount currently held by `vm`.
-    pub fn allocation_of(&self, vm: VmId) -> f64 {
-        self.per_vm.get(&vm).copied().unwrap_or(0.0)
-    }
-
-    /// Number of VMs holding allocations.
-    pub fn holder_count(&self) -> usize {
-        self.per_vm.len()
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +84,6 @@ mod tests {
         assert!(p.allocate(VmId(1), 512.0));
         assert_eq!(p.available(), 0.0);
         assert!(!p.allocate(VmId(2), 1.0));
-        assert_eq!(p.holder_count(), 2);
     }
 
     #[test]
@@ -133,28 +101,10 @@ mod tests {
         assert!(p.allocate(VmId(0), 400.0));
         // Shrink
         assert!(p.allocate(VmId(0), 100.0));
-        assert_eq!(p.allocated(), 100.0);
+        assert_eq!(p.available(), 900.0);
         // Grow beyond remaining-after-replacement must account for the
         // existing hold: 100 held + 900 free, so 1000 total fits.
         assert!(p.allocate(VmId(0), 1000.0));
         assert!(!p.allocate(VmId(1), 1.0));
-    }
-
-    #[test]
-    fn utilization_math() {
-        let mut p = Provisioner::new("ram", 200.0);
-        assert_eq!(p.utilization(), 0.0);
-        p.allocate(VmId(0), 50.0);
-        assert!((p.utilization() - 0.25).abs() < 1e-12);
-        let zero = Provisioner::new("ram", 0.0);
-        assert_eq!(zero.utilization(), 0.0);
-    }
-
-    #[test]
-    fn allocation_of_tracks_holders() {
-        let mut p = Provisioner::new("ram", 10.0);
-        assert_eq!(p.allocation_of(VmId(9)), 0.0);
-        p.allocate(VmId(9), 4.0);
-        assert_eq!(p.allocation_of(VmId(9)), 4.0);
     }
 }

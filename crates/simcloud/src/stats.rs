@@ -69,7 +69,7 @@ const WAIT_MIN_MS: f64 = 1e-3;
 /// below the floor reads as a zero wait, anything above clamps to the top
 /// bucket.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WaitHistogram {
+struct WaitHistogram {
     counts: [u64; WAIT_BUCKETS],
     total: u64,
 }
@@ -85,7 +85,7 @@ impl Default for WaitHistogram {
 
 impl WaitHistogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
@@ -107,25 +107,15 @@ impl WaitHistogram {
     }
 
     /// Records one wait observation.
-    pub fn record(&mut self, wait_ms: f64) {
+    fn record(&mut self, wait_ms: f64) {
         self.counts[Self::bucket_of(wait_ms)] += 1;
         self.total += 1;
-    }
-
-    /// Number of recorded observations.
-    pub fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
     }
 
     /// The `q`-quantile (0 < q ≤ 1) as the representative value of the
     /// bucket holding the ⌈q·n⌉-th smallest observation. `None` on an
     /// empty histogram.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    fn quantile(&self, q: f64) -> Option<f64> {
         if self.total == 0 {
             return None;
         }
@@ -177,7 +167,6 @@ pub struct AggregateMetrics {
     min_submit: Option<f64>,
     wait_hist: WaitHistogram,
     wait_sum: f64,
-    wait_max: f64,
     wait_n: usize,
     per_vm_busy_ms: Vec<f64>,
     per_vm_counts: Vec<usize>,
@@ -208,7 +197,6 @@ impl AggregateMetrics {
             min_submit: None,
             wait_hist: WaitHistogram::new(),
             wait_sum: 0.0,
-            wait_max: f64::NEG_INFINITY,
             wait_n: 0,
             per_vm_busy_ms: vec![0.0; vm_count],
             per_vm_counts: vec![0; vm_count],
@@ -263,7 +251,6 @@ impl AggregateMetrics {
             let w = st.saturating_sub(sub).as_millis();
             self.wait_hist.record(w);
             self.wait_sum += w;
-            self.wait_max = self.wait_max.max(w);
             self.wait_n += 1;
         }
         self.total_cost += r.cost;
@@ -384,12 +371,6 @@ impl SimulationOutcome {
         self.aggregate.total_cost
     }
 
-    /// Mean processing cost per finished cloudlet.
-    pub fn mean_cost(&self) -> Option<f64> {
-        let n = self.finished_count();
-        (n > 0).then(|| self.total_cost() / n as f64)
-    }
-
     /// Mean execution time over finished cloudlets that carry one, in ms.
     pub fn mean_execution_ms(&self) -> Option<f64> {
         let a = &self.aggregate;
@@ -465,15 +446,10 @@ impl SimulationOutcome {
         self.per_vm_usage(vm_count).counts
     }
 
-    /// The wait-time histogram (start − submit over finished cloudlets).
-    pub fn wait_histogram(&self) -> &WaitHistogram {
-        &self.aggregate.wait_hist
-    }
-
     /// The `q`-quantile of cloudlet wait time (start − submit) in ms,
     /// estimated from the shared log-bucket histogram (≈9% relative
     /// resolution). `None` when no finished cloudlet carries both stamps.
-    pub fn wait_quantile_ms(&self, q: f64) -> Option<f64> {
+    fn wait_quantile_ms(&self, q: f64) -> Option<f64> {
         self.aggregate.wait_hist.quantile(q)
     }
 
@@ -494,15 +470,9 @@ impl SimulationOutcome {
         (a.wait_n > 0).then(|| a.wait_sum / a.wait_n as f64)
     }
 
-    /// Maximum queueing wait in ms over finished cloudlets, exact.
-    pub fn max_wait_ms(&self) -> Option<f64> {
-        let a = &self.aggregate;
-        (a.wait_n > 0).then_some(a.wait_max)
-    }
-
     /// Earliest submission time over finished cloudlets, in ms. Opens the
     /// throughput window (arrival-anchored, unlike Eq. 12's `min_start`).
-    pub fn min_submit_ms(&self) -> Option<f64> {
+    fn min_submit_ms(&self) -> Option<f64> {
         self.aggregate.min_submit
     }
 
@@ -576,7 +546,6 @@ mod tests {
     fn cost_rollups() {
         let o = outcome(vec![rec(0, 0.0, 1.0, 3.0), rec(1, 0.0, 1.0, 5.0)]);
         assert_eq!(o.total_cost(), 8.0);
-        assert_eq!(o.mean_cost(), Some(4.0));
     }
 
     #[test]
@@ -595,7 +564,6 @@ mod tests {
         let o = outcome(vec![]);
         assert_eq!(o.simulation_time_ms(), None);
         assert_eq!(o.time_imbalance(), None);
-        assert_eq!(o.mean_cost(), None);
         assert_eq!(o.mean_execution_ms(), None);
         assert_eq!(o.total_cost(), 0.0);
     }
@@ -731,7 +699,7 @@ mod tests {
         for w in [0.0, 1.0, 10.0, 100.0, 1000.0] {
             h.record(w);
         }
-        assert_eq!(h.len(), 5);
+        assert_eq!(h.total, 5);
         // p50 is the 3rd smallest (10 ms) up to one bucket of error.
         let p50 = h.quantile(0.5).unwrap();
         assert!((p50 - 10.0).abs() / 10.0 < 0.10, "p50 = {p50}");
@@ -750,14 +718,12 @@ mod tests {
         // rec() submits at t=0, so wait == start.
         let o = outcome(vec![rec(0, 5.0, 20.0, 0.0), rec(1, 40.0, 50.0, 0.0)]);
         assert_eq!(o.mean_wait_ms(), Some(22.5));
-        assert_eq!(o.max_wait_ms(), Some(40.0));
         let p50 = o.wait_p50_ms().unwrap();
         assert!((p50 - 5.0).abs() / 5.0 < 0.10, "p50 = {p50}");
         // No records at all -> None everywhere.
         let empty = outcome(vec![]);
         assert_eq!(empty.wait_p50_ms(), None);
         assert_eq!(empty.mean_wait_ms(), None);
-        assert_eq!(empty.max_wait_ms(), None);
     }
 
     #[test]

@@ -27,12 +27,6 @@ impl SimTime {
         SimTime(ms)
     }
 
-    /// Creates a time from whole milliseconds.
-    #[inline]
-    pub fn from_millis(ms: u64) -> Self {
-        SimTime(ms as f64)
-    }
-
     /// Creates a time from seconds.
     #[inline]
     pub fn from_secs(secs: f64) -> Self {
@@ -172,7 +166,7 @@ mod tests {
     #[test]
     fn conversions() {
         assert_eq!(SimTime::from_secs(1.5).as_millis(), 1_500.0);
-        assert_eq!(SimTime::from_millis(250).as_secs(), 0.25);
+        assert_eq!(SimTime::new(250.0).as_secs(), 0.25);
         assert!(SimTime::ZERO.is_valid_clock());
         assert!(!SimTime::new(-1.0).is_valid_clock());
         assert!(!SimTime::new(f64::INFINITY).is_valid_clock());

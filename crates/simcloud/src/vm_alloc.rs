@@ -1,9 +1,7 @@
 //! VM-to-host allocation policies.
 //!
 //! When a datacenter receives a VM creation request it asks its allocation
-//! policy to pick a host. These policies mirror CloudSim's
-//! `VmAllocationPolicySimple` (least-loaded) plus the classic first-fit /
-//! best-fit / round-robin alternatives used in ablations.
+//! policy to pick a host; every scenario uses first-fit.
 
 use std::collections::HashMap;
 
@@ -18,9 +16,6 @@ use crate::vm::VmSpec;
 pub trait VmAllocationPolicy: Send {
     /// Picks a host for `vm` among `hosts`, or `None` if nothing fits.
     fn select_host(&mut self, hosts: &[Host], vm: &VmSpec) -> Option<HostId>;
-
-    /// Human-readable policy name.
-    fn name(&self) -> &'static str;
 }
 
 /// Fingerprint of the fit-relevant VmSpec fields, so scans for identical
@@ -68,98 +63,6 @@ impl VmAllocationPolicy for FirstFit {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "first-fit"
-    }
-}
-
-/// Host that leaves the least free RAM after placement (tightest packing).
-#[derive(Debug, Default, Clone)]
-pub struct BestFit;
-
-impl VmAllocationPolicy for BestFit {
-    fn select_host(&mut self, hosts: &[Host], vm: &VmSpec) -> Option<HostId> {
-        hosts
-            .iter()
-            .filter(|h| h.is_suitable_for(vm))
-            .min_by(|a, b| {
-                let la = a.available_ram() - vm.ram_mb;
-                let lb = b.available_ram() - vm.ram_mb;
-                la.partial_cmp(&lb).expect("finite leftovers")
-            })
-            .map(|h| h.id)
-    }
-
-    fn name(&self) -> &'static str {
-        "best-fit"
-    }
-}
-
-/// CloudSim's `VmAllocationPolicySimple`: host with the most free PEs.
-#[derive(Debug, Default, Clone)]
-pub struct LeastLoaded;
-
-impl VmAllocationPolicy for LeastLoaded {
-    fn select_host(&mut self, hosts: &[Host], vm: &VmSpec) -> Option<HostId> {
-        hosts
-            .iter()
-            .filter(|h| h.is_suitable_for(vm))
-            .max_by_key(|h| h.free_pes())
-            .map(|h| h.id)
-    }
-
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-}
-
-/// Energy-motivated consolidation: the suitable host with the *fewest*
-/// free PEs (ties to the lowest id). Packing VMs onto already-busy hosts
-/// leaves the rest idle — the placement half of the power-aware policies
-/// in the paper's related work (\[27\]).
-#[derive(Debug, Default, Clone)]
-pub struct Consolidate;
-
-impl VmAllocationPolicy for Consolidate {
-    fn select_host(&mut self, hosts: &[Host], vm: &VmSpec) -> Option<HostId> {
-        hosts
-            .iter()
-            .filter(|h| h.is_suitable_for(vm))
-            .min_by_key(|h| h.free_pes())
-            .map(|h| h.id)
-    }
-
-    fn name(&self) -> &'static str {
-        "consolidate"
-    }
-}
-
-/// Cycles through hosts, skipping ones that do not fit.
-#[derive(Debug, Default, Clone)]
-pub struct RoundRobinHosts {
-    cursor: usize,
-}
-
-impl VmAllocationPolicy for RoundRobinHosts {
-    fn select_host(&mut self, hosts: &[Host], vm: &VmSpec) -> Option<HostId> {
-        if hosts.is_empty() {
-            return None;
-        }
-        let n = hosts.len();
-        for step in 0..n {
-            let idx = (self.cursor + step) % n;
-            if hosts[idx].is_suitable_for(vm) {
-                self.cursor = (idx + 1) % n;
-                return Some(hosts[idx].id);
-            }
-        }
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +90,6 @@ mod tests {
         let hs = hosts(3);
         let mut p = FirstFit::default();
         assert_eq!(p.select_host(&hs, &small_vm()), Some(HostId(0)));
-        assert_eq!(p.name(), "first-fit");
     }
 
     #[test]
@@ -223,70 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn best_fit_packs_tightest() {
-        let mut hs = hosts(3);
-        // Host 1 has less free RAM -> best fit picks it.
-        let filler = VmSpec::new(100.0, 100.0, 700.0, 10.0, 1);
-        assert!(hs[1].allocate_vm(crate::ids::VmId(50), &filler));
-        let mut p = BestFit;
-        assert_eq!(p.select_host(&hs, &small_vm()), Some(HostId(1)));
-    }
-
-    #[test]
-    fn least_loaded_spreads() {
-        let mut hs = hosts(3);
-        let one_pe = small_vm();
-        assert!(hs[0].allocate_vm(crate::ids::VmId(1), &one_pe));
-        let mut p = LeastLoaded;
-        // Hosts 1 and 2 both have 2 free PEs; max_by_key keeps the last max.
-        let sel = p.select_host(&hs, &one_pe).unwrap();
-        assert_ne!(sel, HostId(0));
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let hs = hosts(3);
-        let mut p = RoundRobinHosts::default();
-        let picks: Vec<_> = (0..6)
-            .map(|_| p.select_host(&hs, &small_vm()).unwrap())
-            .collect();
-        assert_eq!(
-            picks,
-            vec![
-                HostId(0),
-                HostId(1),
-                HostId(2),
-                HostId(0),
-                HostId(1),
-                HostId(2)
-            ]
-        );
-    }
-
-    #[test]
-    fn consolidate_packs_busy_hosts_first() {
-        let mut hs = hosts(3);
-        let one_pe = small_vm();
-        // Host 1 already carries a VM: consolidation targets it.
-        assert!(hs[1].allocate_vm(crate::ids::VmId(1), &one_pe));
-        let mut p = Consolidate;
-        assert_eq!(p.select_host(&hs, &one_pe), Some(HostId(1)));
-        assert_eq!(p.name(), "consolidate");
-        // Fill host 1 completely; the next pick falls back to an idle one.
-        assert!(hs[1].allocate_vm(crate::ids::VmId(2), &one_pe));
-        let next = p.select_host(&hs, &one_pe).unwrap();
-        assert_ne!(next, HostId(1));
-    }
-
-    #[test]
     fn all_policies_return_none_when_nothing_fits() {
         let hs = hosts(2);
         let huge = VmSpec::new(1_000.0, 99_999.0, 9_999.0, 9_999.0, 4);
         assert_eq!(FirstFit::default().select_host(&hs, &huge), None);
-        assert_eq!(BestFit.select_host(&hs, &huge), None);
-        assert_eq!(LeastLoaded.select_host(&hs, &huge), None);
-        assert_eq!(Consolidate.select_host(&hs, &huge), None);
-        assert_eq!(RoundRobinHosts::default().select_host(&hs, &huge), None);
-        assert_eq!(RoundRobinHosts::default().select_host(&[], &huge), None);
     }
 }

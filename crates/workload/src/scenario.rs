@@ -19,7 +19,7 @@ use simcloud::stats::{RecordMode, SimulationOutcome};
 use simcloud::vm::VmSpec;
 
 /// How many VMs each simulated host is sized to hold.
-pub const VMS_PER_HOST: u32 = 4;
+const VMS_PER_HOST: u32 = 4;
 
 /// One datacenter's configuration inside a scenario.
 #[derive(Debug, Clone)]
@@ -109,25 +109,21 @@ impl Scenario {
     /// Runs `assignment` through the discrete-event simulator on the
     /// default (sequential) engine.
     pub fn simulate(&self, assignment: Assignment) -> Result<SimulationOutcome, SimError> {
-        self.simulate_on(assignment, simcloud::simulation::EngineKind::Sequential)
+        self.simulate_mode(
+            assignment,
+            simcloud::simulation::EngineKind::Sequential,
+            RecordMode::Full,
+        )
     }
 
-    /// Runs `assignment` on a chosen simulation engine. The sharded
-    /// engine replays every scenario shape — fault plans, recovery and
-    /// workflow DAGs included — bit-identically to the sequential kernel.
-    pub fn simulate_on(
-        &self,
-        assignment: Assignment,
-        engine: simcloud::simulation::EngineKind,
-    ) -> Result<SimulationOutcome, SimError> {
-        self.simulate_mode(assignment, engine, RecordMode::Full)
-    }
-
-    /// [`Scenario::simulate_on`] with an explicit [`RecordMode`]. The
-    /// sweep pipeline runs in [`RecordMode::Aggregate`] (metrics folded at
-    /// settlement, no per-cloudlet vector); pass [`RecordMode::Full`] when
-    /// the caller needs the records themselves (CSV export, SLA/energy
-    /// drill-downs over individual cloudlets).
+    /// Runs `assignment` on a chosen simulation engine in a chosen
+    /// [`RecordMode`]. The sharded engine replays every scenario shape —
+    /// fault plans, recovery and workflow DAGs included — bit-identically
+    /// to the sequential kernel. The sweep pipeline runs in
+    /// [`RecordMode::Aggregate`] (metrics folded at settlement, no
+    /// per-cloudlet vector); pass [`RecordMode::Full`] when the caller
+    /// needs the records themselves (CSV export, SLA/energy drill-downs
+    /// over individual cloudlets).
     pub fn simulate_mode(
         &self,
         assignment: Assignment,

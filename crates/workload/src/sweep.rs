@@ -131,37 +131,35 @@ impl ArtifactCell {
     }
 }
 
-/// Runs one algorithm over one scenario and collects every metric.
+/// Runs one algorithm over one scenario on a chosen simulation engine
+/// and collects every metric. Metrics are identical across engines (the
+/// sharded kernel is trace-equivalent); only wall-clock differs. Builds
+/// private [`PointArtifacts`] for the call.
 ///
 /// Panics if the simulation itself fails — scenario generators are
 /// responsible for producing feasible infrastructure.
-pub fn run_point(scenario: &Scenario, algorithm: AlgorithmKind, seed: u64) -> PointResult {
-    run_point_on(scenario, algorithm, seed, EngineKind::Sequential)
-}
-
-/// [`run_point`] on a chosen simulation engine. Metrics are identical
-/// across engines (the sharded kernel is trace-equivalent); only
-/// wall-clock differs. Builds private [`PointArtifacts`] for the call.
-pub fn run_point_on(
+pub fn run_point(
     scenario: &Scenario,
     algorithm: AlgorithmKind,
     seed: u64,
     engine: EngineKind,
 ) -> PointResult {
     let artifacts = PointArtifacts::build(scenario.clone());
-    run_point_with(&artifacts, algorithm, seed, engine, RecordMode::Aggregate)
+    run_point_with(&artifacts, algorithm, seed, engine)
 }
 
 /// Runs one algorithm over prebuilt shared [`PointArtifacts`].
 ///
 /// Only the `schedule_with_cache` call is timed as scheduling time; the
-/// (shared) cache build is carried in `PointResult::cache_build_ms`.
+/// (shared) cache build is carried in `PointResult::cache_build_ms`. The
+/// simulation runs in [`RecordMode::Aggregate`], which answers every
+/// metric from the same fold as full records without keeping a
+/// per-cloudlet vector.
 pub fn run_point_with(
     artifacts: &PointArtifacts,
     algorithm: AlgorithmKind,
     seed: u64,
     engine: EngineKind,
-    mode: RecordMode,
 ) -> PointResult {
     let problem = &artifacts.problem;
     let mut scheduler = algorithm.build(seed);
@@ -176,7 +174,7 @@ pub fn run_point_with(
         .unwrap_or_else(|e| panic!("{algorithm} produced an invalid assignment: {e}"));
     let outcome = artifacts
         .scenario
-        .simulate_mode(assignment, engine, mode)
+        .simulate_mode(assignment, engine, RecordMode::Aggregate)
         .unwrap_or_else(|e| panic!("simulation failed for {algorithm}: {e}"));
 
     PointResult {
@@ -203,7 +201,8 @@ pub fn run_point_with(
 }
 
 /// Runs `algorithms` over every scenario produced by `make_scenario` for
-/// the given x-axis `points`, as one flat parallel work list.
+/// the given x-axis `points`, as one flat parallel work list, simulating
+/// every point on `engine`.
 ///
 /// Returns one `Vec<PointResult>` per point, ordered like `points`, each
 /// ordered like `algorithms`.
@@ -211,51 +210,7 @@ pub fn sweep<F>(
     points: &[usize],
     algorithms: &[AlgorithmKind],
     seed: u64,
-    make_scenario: F,
-) -> Vec<Vec<PointResult>>
-where
-    F: Fn(usize) -> Scenario + Sync,
-{
-    sweep_on(
-        points,
-        algorithms,
-        seed,
-        EngineKind::Sequential,
-        make_scenario,
-    )
-}
-
-/// [`sweep`] with every point simulated on a chosen engine, in
-/// [`RecordMode::Aggregate`] (metric-identical to full records).
-pub fn sweep_on<F>(
-    points: &[usize],
-    algorithms: &[AlgorithmKind],
-    seed: u64,
     engine: EngineKind,
-    make_scenario: F,
-) -> Vec<Vec<PointResult>>
-where
-    F: Fn(usize) -> Scenario + Sync,
-{
-    sweep_mode_on(
-        points,
-        algorithms,
-        seed,
-        engine,
-        RecordMode::Aggregate,
-        make_scenario,
-    )
-}
-
-/// [`sweep_on`] with an explicit [`RecordMode`] — the benches use this to
-/// measure Full-vs-Aggregate memory; experiment callers want the
-/// [`sweep_on`] default.
-pub fn sweep_mode_on<F>(
-    points: &[usize],
-    algorithms: &[AlgorithmKind],
-    seed: u64,
-    engine: EngineKind,
-    mode: RecordMode,
     make_scenario: F,
 ) -> Vec<Vec<PointResult>>
 where
@@ -278,7 +233,7 @@ where
         .map(|&(pi, ai)| {
             let cell = &cells[pi];
             let artifacts = cell.acquire(|| make_scenario(points[pi]));
-            let result = run_point_with(&artifacts, algorithms[ai], seed, engine, mode);
+            let result = run_point_with(&artifacts, algorithms[ai], seed, engine);
             cell.release();
             result
         })
@@ -371,65 +326,20 @@ fn aggregate_reps(algorithm: AlgorithmKind, results: &[PointResult]) -> Repeated
     }
 }
 
-/// Runs one algorithm over `reps` seeded variants of a scenario and
-/// aggregates every metric. `make_scenario(seed)` builds the variant;
-/// seeds are `base_seed..base_seed + reps`, also used for the scheduler.
-pub fn run_point_repeated<F>(
-    algorithm: AlgorithmKind,
-    base_seed: u64,
-    reps: usize,
-    make_scenario: F,
-) -> RepeatedPointResult
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    run_point_repeated_on(
-        algorithm,
-        base_seed,
-        reps,
-        EngineKind::Sequential,
-        make_scenario,
-    )
-}
-
-/// [`run_point_repeated`] with every repetition simulated on a chosen
-/// engine. Metrics are identical across engines (the sharded kernel is
-/// trace-equivalent); only wall-clock differs.
-pub fn run_point_repeated_on<F>(
-    algorithm: AlgorithmKind,
-    base_seed: u64,
-    reps: usize,
-    engine: EngineKind,
-    make_scenario: F,
-) -> RepeatedPointResult
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    assert!(reps > 0, "need at least one repetition");
-    let results: Vec<PointResult> = (0..reps as u64)
-        .into_par_iter()
-        .map(|r| {
-            let seed = base_seed + r;
-            run_point_on(&make_scenario(seed), algorithm, seed, engine)
-        })
-        .collect();
-    aggregate_reps(algorithm, &results)
-}
-
 /// Repeated sweep over a full grid, as one flat `(point × rep ×
 /// algorithm)` parallel work list.
 ///
 /// `make_scenario(x, seed)` builds the scenario for x-axis value `x` and
 /// workload seed `seed`; seeds are `base_seed..base_seed + reps` and also
-/// seed the schedulers, like [`run_point_repeated_on`]. Every `(point,
-/// rep)` pair shares one lazily built [`PointArtifacts`] across all
-/// algorithms (the workload varies per rep, so reps cannot share), and
-/// tasks are ordered rep-major so sharing tasks sit adjacent in the work
-/// list. Results come back as one `Vec<RepeatedPointResult>` per point,
-/// ordered like `points`, each ordered like `algorithms` — exactly what
-/// the old nested "serial points × serial algorithms × parallel reps"
-/// loop produced, without a slow algorithm serializing its whole point.
-pub fn sweep_repeated_on<F>(
+/// seed the schedulers. Every `(point, rep)` pair shares one lazily built
+/// [`PointArtifacts`] across all algorithms (the workload varies per rep,
+/// so reps cannot share), and tasks are ordered rep-major so sharing tasks
+/// sit adjacent in the work list. Results come back as one
+/// `Vec<RepeatedPointResult>` per point, ordered like `points`, each
+/// ordered like `algorithms` — exactly what the old nested "serial points
+/// × serial algorithms × parallel reps" loop produced, without a slow
+/// algorithm serializing its whole point.
+pub fn sweep_repeated<F>(
     points: &[usize],
     algorithms: &[AlgorithmKind],
     base_seed: u64,
@@ -460,13 +370,7 @@ where
             let seed = base_seed + ri as u64;
             let cell = &cells[pi * reps + ri];
             let artifacts = cell.acquire(|| make_scenario(points[pi], seed));
-            let result = run_point_with(
-                &artifacts,
-                algorithms[ai],
-                seed,
-                engine,
-                RecordMode::Aggregate,
-            );
+            let result = run_point_with(&artifacts, algorithms[ai], seed, engine);
             cell.release();
             result
         })
@@ -492,6 +396,28 @@ mod tests {
     use crate::heterogeneous::HeterogeneousScenario;
     use crate::homogeneous::HomogeneousScenario;
 
+    /// The per-point oracle the flat executor is checked against: `reps`
+    /// independent sequential runs of one algorithm, one private artifact
+    /// build each, folded by the same aggregation.
+    fn nested_repeated(
+        algorithm: AlgorithmKind,
+        base_seed: u64,
+        reps: usize,
+        make_scenario: impl Fn(u64) -> Scenario,
+    ) -> RepeatedPointResult {
+        let results: Vec<PointResult> = (base_seed..base_seed + reps as u64)
+            .map(|seed| {
+                run_point(
+                    &make_scenario(seed),
+                    algorithm,
+                    seed,
+                    EngineKind::Sequential,
+                )
+            })
+            .collect();
+        aggregate_reps(algorithm, &results)
+    }
+
     #[test]
     fn run_point_collects_all_metrics() {
         let scenario = HomogeneousScenario {
@@ -499,7 +425,12 @@ mod tests {
             cloudlet_count: 20,
         }
         .build();
-        let r = run_point(&scenario, AlgorithmKind::BaseTest, 0);
+        let r = run_point(
+            &scenario,
+            AlgorithmKind::BaseTest,
+            0,
+            EngineKind::Sequential,
+        );
         assert_eq!(r.finished, 20);
         assert_eq!(r.vm_count, 4);
         assert!(r.simulation_time_ms > 0.0);
@@ -516,6 +447,7 @@ mod tests {
             &[2, 4],
             &[AlgorithmKind::BaseTest, AlgorithmKind::Rbs],
             1,
+            EngineKind::Sequential,
             |vms| {
                 HomogeneousScenario {
                     vm_count: vms,
@@ -534,15 +466,23 @@ mod tests {
 
     #[test]
     fn repeated_points_aggregate_with_spread() {
-        let r = run_point_repeated(AlgorithmKind::Rbs, 100, 4, |seed| {
-            HeterogeneousScenario {
-                vm_count: 6,
-                cloudlet_count: 30,
-                datacenter_count: 2,
-                seed,
-            }
-            .build()
-        });
+        let r = sweep_repeated(
+            &[6],
+            &[AlgorithmKind::Rbs],
+            100,
+            4,
+            EngineKind::Sequential,
+            |vms, seed| {
+                HeterogeneousScenario {
+                    vm_count: vms,
+                    cloudlet_count: 30,
+                    datacenter_count: 2,
+                    seed,
+                }
+                .build()
+            },
+        )[0][0]
+            .clone();
         assert_eq!(r.reps, 4);
         assert!(r.simulation_time_ms.mean > 0.0);
         // Different seeds -> different workloads -> nonzero spread.
@@ -552,32 +492,40 @@ mod tests {
 
     #[test]
     fn single_rep_has_zero_ci() {
-        let r = run_point_repeated(AlgorithmKind::BaseTest, 7, 1, |seed| {
-            HeterogeneousScenario {
-                vm_count: 4,
-                cloudlet_count: 10,
-                datacenter_count: 2,
-                seed,
-            }
-            .build()
-        });
+        let r = sweep_repeated(
+            &[4],
+            &[AlgorithmKind::BaseTest],
+            7,
+            1,
+            EngineKind::Sequential,
+            |vms, seed| {
+                HeterogeneousScenario {
+                    vm_count: vms,
+                    cloudlet_count: 10,
+                    datacenter_count: 2,
+                    seed,
+                }
+                .build()
+            },
+        )[0][0]
+            .clone();
         assert_eq!(r.simulation_time_ms.ci95, 0.0);
     }
 
     #[test]
     fn repeated_metrics_match_across_engines() {
-        let make = |seed| {
+        let make = |vms, seed| {
             HeterogeneousScenario {
-                vm_count: 6,
+                vm_count: vms,
                 cloudlet_count: 30,
                 datacenter_count: 2,
                 seed,
             }
             .build()
         };
-        let seq =
-            run_point_repeated_on(AlgorithmKind::HoneyBee, 5, 3, EngineKind::Sequential, make);
-        let sh = run_point_repeated_on(AlgorithmKind::HoneyBee, 5, 3, EngineKind::Sharded, make);
+        let algs = [AlgorithmKind::HoneyBee];
+        let seq = &sweep_repeated(&[6], &algs, 5, 3, EngineKind::Sequential, make)[0][0];
+        let sh = &sweep_repeated(&[6], &algs, 5, 3, EngineKind::Sharded, make)[0][0];
         // The sharded kernel is trace-equivalent: every simulated metric
         // aggregates to the same bits; only wall-clock may differ.
         assert_eq!(
@@ -599,8 +547,8 @@ mod tests {
         }
         .build();
         let kind = AlgorithmKind::Racing(Objective::Makespan);
-        let seq = run_point_on(&scenario, kind, 17, EngineKind::Sequential);
-        let sh = run_point_on(&scenario, kind, 17, EngineKind::Sharded);
+        let seq = run_point(&scenario, kind, 17, EngineKind::Sequential);
+        let sh = run_point(&scenario, kind, 17, EngineKind::Sharded);
         // The race budget is counted in evaluation units, so the winner,
         // the per-member spend, and every simulated metric are
         // bit-identical across engines.
@@ -616,10 +564,20 @@ mod tests {
         assert!(spent.contains(&format!("{winner}:")), "{spent}");
         assert_eq!(spent.matches(';').count(), 5, "six roster members");
 
-        let portfolio = run_point(&scenario, AlgorithmKind::Portfolio(Objective::Makespan), 17);
+        let portfolio = run_point(
+            &scenario,
+            AlgorithmKind::Portfolio(Objective::Makespan),
+            17,
+            EngineKind::Sequential,
+        );
         assert!(portfolio.meta_winner.is_some());
         // Plain schedulers leave the provenance columns empty.
-        let plain = run_point(&scenario, AlgorithmKind::HoneyBee, 17);
+        let plain = run_point(
+            &scenario,
+            AlgorithmKind::HoneyBee,
+            17,
+            EngineKind::Sequential,
+        );
         assert_eq!(plain.meta_winner, None);
         assert_eq!(plain.meta_spent, None);
     }
@@ -661,14 +619,12 @@ mod tests {
         };
         let algorithms = [AlgorithmKind::BaseTest, AlgorithmKind::HoneyBee];
         let points = [4usize, 6];
-        let flat = sweep_repeated_on(&points, &algorithms, 11, 3, EngineKind::Sequential, make);
+        let flat = sweep_repeated(&points, &algorithms, 11, 3, EngineKind::Sequential, make);
         assert_eq!(flat.len(), 2);
         for (pi, &vms) in points.iter().enumerate() {
             assert_eq!(flat[pi].len(), 2);
             for (ai, &alg) in algorithms.iter().enumerate() {
-                let nested = run_point_repeated_on(alg, 11, 3, EngineKind::Sequential, |seed| {
-                    make(vms, seed)
-                });
+                let nested = nested_repeated(alg, 11, 3, |seed| make(vms, seed));
                 let got = &flat[pi][ai];
                 assert_eq!(got.algorithm, alg);
                 assert_eq!(got.vm_count, vms);
@@ -701,6 +657,7 @@ mod tests {
             &[4],
             &[AlgorithmKind::BaseTest, AlgorithmKind::HoneyBee],
             1,
+            EngineKind::Sequential,
             |vms| {
                 HomogeneousScenario {
                     vm_count: vms,
@@ -726,20 +683,26 @@ mod tests {
         }
         .build();
         for engine in [EngineKind::Sequential, EngineKind::Sharded] {
-            let r = run_point_on(&scenario, AlgorithmKind::BaseTest, 0, engine);
+            let r = run_point(&scenario, AlgorithmKind::BaseTest, 0, engine);
             assert_eq!(r.engine, engine);
         }
-        let rep =
-            run_point_repeated_on(AlgorithmKind::BaseTest, 3, 2, EngineKind::Sharded, |seed| {
+        let rep = sweep_repeated(
+            &[4],
+            &[AlgorithmKind::BaseTest],
+            3,
+            2,
+            EngineKind::Sharded,
+            |vms, seed| {
                 HeterogeneousScenario {
-                    vm_count: 4,
+                    vm_count: vms,
                     cloudlet_count: 10,
                     datacenter_count: 2,
                     seed,
                 }
                 .build()
-            });
-        assert_eq!(rep.engine, EngineKind::Sharded);
+            },
+        );
+        assert_eq!(rep[0][0].engine, EngineKind::Sharded);
     }
 
     #[test]
@@ -751,7 +714,12 @@ mod tests {
             seed: 3,
         }
         .build();
-        let r = run_point(&scenario, AlgorithmKind::HoneyBee, 3);
+        let r = run_point(
+            &scenario,
+            AlgorithmKind::HoneyBee,
+            3,
+            EngineKind::Sequential,
+        );
         assert_eq!(r.finished, 40);
         assert!(r.total_cost > 0.0);
         assert!(r.imbalance > 0.0, "heterogeneous exec times must spread");

@@ -10,7 +10,7 @@ use biosched_core::scheduler::AlgorithmKind;
 use biosched_workload::heterogeneous::HeterogeneousScenario;
 use biosched_workload::homogeneous::HomogeneousScenario;
 use biosched_workload::scenario::Scenario;
-use biosched_workload::sweep::{run_point_on, run_point_with, sweep_on, PointArtifacts};
+use biosched_workload::sweep::{run_point, run_point_with, sweep, PointArtifacts};
 use simcloud::prelude::{EngineKind, RecordMode};
 
 const SEEDS: [u64; 3] = [3, 41, 977];
@@ -101,14 +101,8 @@ fn shared_artifacts_match_standalone_point_runs() {
         for (label, scenario) in scenarios(seed) {
             let artifacts = PointArtifacts::build(scenario.clone());
             for alg in AlgorithmKind::PAPER_SET {
-                let standalone = run_point_on(&scenario, alg, seed, EngineKind::Sequential);
-                let shared = run_point_with(
-                    &artifacts,
-                    alg,
-                    seed,
-                    EngineKind::Sequential,
-                    RecordMode::Aggregate,
-                );
+                let standalone = run_point(&scenario, alg, seed, EngineKind::Sequential);
+                let shared = run_point_with(&artifacts, alg, seed, EngineKind::Sequential);
                 let ctx = format!("{label}, seed {seed}, {alg:?}");
                 assert_eq!(standalone.finished, shared.finished, "{ctx}");
                 assert_eq!(
@@ -180,7 +174,8 @@ fn all_healthy_fault_plan_changes_nothing() {
 }
 
 /// The flat executor must regroup its results exactly like the nested
-/// point-by-point loop it replaced.
+/// point-by-point loop it replaced, on either engine: every row equals
+/// the sequential engine's standalone run of that point, bit for bit.
 #[test]
 fn flat_sweep_matches_pointwise_runs() {
     let points = [4usize, 8, 12];
@@ -200,32 +195,45 @@ fn flat_sweep_matches_pointwise_runs() {
         }
         .build()
     };
-    let flat = sweep_on(&points, &algorithms, seed, EngineKind::Sequential, make);
-    assert_eq!(flat.len(), points.len());
-    for (pi, &vms) in points.iter().enumerate() {
-        assert_eq!(flat[pi].len(), algorithms.len());
-        for (ai, &alg) in algorithms.iter().enumerate() {
-            let lone = run_point_on(&make(vms), alg, seed, EngineKind::Sequential);
-            let got = &flat[pi][ai];
-            let ctx = format!("{vms} VMs, {alg:?}");
-            assert_eq!(got.algorithm, alg, "{ctx}");
-            assert_eq!(got.vm_count, vms, "{ctx}");
-            assert_eq!(got.finished, lone.finished, "{ctx}");
-            assert_eq!(
-                got.simulation_time_ms.to_bits(),
-                lone.simulation_time_ms.to_bits(),
-                "{ctx}: makespan"
-            );
-            assert_eq!(
-                got.imbalance.to_bits(),
-                lone.imbalance.to_bits(),
-                "{ctx}: imbalance"
-            );
-            assert_eq!(
-                got.total_cost.to_bits(),
-                lone.total_cost.to_bits(),
-                "{ctx}: cost"
-            );
+    let lone: Vec<Vec<_>> = points
+        .iter()
+        .map(|&vms| {
+            let scenario = make(vms);
+            algorithms
+                .iter()
+                .map(|&alg| run_point(&scenario, alg, seed, EngineKind::Sequential))
+                .collect()
+        })
+        .collect();
+    for engine in [EngineKind::Sequential, EngineKind::Sharded] {
+        let flat = sweep(&points, &algorithms, seed, engine, make);
+        assert_eq!(flat.len(), points.len());
+        for (pi, &vms) in points.iter().enumerate() {
+            assert_eq!(flat[pi].len(), algorithms.len());
+            for (ai, &alg) in algorithms.iter().enumerate() {
+                let lone = &lone[pi][ai];
+                let got = &flat[pi][ai];
+                let ctx = format!("{vms} VMs, {alg:?}, {engine:?}");
+                assert_eq!(got.engine, engine, "{ctx}");
+                assert_eq!(got.algorithm, alg, "{ctx}");
+                assert_eq!(got.vm_count, vms, "{ctx}");
+                assert_eq!(got.finished, lone.finished, "{ctx}");
+                assert_eq!(
+                    got.simulation_time_ms.to_bits(),
+                    lone.simulation_time_ms.to_bits(),
+                    "{ctx}: makespan"
+                );
+                assert_eq!(
+                    got.imbalance.to_bits(),
+                    lone.imbalance.to_bits(),
+                    "{ctx}: imbalance"
+                );
+                assert_eq!(
+                    got.total_cost.to_bits(),
+                    lone.total_cost.to_bits(),
+                    "{ctx}: cost"
+                );
+            }
         }
     }
 }

@@ -15,15 +15,21 @@ fn main() {
     let points = [25usize, 75, 150, 300];
     let cloudlets = 400;
     println!("sweeping {points:?} VMs × {cloudlets} cloudlets (seed 42)…\n");
-    let results = sweep(&points, &AlgorithmKind::PAPER_SET, 42, |vms| {
-        HeterogeneousScenario {
-            vm_count: vms,
-            cloudlet_count: cloudlets,
-            datacenter_count: 4,
-            seed: 42,
-        }
-        .build()
-    });
+    let results = sweep(
+        &points,
+        &AlgorithmKind::PAPER_SET,
+        42,
+        EngineKind::Sequential,
+        |vms| {
+            HeterogeneousScenario {
+                vm_count: vms,
+                cloudlet_count: cloudlets,
+                datacenter_count: 4,
+                seed: 42,
+            }
+            .build()
+        },
+    );
 
     type Extractor = fn(&PointResult) -> f64;
     let extractors: [(&str, &str, Extractor); 3] = [

@@ -12,7 +12,7 @@
 //!   Test, Min-Min/Max-Min baselines, and an adaptive hybrid.
 //! * [`workload`] — the paper's homogeneous and
 //!   heterogeneous scenario generators plus stress workloads.
-//! * [`metrics`] — statistics, figure series, reports.
+//! * [`metrics`] — percentiles, figure series, reports.
 //!
 //! ## Quickstart
 //!
