@@ -2,11 +2,13 @@
 //!
 //! Measures wall-clock, event throughput and peak RSS of the discrete-event
 //! simulator at 1k/10k/100k-cloudlet scales (the paper's 10:1 cloudlet:VM
-//! ratio) on both engines, plus the full paper-scale point (100 000 VMs /
-//! 1 000 000 cloudlets) with `--full-scale`. The homogeneous points are
+//! ratio) on both engines, plus the full paper-scale points (100 000 VMs /
+//! 1 000 000 cloudlets, homogeneous `full` and heterogeneous
+//! `full-hetero`) with `--full-scale`. The homogeneous points are
 //! tie-heavy (every VM finishes its batch at the same instants); the
-//! `100k-hetero` point draws the paper's heterogeneous fleet and lengths
-//! at the 100k scale, so time-shared finish times are all distinct.
+//! `-hetero` points draw the paper's heterogeneous fleet and lengths
+//! (Tables V–VII), so time-shared finish times are all distinct and every
+//! VM has a spec of its own.
 //!
 //! Each point runs in a child process (this binary re-invoked as
 //! `simbench child`) so peak-RSS figures are per-point rather than
@@ -136,6 +138,7 @@ fn main() {
     points.push(("100k-hetero", true, (10_000, 100_000)));
     if full_scale {
         points.push(("full", false, (100_000, 1_000_000)));
+        points.push(("full-hetero", true, (100_000, 1_000_000)));
     }
     let mut rows = Vec::new();
     for (label, hetero, size @ (vms, cloudlets)) in points {

@@ -283,63 +283,70 @@ impl Broker {
     /// is trace-equivalent to the per-cloudlet path. Workflow runs keep
     /// that path because child submissions depend on return order, and so
     /// do recovery runs, where a retry may interleave with a group.
+    ///
+    /// The first pass opens and counts the groups, the second fills each
+    /// batch at its exact size, so no batch is reallocated into its event.
     fn submit_all_batched(&mut self, world: &mut World, ctx: &mut Context<'_>) {
-        let mut groups: Vec<(VmId, SimTime, Vec<CloudletId>)> = Vec::new();
-        let mut group_of: std::collections::HashMap<(u32, u64), usize> =
-            std::collections::HashMap::new();
+        let mut groups = Groups {
+            head: vec![Groups::NONE; world.vms.len()],
+            list: Vec::new(),
+        };
         for idx in 0..self.assignment.len() {
             let cloudlet = CloudletId::from_index(idx);
-            let vm_id = self.assignment[idx];
-            let vm = world.vm(vm_id);
-            if !vm.is_active() {
+            let Some((vm, dest, wait, delay)) = self.delivery(world, ctx.now, idx) else {
                 // Dead-VM bookkeeping (cascade_failure) sends no events,
                 // so handling it inline preserves event order.
                 self.cascade_failure(world, cloudlet);
                 continue;
-            }
-            let dc = vm.datacenter.expect("active VM has a datacenter");
-            let latency = self.topology.latency_to(dc);
-            let spec = &world.cloudlets[idx].spec;
-            let in_delay = transfer_time(spec.file_size_mb, vm.spec.bw_mbps);
-            let wait = self
-                .arrivals
-                .as_ref()
-                .map(|a| a[idx].saturating_sub(ctx.now))
-                .unwrap_or(SimTime::ZERO);
+            };
             world.cloudlet_mut(cloudlet).submit_time = Some(ctx.now + wait);
-            let delay = wait + latency + in_delay;
-            let slot = *group_of
-                .entry((vm_id.0, delay.as_millis().to_bits()))
-                .or_insert_with(|| {
-                    groups.push((vm_id, delay, Vec::new()));
-                    groups.len() - 1
-                });
-            groups[slot].2.push(cloudlet);
+            groups.find(vm, dest, delay).len += 1;
         }
-        for (vm_id, delay, mut cloudlets) in groups {
-            let dc = world.vm(vm_id).datacenter.expect("grouped VM is placed");
-            let dest = self.dc_entities[dc.index()];
-            if cloudlets.len() == 1 {
-                let cloudlet = cloudlets.pop().expect("length checked");
-                ctx.send(
-                    dest,
-                    delay,
-                    Event::CloudletSubmit {
-                        cloudlet,
-                        vm: vm_id,
-                    },
-                );
-            } else {
-                ctx.send(
-                    dest,
-                    delay,
-                    Event::CloudletSubmitBatch {
-                        vm: vm_id,
-                        cloudlets: cloudlets.into_boxed_slice(),
-                    },
-                );
+        for group in &mut groups.list {
+            group.members = Vec::with_capacity(group.len);
+        }
+        for idx in 0..self.assignment.len() {
+            if let Some((vm, dest, _, delay)) = self.delivery(world, ctx.now, idx) {
+                let group = groups.find(vm, dest, delay);
+                group.members.push(CloudletId::from_index(idx));
             }
         }
+        for group in groups.list {
+            let vm = group.vm;
+            let event = match *group.members {
+                [cloudlet] => Event::CloudletSubmit { cloudlet, vm },
+                _ => Event::CloudletSubmitBatch {
+                    vm,
+                    cloudlets: group.members.into_boxed_slice(),
+                },
+            };
+            ctx.send(group.dest, group.delay, event);
+        }
+    }
+
+    /// Where and when cloudlet `idx` submitted at `now` reaches its VM, or
+    /// `None` if the VM is not active.
+    // Forced inline: as a call, the batch model's first pass over 200 000
+    // cloudlets took 15 ms instead of 6 ms (2-vCPU host).
+    #[inline(always)]
+    fn delivery(&self, world: &World, now: SimTime, idx: usize) -> Option<Delivery> {
+        let vm_id = self.assignment[idx];
+        let vm = world.vm(vm_id);
+        if !vm.is_active() {
+            return None;
+        }
+        let dc = vm.datacenter.expect("active VM has a datacenter");
+        let latency = self.topology.latency_to(dc);
+        // Input file travels over the VM's bandwidth before execution.
+        let in_delay = transfer_time(world.cloudlets[idx].spec.file_size_mb, vm.spec.bw_mbps);
+        // An arrival in the future defers submission until then.
+        let wait = self
+            .arrivals
+            .as_ref()
+            .map(|a| a[idx].saturating_sub(now))
+            .unwrap_or(SimTime::ZERO);
+        let dest = self.dc_entities[dc.index()];
+        Some((vm_id, dest, wait, wait + latency + in_delay))
     }
 
     /// Picks the next active VM cyclically, if any survives.
@@ -359,9 +366,7 @@ impl Broker {
     /// its VM never came up.
     fn submit_one(&mut self, world: &mut World, ctx: &mut Context<'_>, idx: usize) {
         let cloudlet = CloudletId::from_index(idx);
-        let vm_id = self.assignment[idx];
-        let vm = world.vm(vm_id);
-        if !vm.is_active() {
+        let Some((vm, dest, wait, delay)) = self.delivery(world, ctx.now, idx) else {
             if self.recovery.is_some() {
                 // Recovery mode: the dead-VM submission becomes a retry
                 // candidate instead of a terminal failure.
@@ -370,28 +375,9 @@ impl Broker {
                 self.cascade_failure(world, cloudlet);
             }
             return;
-        }
-        let dc = vm.datacenter.expect("active VM has a datacenter");
-        let latency = self.topology.latency_to(dc);
-        // Input file travels over the VM's bandwidth before execution.
-        let spec = &world.cloudlets[idx].spec;
-        let in_delay = transfer_time(spec.file_size_mb, vm.spec.bw_mbps);
-        // An arrival in the future defers submission until then.
-        let wait = self
-            .arrivals
-            .as_ref()
-            .map(|a| a[idx].saturating_sub(ctx.now))
-            .unwrap_or(SimTime::ZERO);
-        let cl = world.cloudlet_mut(cloudlet);
-        cl.submit_time = Some(ctx.now + wait);
-        ctx.send(
-            self.dc_entities[dc.index()],
-            wait + latency + in_delay,
-            Event::CloudletSubmit {
-                cloudlet,
-                vm: vm_id,
-            },
-        );
+        };
+        world.cloudlet_mut(cloudlet).submit_time = Some(ctx.now + wait);
+        ctx.send(dest, delay, Event::CloudletSubmit { cloudlet, vm });
     }
 
     /// A parent completed: release any children that became ready.
@@ -548,6 +534,64 @@ impl Broker {
     }
 }
 
+/// Where and when a submission lands: the VM, its datacenter entity, the
+/// wait for the cloudlet's arrival, and the total delay.
+type Delivery = (VmId, EntityId, SimTime, SimTime);
+
+/// The cloudlets that reach one VM after one delay.
+struct Group {
+    vm: VmId,
+    dest: EntityId,
+    delay: SimTime,
+    /// Members, counted by the first pass and pushed by the second.
+    len: usize,
+    members: Vec<CloudletId>,
+    /// The VM's group with the next lower delay bits, or [`Groups::NONE`].
+    next: u32,
+}
+
+/// The batch model's groups in order of first appearance, found without
+/// hashing: each VM heads a list of its groups in descending order of
+/// the delay's bits, so a VM whose delays never fall (one delay, or
+/// ascending arrival waves) finds or opens its group at the head.
+struct Groups {
+    head: Vec<u32>,
+    list: Vec<Group>,
+}
+
+impl Groups {
+    const NONE: u32 = u32::MAX;
+
+    /// The group of `vm`'s cloudlets delivered after `delay`, opened if
+    /// new. Delays match on their bits.
+    fn find(&mut self, vm: VmId, dest: EntityId, delay: SimTime) -> &mut Group {
+        let bits = delay.as_millis().to_bits();
+        let (mut prev, mut cur) = (None, self.head[vm.index()]);
+        while cur != Self::NONE {
+            let group = &self.list[cur as usize];
+            match group.delay.as_millis().to_bits() {
+                b if b == bits => return &mut self.list[cur as usize],
+                b if b < bits => break,
+                _ => (prev, cur) = (Some(cur), group.next),
+            }
+        }
+        let opened = u32::try_from(self.list.len()).expect("group count fits u32");
+        self.list.push(Group {
+            vm,
+            dest,
+            delay,
+            len: 0,
+            members: Vec::new(),
+            next: cur,
+        });
+        match prev {
+            Some(p) => self.list[p as usize].next = opened,
+            None => self.head[vm.index()] = opened,
+        }
+        &mut self.list[opened as usize]
+    }
+}
+
 impl Entity for Broker {
     fn id(&self) -> EntityId {
         self.entity
@@ -603,6 +647,173 @@ impl Entity for Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cloudlet::CloudletSpec;
+    use crate::event::EventQueue;
+    use crate::ids::HostId;
+    use crate::vm::VmSpec;
+    use rand::Rng;
+
+    /// The grouping `submit_all_batched` replaced: a `HashMap` from
+    /// `(VM, delay bits)` to groups kept in order of first appearance,
+    /// each batch grown by pushes. The oracle of the hash-free grouping.
+    fn hashmap_grouping(broker: &mut Broker, world: &mut World, ctx: &mut Context<'_>) {
+        let mut groups: Vec<(VmId, SimTime, Vec<CloudletId>)> = Vec::new();
+        let mut group_of: std::collections::HashMap<(u32, u64), usize> =
+            std::collections::HashMap::new();
+        for idx in 0..broker.assignment.len() {
+            let cloudlet = CloudletId::from_index(idx);
+            let vm_id = broker.assignment[idx];
+            let vm = world.vm(vm_id);
+            if !vm.is_active() {
+                broker.cascade_failure(world, cloudlet);
+                continue;
+            }
+            let dc = vm.datacenter.expect("active VM has a datacenter");
+            let latency = broker.topology.latency_to(dc);
+            let spec = &world.cloudlets[idx].spec;
+            let in_delay = transfer_time(spec.file_size_mb, vm.spec.bw_mbps);
+            let wait = broker
+                .arrivals
+                .as_ref()
+                .map(|a| a[idx].saturating_sub(ctx.now))
+                .unwrap_or(SimTime::ZERO);
+            world.cloudlet_mut(cloudlet).submit_time = Some(ctx.now + wait);
+            let delay = wait + latency + in_delay;
+            let slot = *group_of
+                .entry((vm_id.0, delay.as_millis().to_bits()))
+                .or_insert_with(|| {
+                    groups.push((vm_id, delay, Vec::new()));
+                    groups.len() - 1
+                });
+            groups[slot].2.push(cloudlet);
+        }
+        for (vm_id, delay, mut cloudlets) in groups {
+            let dc = world.vm(vm_id).datacenter.expect("grouped VM is placed");
+            let dest = broker.dc_entities[dc.index()];
+            if cloudlets.len() == 1 {
+                let cloudlet = cloudlets.pop().expect("length checked");
+                ctx.send(
+                    dest,
+                    delay,
+                    Event::CloudletSubmit {
+                        cloudlet,
+                        vm: vm_id,
+                    },
+                );
+            } else {
+                ctx.send(
+                    dest,
+                    delay,
+                    Event::CloudletSubmitBatch {
+                        vm: vm_id,
+                        cloudlets: cloudlets.into_boxed_slice(),
+                    },
+                );
+            }
+        }
+    }
+
+    /// A batch-model broker over two datacenters with distinct latencies;
+    /// every third VM was rejected. Cloudlets draw one of a few input
+    /// sizes and, with `arrivals`, one of a few arrival times in random
+    /// order, so a VM gets several delays, out of order, and some groups
+    /// hold one cloudlet.
+    fn batch_fixture(seed: u64, arrivals: bool) -> (Broker, World) {
+        let mut rng = crate::rng::stream(seed, "broker-grouping");
+        let (vms, cloudlets) = (12, 240);
+        let vm_specs = (0..vms)
+            .map(|i| VmSpec::new(1_000.0, 5_000.0, 512.0, [100.0, 500.0][i % 2], 1))
+            .collect();
+        let cloudlet_specs = (0..cloudlets)
+            .map(|_| {
+                let file = [0.0, 300.0, 300.0, 750.0][rng.gen_range(0..4usize)];
+                CloudletSpec::new(1_000.0, file, 10.0, 1)
+            })
+            .collect();
+        let mut world = World::new(vm_specs, cloudlet_specs);
+        for (i, vm) in world.vms.iter_mut().enumerate() {
+            if i % 3 == 2 {
+                vm.reject();
+            } else {
+                vm.place(DatacenterId::from_index(i % 2), HostId(0));
+            }
+        }
+        // VM 10 gets a single cloudlet, VM 11 none.
+        let assignment = (0..cloudlets)
+            .map(|c| match c {
+                0 => VmId(10),
+                _ => VmId::from_index(rng.gen_range(0..10)),
+            })
+            .collect();
+        let mut broker = Broker::new(
+            EntityId(0),
+            vec![EntityId(1), EntityId(2)],
+            (0..vms).map(|i| DatacenterId::from_index(i % 2)).collect(),
+            assignment,
+            Topology::with_latencies(vec![0.0, 7.5]),
+        );
+        if arrivals {
+            let waves = [0.0, 2.0, 40.0, 90.0, 250.0];
+            broker = broker.with_arrivals(
+                (0..cloudlets)
+                    .map(|_| SimTime::new(waves[rng.gen_range(0..waves.len())]))
+                    .collect(),
+            );
+        }
+        (broker, world)
+    }
+
+    type Sent = Vec<(EntityId, SimTime, u64, Event)>;
+
+    /// Runs `group` on a fresh fixture at t = 3 ms; returns the events it
+    /// sent in queue order and each cloudlet's status and submit time.
+    fn run_grouping(
+        seed: u64,
+        arrivals: bool,
+        group: impl FnOnce(&mut Broker, &mut World, &mut Context<'_>),
+    ) -> (Sent, Vec<(CloudletStatus, Option<SimTime>)>) {
+        let (mut broker, mut world) = batch_fixture(seed, arrivals);
+        let mut queue = EventQueue::new();
+        let mut ctx = Context::attach(SimTime::new(3.0), broker.entity, &mut queue);
+        group(&mut broker, &mut world, &mut ctx);
+        let mut sent = Vec::new();
+        while let Some(ev) = queue.pop() {
+            sent.push((ev.dest, ev.time, ev.seq, ev.event));
+        }
+        let cloudlets = world
+            .cloudlets
+            .iter()
+            .map(|c| (c.status, c.submit_time))
+            .collect();
+        (sent, cloudlets)
+    }
+
+    #[test]
+    fn batched_submission_matches_the_hashmap_grouping() {
+        for seed in 0..20 {
+            for arrivals in [false, true] {
+                let new = run_grouping(seed, arrivals, |b, w, c| b.submit_all_batched(w, c));
+                let old = run_grouping(seed, arrivals, hashmap_grouping);
+                assert_eq!(new, old, "seed {seed}, arrivals {arrivals}");
+                let (sent, cloudlets) = new;
+                let singles = sent
+                    .iter()
+                    .filter(|s| matches!(s.3, Event::CloudletSubmit { .. }))
+                    .count();
+                assert!(singles > 0 && singles < sent.len(), "seed {seed}");
+                assert!(cloudlets
+                    .iter()
+                    .any(|(status, _)| *status == CloudletStatus::Failed));
+                if arrivals {
+                    let batches_of_vm0 = sent
+                        .iter()
+                        .filter(|s| matches!(s.3, Event::CloudletSubmitBatch { vm, .. } if vm == VmId(0)))
+                        .count();
+                    assert!(batches_of_vm0 > 2, "seed {seed}: VM 0 needs several delays");
+                }
+            }
+        }
+    }
 
     #[test]
     #[should_panic(expected = "unknown datacenter")]

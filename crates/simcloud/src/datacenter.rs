@@ -1,8 +1,8 @@
 //! The datacenter entity.
 //!
-//! A datacenter owns hosts, places VMs on them through its allocation
-//! policy, executes cloudlets through per-VM cloudlet schedulers, accounts
-//! processing cost, and reports completions back to the broker.
+//! A datacenter owns hosts, places VMs on them first-fit, executes
+//! cloudlets through per-VM cloudlet schedulers, accounts processing
+//! cost, and reports completions back to the broker.
 
 use crate::characteristics::DatacenterCharacteristics;
 use crate::cloudlet::CloudletStatus;
@@ -14,7 +14,7 @@ use crate::ids::{DatacenterId, EntityId, HostId, VmId};
 use crate::kernel::{Context, Entity, World};
 use crate::network::transfer_time;
 use crate::time::SimTime;
-use crate::vm_alloc::VmAllocationPolicy;
+use crate::vm_alloc::FirstFit;
 
 /// Construction-time description of a datacenter.
 pub struct DatacenterBlueprint {
@@ -22,8 +22,6 @@ pub struct DatacenterBlueprint {
     pub hosts: Vec<HostSpec>,
     /// Characteristics, including the cost model.
     pub characteristics: DatacenterCharacteristics,
-    /// VM-to-host placement policy.
-    pub allocation: Box<dyn VmAllocationPolicy>,
     /// Per-VM cloudlet execution policy.
     pub scheduler: SchedulerKind,
 }
@@ -42,7 +40,6 @@ impl DatacenterBlueprint {
         DatacenterBlueprint {
             hosts: vec![host_spec; host_count],
             characteristics,
-            allocation: Box::new(crate::vm_alloc::FirstFit::default()),
             scheduler: SchedulerKind::SpaceShared,
         }
     }
@@ -55,7 +52,7 @@ pub struct Datacenter {
     pub id: DatacenterId,
     characteristics: DatacenterCharacteristics,
     hosts: Vec<Host>,
-    allocation: Box<dyn VmAllocationPolicy>,
+    placement: FirstFit,
     scheduler_kind: SchedulerKind,
     /// Per-VM schedulers, lazily grown, indexed by `VmId`.
     vm_scheds: Vec<Option<Box<dyn CloudletScheduler>>>,
@@ -89,7 +86,7 @@ impl Datacenter {
             id,
             characteristics: blueprint.characteristics,
             hosts,
-            allocation: blueprint.allocation,
+            placement: FirstFit::default(),
             scheduler_kind: blueprint.scheduler,
             vm_scheds: Vec::new(),
             broker_hint: None,
@@ -118,11 +115,6 @@ impl Datacenter {
     /// The datacenter's characteristics (cost model etc.).
     pub fn characteristics(&self) -> &DatacenterCharacteristics {
         &self.characteristics
-    }
-
-    /// Host fleet view.
-    pub fn hosts(&self) -> &[Host] {
-        &self.hosts
     }
 
     /// Lends `vm`'s scheduler to the epoch driver for a parallel replay
@@ -158,33 +150,32 @@ impl Datacenter {
         src: EntityId,
         vm_id: VmId,
     ) {
-        let spec = world.vm(vm_id).spec.clone();
-        let placed = self
-            .allocation
-            .select_host(&self.hosts, &spec)
-            .and_then(|host_id| {
-                let host = &mut self.hosts[host_id.index()];
-                host.allocate_vm(vm_id, &spec).then_some(host_id)
-            });
-        let success = match placed {
-            Some(host_id) => {
-                let vm = world.vm_mut(vm_id);
-                vm.place(self.id, host_id);
-                // A degrade that fired before creation still applies.
-                *Self::slot_mut(&mut self.vm_scheds, vm_id.index()) =
-                    Some(self.scheduler_kind.build(vm.effective_mips(), spec.pes));
-                true
-            }
-            None => {
-                world.vm_mut(vm_id).reject();
-                false
-            }
-        };
+        let host = self
+            .placement
+            .select_host(ctx.now, &self.hosts, &world.vm(vm_id).spec);
+        let success = host.is_some_and(|host| self.host_vm(world, vm_id, host));
+        if !success {
+            world.vm_mut(vm_id).reject();
+        }
         ctx.send(
             src,
             SimTime::ZERO,
             Event::VmCreateAck { vm: vm_id, success },
         );
+    }
+
+    /// Places `vm_id` on `host_id` if it fits there, with a scheduler at
+    /// the VM's current [`crate::vm::Vm::rate_factor`] (a degrade that
+    /// fired before creation or during an outage still applies).
+    fn host_vm(&mut self, world: &mut World, vm_id: VmId, host_id: HostId) -> bool {
+        let vm = world.vm_mut(vm_id);
+        if !self.hosts[host_id.index()].allocate_vm(vm_id, &vm.spec) {
+            return false;
+        }
+        vm.place(self.id, host_id);
+        *Self::slot_mut(&mut self.vm_scheds, vm_id.index()) =
+            Some(self.scheduler_kind.build(vm.effective_mips(), vm.spec.pes));
+        true
     }
 
     fn apply_tick(
@@ -229,92 +220,49 @@ impl Datacenter {
         }
     }
 
+    /// Binds cloudlets that reach `vm_id` together: one cloudlet through
+    /// the scheduler's `submit`, a batch through `submit_many`, which
+    /// settles once for the whole group.
     fn handle_cloudlet_submit(
         &mut self,
         world: &mut World,
         ctx: &mut Context<'_>,
         src: EntityId,
-        cloudlet_id: crate::ids::CloudletId,
         vm_id: VmId,
+        cloudlets: &[crate::ids::CloudletId],
     ) {
         self.broker_hint = Some(src);
-        let (length, pes) = {
-            let cl = world.cloudlet_mut(cloudlet_id);
+        for &cloudlet in cloudlets {
+            let cl = world.cloudlet_mut(cloudlet);
             cl.status = CloudletStatus::Queued;
             cl.vm = Some(vm_id);
-            (cl.spec.length_mi, cl.spec.pes)
-        };
+        }
         let Some(sched) = self
             .vm_scheds
             .get_mut(vm_id.index())
             .and_then(Option::as_mut)
         else {
             // The VM was destroyed (host failure) after the broker bound
-            // the cloudlet — a genuine race, not a programming error.
+            // the cloudlets — a genuine race, not a programming error.
             assert_eq!(
                 world.vm(vm_id).status,
                 crate::vm::VmStatus::Destroyed,
                 "cloudlet submitted to VM {vm_id} that was never hosted here"
             );
-            world.cloudlet_mut(cloudlet_id).status = CloudletStatus::Failed;
-            ctx.send(
-                src,
-                SimTime::ZERO,
-                Event::CloudletFailed {
-                    cloudlet: cloudlet_id,
-                },
-            );
-            return;
-        };
-        let tick = sched.submit(ctx.now, RunningCloudlet::new(cloudlet_id, length, pes));
-        self.apply_tick(world, ctx, vm_id, tick, src);
-    }
-
-    /// Same-time group of submissions for one VM: the scheduler settles
-    /// once for the whole batch. Semantics per cloudlet mirror
-    /// [`Self::handle_cloudlet_submit`] exactly.
-    fn handle_cloudlet_submit_batch(
-        &mut self,
-        world: &mut World,
-        ctx: &mut Context<'_>,
-        src: EntityId,
-        vm_id: VmId,
-        cloudlets: Box<[crate::ids::CloudletId]>,
-    ) {
-        self.broker_hint = Some(src);
-        let alive = self
-            .vm_scheds
-            .get(vm_id.index())
-            .is_some_and(Option::is_some);
-        if !alive {
-            // The VM died (host failure) while the batch was in flight —
-            // fail each member just as the single-submit path would.
-            assert_eq!(
-                world.vm(vm_id).status,
-                crate::vm::VmStatus::Destroyed,
-                "cloudlet batch submitted to VM {vm_id} that was never hosted here"
-            );
-            for &cloudlet in &cloudlets {
-                let cl = world.cloudlet_mut(cloudlet);
-                cl.vm = Some(vm_id);
-                cl.status = CloudletStatus::Failed;
+            for &cloudlet in cloudlets {
+                world.cloudlet_mut(cloudlet).status = CloudletStatus::Failed;
                 ctx.send(src, SimTime::ZERO, Event::CloudletFailed { cloudlet });
             }
             return;
-        }
-        let batch: Vec<RunningCloudlet> = cloudlets
-            .iter()
-            .map(|&cloudlet| {
-                let cl = world.cloudlet_mut(cloudlet);
-                cl.status = CloudletStatus::Queued;
-                cl.vm = Some(vm_id);
-                RunningCloudlet::new(cloudlet, cl.spec.length_mi, cl.spec.pes)
-            })
-            .collect();
-        let sched = self.vm_scheds[vm_id.index()]
-            .as_mut()
-            .expect("liveness checked above");
-        let tick = sched.submit_many(ctx.now, batch);
+        };
+        let running = |&id: &crate::ids::CloudletId| {
+            let spec = &world.cloudlet(id).spec;
+            RunningCloudlet::new(id, spec.length_mi, spec.pes)
+        };
+        let tick = match cloudlets {
+            [one] => sched.submit(ctx.now, running(one)),
+            _ => sched.submit_many(ctx.now, cloudlets.iter().map(running).collect()),
+        };
         self.apply_tick(world, ctx, vm_id, tick, src);
     }
 
@@ -363,13 +311,7 @@ impl Datacenter {
             if world.vm(vm_id).status != crate::vm::VmStatus::Destroyed {
                 continue; // already revived elsewhere
             }
-            let spec = world.vm(vm_id).spec.clone();
-            if self.hosts[host_id.index()].allocate_vm(vm_id, &spec) {
-                let vm = world.vm_mut(vm_id);
-                vm.place(self.id, host_id);
-                *Self::slot_mut(&mut self.vm_scheds, vm_id.index()) =
-                    Some(self.scheduler_kind.build(vm.effective_mips(), spec.pes));
-            }
+            self.host_vm(world, vm_id, host_id);
         }
     }
 
@@ -455,10 +397,10 @@ impl Entity for Datacenter {
             Event::VmDegrade { vm, factor } => self.handle_vm_degrade(world, ctx, vm, factor),
             Event::VmCreate { vm } => self.handle_vm_create(world, ctx, ev.src, vm),
             Event::CloudletSubmit { cloudlet, vm } => {
-                self.handle_cloudlet_submit(world, ctx, ev.src, cloudlet, vm)
+                self.handle_cloudlet_submit(world, ctx, ev.src, vm, &[cloudlet])
             }
             Event::CloudletSubmitBatch { vm, cloudlets } => {
-                self.handle_cloudlet_submit_batch(world, ctx, ev.src, vm, cloudlets)
+                self.handle_cloudlet_submit(world, ctx, ev.src, vm, &cloudlets)
             }
             // VmTicks are self-sent; a tick can only exist after a cloudlet
             // submission, which recorded the broker's address.

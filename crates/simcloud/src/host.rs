@@ -66,7 +66,6 @@ impl HostSpec {
 pub struct Host {
     /// Identity within the owning datacenter.
     pub id: HostId,
-    spec: HostSpec,
     pes: Vec<Pe>,
     ram: Provisioner,
     bw: Provisioner,
@@ -85,19 +84,18 @@ impl Host {
             bw: Provisioner::new("bw", spec.bw_mbps),
             storage: Provisioner::new("storage", spec.storage_mb),
             pes,
-            spec,
             vms: Vec::new(),
         }
-    }
-
-    /// The host's static sizing.
-    pub fn spec(&self) -> &HostSpec {
-        &self.spec
     }
 
     /// Number of free PEs.
     fn free_pes(&self) -> usize {
         self.pes.iter().filter(|p| p.is_free()).count()
+    }
+
+    /// True if some PE is free: a host with none fits no VM.
+    pub(crate) fn has_free_pe(&self) -> bool {
+        self.pes.iter().any(Pe::is_free)
     }
 
     /// Number of VMs currently placed here.

@@ -19,8 +19,8 @@
 //!   plus a sharded per-VM replay engine selected via
 //!   [`simulation::EngineKind`] (trace-equivalent, parallel over VMs).
 //! * Resources — [`pe`], [`host`], [`provisioner`], [`characteristics`].
-//! * Execution — [`cloudlet_sched`] (space/time shared), [`vm_alloc`]
-//!   (VM→host policies), [`datacenter`], [`broker`], [`network`], [`cost`].
+//! * Execution — [`cloudlet_sched`] (space/time shared), [`datacenter`]
+//!   (with first-fit VM→host placement), [`broker`], [`network`], [`cost`].
 //! * Measurement — [`stats::SimulationOutcome`] with the paper's Eq. 12
 //!   (simulation time) and Eq. 13 (time imbalance).
 //! * Orchestration — [`simulation::SimulationBuilder`], the one-call API.
@@ -52,7 +52,7 @@ pub mod simulation;
 pub mod stats;
 pub mod time;
 pub mod vm;
-pub mod vm_alloc;
+mod vm_alloc;
 
 /// Convenience re-exports for scenario construction.
 pub mod prelude {
@@ -73,5 +73,4 @@ pub mod prelude {
     };
     pub use crate::time::SimTime;
     pub use crate::vm::{Vm, VmSpec, VmStatus};
-    pub use crate::vm_alloc::{FirstFit, VmAllocationPolicy};
 }

@@ -1,67 +1,64 @@
-//! VM-to-host allocation policies.
-//!
-//! When a datacenter receives a VM creation request it asks its allocation
-//! policy to pick a host; every scenario uses first-fit.
-
-use std::collections::HashMap;
+//! First-fit VM-to-host placement: every datacenter places each incoming
+//! VM on its lowest-id host that fits it.
 
 use crate::host::Host;
 use crate::ids::HostId;
+use crate::time::SimTime;
 use crate::vm::VmSpec;
-
-/// Chooses a host for an incoming VM.
-///
-/// Implementations must only return hosts for which
-/// [`Host::is_suitable_for`] holds; the datacenter debug-asserts this.
-pub trait VmAllocationPolicy: Send {
-    /// Picks a host for `vm` among `hosts`, or `None` if nothing fits.
-    fn select_host(&mut self, hosts: &[Host], vm: &VmSpec) -> Option<HostId>;
-}
-
-/// Fingerprint of the fit-relevant VmSpec fields, so scans for identical
-/// requirements can share a resume cursor.
-type SpecKey = (u32, u64, u64, u64, u64);
-
-fn spec_key(vm: &VmSpec) -> SpecKey {
-    (
-        vm.pes,
-        vm.mips.to_bits(),
-        vm.ram_mb.to_bits(),
-        vm.bw_mbps.to_bits(),
-        vm.size_mb.to_bits(),
-    )
-}
 
 /// First host that fits, scanning in id order.
 ///
-/// Keeps a per-spec resume cursor: host capacity in this simulator only
-/// shrinks (VMs are never released back mid-run, and failed hosts never
-/// recover), so a host that could not fit a given spec once can never fit
-/// it later. Each scan resumes where the previous scan for the same spec
-/// stopped, so the VMs of one spec are placed in O(hosts + VMs) instead
-/// of O(hosts × VMs), returning exactly the hosts a full rescan would.
-/// Cursors are looked up by spec in a map, so a fleet of distinct specs
-/// pays one hash probe per VM, not a search over every spec seen.
-#[derive(Debug, Default, Clone)]
-pub struct FirstFit {
-    /// First host index not yet ruled out, per spec fingerprint.
-    cursors: HashMap<SpecKey, usize>,
+/// Scans resume at a cursor past the leading hosts with no free PE. Every
+/// valid VM needs a PE ([`VmSpec::validate`]), so the pick is exactly a
+/// stateless scan's, and placement work is O(hosts + VMs) whenever a host
+/// with a free PE fits the next VM (PEs and memory fill together on every
+/// [`crate::host::HostSpec::roomy_for`] fleet).
+///
+/// Hosts only lose capacity between two placements: the broker sends every
+/// `VmCreate` at `Start` with its datacenter's latency, so a datacenter
+/// places all of its VMs at one instant and no `HostRepair` falls between
+/// two of them. [`FirstFit::select_host`] asserts the single instant, so a
+/// change that places VMs mid-run fails loudly.
+#[derive(Default)]
+pub(crate) struct FirstFit {
+    /// Hosts below this index have no free PE.
+    full: usize,
+    /// The instant of this datacenter's first placement.
+    placed_at: Option<SimTime>,
+    /// Hosts examined so far, cursor steps included.
+    #[cfg(test)]
+    checks: usize,
 }
 
-impl VmAllocationPolicy for FirstFit {
-    fn select_host(&mut self, hosts: &[Host], vm: &VmSpec) -> Option<HostId> {
-        let cursor = self.cursors.entry(spec_key(vm)).or_insert(0);
-        let start = (*cursor).min(hosts.len());
-        match hosts[start..].iter().position(|h| h.is_suitable_for(vm)) {
-            Some(offset) => {
-                *cursor = start + offset;
-                Some(hosts[*cursor].id)
-            }
-            None => {
-                *cursor = hosts.len();
-                None
+impl FirstFit {
+    /// Picks a host for `vm` among `hosts` at `now`, or `None` if nothing
+    /// fits. Panics if `now` differs from the first placement's instant.
+    pub(crate) fn select_host(
+        &mut self,
+        now: SimTime,
+        hosts: &[Host],
+        vm: &VmSpec,
+    ) -> Option<HostId> {
+        let first = *self.placed_at.get_or_insert(now);
+        assert!(
+            first == now,
+            "VM placed at {now:?} after placements at {first:?}: first-fit's cursor needs every placement of a datacenter at one instant"
+        );
+        while hosts.get(self.full).is_some_and(|h| !h.has_free_pe()) {
+            self.full += 1;
+            #[cfg(test)]
+            {
+                self.checks += 1;
             }
         }
+        let found = hosts[self.full..]
+            .iter()
+            .position(|h| h.is_suitable_for(vm));
+        #[cfg(test)]
+        {
+            self.checks += found.map_or(hosts.len() - self.full, |i| i + 1);
+        }
+        found.map(|i| hosts[self.full + i].id)
     }
 }
 
@@ -69,6 +66,8 @@ impl VmAllocationPolicy for FirstFit {
 mod tests {
     use super::*;
     use crate::host::HostSpec;
+    use crate::ids::VmId;
+    use proptest::prelude::*;
 
     fn hosts(n: usize) -> Vec<Host> {
         (0..n)
@@ -85,11 +84,34 @@ mod tests {
         VmSpec::new(500.0, 1_000.0, 256.0, 100.0, 1)
     }
 
+    /// The oracle: the first suitable host in id order, with no state.
+    fn stateless_scan(hosts: &[Host], vm: &VmSpec) -> Option<usize> {
+        hosts.iter().position(|h| h.is_suitable_for(vm))
+    }
+
+    /// Places `vms` in order through one `FirstFit`, checking every pick
+    /// against the oracle; returns the policy for its counters.
+    fn place_all(hosts: &mut [Host], vms: &[VmSpec]) -> FirstFit {
+        let mut policy = FirstFit::default();
+        for (i, vm) in vms.iter().enumerate() {
+            let expected = stateless_scan(hosts, vm);
+            let picked = policy.select_host(SimTime::ZERO, hosts, vm);
+            assert_eq!(picked.map(|h| h.index()), expected, "pick {i}");
+            if let Some(h) = picked {
+                assert!(hosts[h.index()].allocate_vm(VmId(i as u32), vm));
+            }
+        }
+        policy
+    }
+
     #[test]
     fn first_fit_prefers_low_ids() {
         let hs = hosts(3);
         let mut p = FirstFit::default();
-        assert_eq!(p.select_host(&hs, &small_vm()), Some(HostId(0)));
+        assert_eq!(
+            p.select_host(SimTime::ZERO, &hs, &small_vm()),
+            Some(HostId(0))
+        );
     }
 
     #[test]
@@ -97,37 +119,105 @@ mod tests {
         let mut hs = hosts(3);
         // Fill host 0 completely.
         let big = VmSpec::new(1_000.0, 10_000.0, 1_024.0, 1_000.0, 2);
-        assert!(hs[0].allocate_vm(crate::ids::VmId(99), &big));
+        assert!(hs[0].allocate_vm(VmId(99), &big));
         let mut p = FirstFit::default();
-        assert_eq!(p.select_host(&hs, &small_vm()), Some(HostId(1)));
+        assert_eq!(
+            p.select_host(SimTime::ZERO, &hs, &small_vm()),
+            Some(HostId(1))
+        );
     }
 
     #[test]
-    fn first_fit_cursors_match_a_stateless_scan() {
-        let mut hs = hosts(8);
-        let a = small_vm();
-        let b = VmSpec::new(500.0, 1_000.0, 512.0, 100.0, 1);
-        let c = VmSpec::new(900.0, 1_000.0, 128.0, 10.0, 2);
-        // Repeated specs resume their cursor; distinct specs get their own.
-        let order = [
-            &a, &b, &a, &c, &b, &a, &c, &a, &b, &b, &c, &a, &a, &b, &c, &a,
-        ];
-        let mut p = FirstFit::default();
-        for (i, vm) in order.into_iter().enumerate() {
-            let expected = hs.iter().position(|h| h.is_suitable_for(vm));
-            let picked = p.select_host(&hs, vm);
-            assert_eq!(picked.map(|h| h.index()), expected, "pick {i}");
-            if let Some(h) = picked {
-                assert!(hs[h.index()].allocate_vm(crate::ids::VmId(i as u32), vm));
-            }
-        }
-        assert_eq!(p.cursors.len(), 3);
-    }
-
-    #[test]
-    fn all_policies_return_none_when_nothing_fits() {
+    fn first_fit_returns_none_when_nothing_fits() {
         let hs = hosts(2);
         let huge = VmSpec::new(1_000.0, 99_999.0, 9_999.0, 9_999.0, 4);
-        assert_eq!(FirstFit::default().select_host(&hs, &huge), None);
+        assert_eq!(
+            FirstFit::default().select_host(SimTime::ZERO, &hs, &huge),
+            None
+        );
+    }
+
+    #[test]
+    fn failed_hosts_are_skipped_like_full_ones() {
+        let mut hs = hosts(3);
+        hs[0].fail();
+        let vms = vec![small_vm(); 5];
+        place_all(&mut hs, &vms);
+        assert_eq!(hs[0].vm_count(), 0);
+        assert_eq!(hs[1].vm_count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one instant")]
+    fn a_placement_at_a_later_instant_panics() {
+        let hs = hosts(2);
+        let mut p = FirstFit::default();
+        p.select_host(SimTime::new(5.0), &hs, &small_vm());
+        p.select_host(SimTime::new(6.0), &hs, &small_vm());
+    }
+
+    /// A random fleet and VM stream: hosts of mixed sizes, some of which
+    /// run out of RAM while PEs are still free, and VMs of 1–3 PEs with a
+    /// distinct MIPS each (so no two VMs share a spec).
+    fn fleet_and_vms() -> impl Strategy<Value = (Vec<Host>, Vec<VmSpec>)> {
+        let host = (1u32..=6, 1_500.0f64..4_000.0, 256.0f64..4_096.0)
+            .prop_map(|(pes, mips, ram)| HostSpec::new(pes, mips, ram, 4_000.0, 40_000.0));
+        let vm = (1u32..=3, 128.0f64..1_024.0, 100.0f64..1_000.0);
+        (
+            prop::collection::vec(host, 1..40),
+            prop::collection::vec(vm, 1..160),
+        )
+            .prop_map(|(host_specs, vm_draws)| {
+                let hosts = host_specs
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, s)| Host::new(HostId::from_index(i), s))
+                    .collect();
+                let vms = vm_draws
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (pes, ram, bw))| {
+                        let mips = 500.0 + 3_000.0 * i as f64 / 160.0;
+                        VmSpec::new(mips, 1_000.0, ram, bw, pes)
+                    })
+                    .collect();
+                (hosts, vms)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn first_fit_matches_a_stateless_scan(case in fleet_and_vms()) {
+            let (mut hosts, vms) = case;
+            place_all(&mut hosts, &vms);
+        }
+    }
+
+    /// The Tables V–VII fleet shape: 5 000 VMs of distinct MIPS, four per
+    /// host, on hosts sized for the largest VM. A rescan from host 0 per
+    /// VM would read about hosts × VMs / 2 = 3.1 million hosts.
+    #[test]
+    fn heterogeneous_placement_does_linear_work() {
+        let vm_count = 5_000usize;
+        let vms: Vec<VmSpec> = (0..vm_count)
+            .map(|i| {
+                let mips = 500.0 + 3_500.0 * ((i * 7_919) % vm_count) as f64 / vm_count as f64;
+                VmSpec::new(mips, 5_000.0, 512.0, 500.0, 1)
+            })
+            .collect();
+        let envelope = VmSpec::new(4_000.0, 5_000.0, 512.0, 500.0, 1);
+        let host_count = vm_count / 4;
+        let mut hosts: Vec<Host> = (0..host_count)
+            .map(|i| Host::new(HostId::from_index(i), HostSpec::roomy_for(&envelope, 4)))
+            .collect();
+        let policy = place_all(&mut hosts, &vms);
+        assert!(hosts.iter().all(|h| h.vm_count() == 4));
+        assert!(
+            policy.checks <= 2 * (host_count + vm_count),
+            "{} host checks for {host_count} hosts and {vm_count} VMs",
+            policy.checks
+        );
     }
 }

@@ -160,7 +160,6 @@ impl Scenario {
             builder = builder.datacenter(DatacenterBlueprint {
                 hosts: self.hosts_for(i),
                 characteristics: DatacenterCharacteristics::with_cost(dc.cost),
-                allocation: Box::new(simcloud::vm_alloc::FirstFit::default()),
                 scheduler: self.vm_scheduler,
             });
         }
